@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 
 class AlphabetMismatchError(ValueError):
@@ -49,7 +51,16 @@ class StructuredAlphabet:
             for bits in itertools.product((0, 1), repeat=len(self.tracks)):
                 yield (a, bits)
 
+    @cached_property
+    def _letter_set(self):
+        return frozenset(self.letters())
+
     def contains_letter(self, letter) -> bool:
+        try:
+            if letter in self._letter_set:
+                return True
+        except TypeError:
+            pass  # unhashable, e.g. list bits: the full check below decides
         a, bits = letter
         return a in self.base and len(bits) == len(self.tracks) and all(b in (0, 1) for b in bits)
 
@@ -92,11 +103,18 @@ class StructuredNfa:
     # -- basic structure ---------------------------------------------------
 
     def delta(self):
-        """dict (state, letter) -> set of targets; collapses parallel edges."""
+        """Read-only map (state, letter) -> tuple of distinct targets;
+        collapses parallel edges.  Built once per automaton."""
+        return MappingProxyType(self._delta)
+
+    @cached_property
+    def _delta(self):
+        # a plain dict, so an automaton that has built it still pickles;
+        # tuples, because the map lives as long as the automaton
         d = {}
         for (p, a, q) in self.transitions:
             d.setdefault((p, a), set()).add(q)
-        return d
+        return {k: tuple(v) for k, v in d.items()}
 
     def successors(self):
         d = {}
@@ -126,7 +144,7 @@ class StructuredNfa:
 
     def accepts(self, word) -> bool:
         cur = set(self.initial)
-        d = self.delta()
+        d = self._delta
         for letter in word:
             if not self.alphabet.contains_letter(letter):
                 raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
@@ -194,8 +212,11 @@ class StructuredNfa:
     def minimize(self) -> "StructuredNfa":
         """Moore partition refinement on the determinized automaton.
 
-        Safe only for language-level uses; run-counting callers must not
-        minimize (state merging changes the number of runs).
+        Blocks are numbered breadth-first from the initial block, letters in
+        ``alphabet.letters()`` order, so the result does not depend on how
+        the original states hash.  Safe only for language-level uses;
+        run-counting callers must not minimize (state merging changes the
+        number of runs).
         """
         d = self if self.is_deterministic_complete() else self.determinize()
         letters = tuple(d.alphabet.letters())
@@ -211,11 +232,39 @@ class StructuredNfa:
                 block = newblock
                 break
             block = newblock
+        block = _number_blocks(block, next(iter(d.initial)), dd, letters)
         init = block[next(iter(d.initial))]
         states = frozenset(block.values())
         final = frozenset(block[s] for s in d.final)
         trans = {(block[p], a, block[q]) for (p, a, q) in d.transitions}
         return StructuredNfa(d.alphabet, states, frozenset([init]), final, tuple(sorted(trans, key=lambda t: (repr(t[0]), letter_key(t[1]), repr(t[2])))))
+
+    def extend_tracks(self, tracks) -> "StructuredNfa":
+        """Move to a superset of the tracks; the added bits are unconstrained.
+
+        The inverse of ``project_track``: every transition is copied once
+        per valuation of the added tracks, so the language is the old one
+        with the new tracks read and ignored.
+        """
+        tracks = tuple(tracks)
+        old = self.alphabet.tracks
+        missing = set(old) - set(tracks)
+        if missing:
+            raise UnknownTrackError(f"extension drops tracks {sorted(missing)}")
+        if tracks == old:
+            return self
+        pos = {t: i for i, t in enumerate(old)}
+        added = [j for j, t in enumerate(tracks) if t not in pos]
+        fills = list(itertools.product((0, 1), repeat=len(added)))
+        trans = []
+        for (p, (a, bits), q) in self.transitions:
+            row = [bits[pos[t]] if t in pos else 0 for t in tracks]
+            for fill in fills:
+                for j, b in zip(added, fill):
+                    row[j] = b
+                trans.append((p, (a, tuple(row)), q))
+        return StructuredNfa(self.alphabet.with_tracks(tracks), self.states, self.initial,
+                             self.final, tuple(trans))
 
     def project_track(self, track) -> "StructuredNfa":
         """Drop one track; the bit is forgotten, so the result is an NFA."""
@@ -253,6 +302,40 @@ class StructuredNfa:
                 seen.add(tgt)
                 queue.append((tgt, w2))
         return None
+
+
+def _number_blocks(block, init, dd, letters):
+    """Renumber Moore blocks breadth-first from init's block.
+
+    Blocks unreachable from it (possible when the input was already a
+    complete DFA) follow, ordered by the smallest ``repr`` of their states.
+    """
+    rep = {}
+    for s, b in block.items():
+        rep.setdefault(b, s)
+    order = {}
+
+    def bfs(root):
+        order[root] = len(order)
+        queue = deque([root])
+        while queue:
+            b = queue.popleft()
+            for a in letters:
+                nb = block[dd[(rep[b], a)]]
+                if nb not in order:
+                    order[nb] = len(order)
+                    queue.append(nb)
+
+    bfs(block[init])
+    if len(order) < len(rep):
+        least = {}
+        for s, b in block.items():
+            if b not in order:
+                least[b] = min(least.get(b, repr(s)), repr(s))
+        for b in sorted(least, key=least.get):
+            if b not in order:
+                bfs(b)
+    return {s: order[b] for s, b in block.items()}
 
 
 def _closure(seed, edges):

@@ -387,7 +387,17 @@ def _compact(n: StructuredNfa) -> StructuredNfa:
     return n.trim()
 
 
-def _comp(formula, sig, alpha):
+def _comp(formula, sig, base):
+    """Compile ``formula`` over the tracks of its own free variables only,
+    kept in their ``sig`` order (``sig`` lists every variable in scope).
+
+    Every subformula's automaton ignores the tracks of variables that are
+    not free in it, so they are left out; ``extend_tracks`` adds them back
+    where automata meet: both sides of an ``Or``, and a quantified
+    variable's track at ``Exists`` (so a vacuous ``exists z. true`` still
+    needs one position for z).
+    """
+    alpha = StructuredAlphabet(base, tuple(v for v in sig if v in formula.free_vars()))
     if isinstance(formula, Top):
         return _all_accepting(alpha)
     if isinstance(formula, Letter):
@@ -405,18 +415,18 @@ def _comp(formula, sig, alpha):
     if isinstance(formula, Last):
         return _atom_last(formula, alpha)
     if isinstance(formula, Or):
-        return _compact(union(_comp(formula.left, sig, alpha), _comp(formula.right, sig, alpha)))
+        left = _comp(formula.left, sig, base).extend_tracks(alpha.tracks)
+        right = _comp(formula.right, sig, base).extend_tracks(alpha.tracks)
+        return _compact(union(left, right))
     if isinstance(formula, Not):
-        return _comp(formula.body, sig, alpha).complement().minimize().trim()
+        return _comp(formula.body, sig, base).complement().minimize().trim()
     if isinstance(formula, Exists):
         v = formula.var
         if v in sig:
             raise MsoSyntaxError(f"variable {v!r} shadows an outer binding")
-        sig2 = sig + (v,)
-        alpha2 = alpha.with_tracks(sig2)
-        inner = _comp(formula.body, sig2, alpha2)
+        inner = _comp(formula.body, sig + (v,), base).extend_tracks(alpha.tracks + (v,))
         if not is_second_order(v):
-            inner = intersect(inner, singleton_automaton(v, alpha2))
+            inner = intersect(inner, singleton_automaton(v, inner.alphabet))
         return _compact(inner.project_track(v))
     raise TypeError(f"unknown formula node {formula!r}")
 
@@ -425,7 +435,9 @@ def mso_compile(formula: Formula, signature, base) -> StructuredNfa:
     """Compile to an NFA over base x B^len(signature).
 
     The result accepts exactly the extended words modelling the formula;
-    first-order tracks only ever accept with exactly one 1-bit.
+    first-order tracks only ever accept with exactly one 1-bit.  Each
+    subformula is compiled over its free variables' tracks only; the
+    missing tracks are added once, before the singleton intersections.
     """
     sig = tuple(signature)
     if len(set(sig)) != len(sig):
@@ -434,7 +446,7 @@ def mso_compile(formula: Formula, signature, base) -> StructuredNfa:
     if missing:
         raise UnboundVariableError(f"free variables not in signature: {sorted(missing)}")
     alpha = StructuredAlphabet(frozenset(base), sig)
-    n = _comp(formula, sig, alpha)
+    n = _comp(formula, sig, alpha.base).extend_tracks(sig)
     for v in sig:
         if not is_second_order(v):
             n = intersect(n, singleton_automaton(v, alpha))
@@ -534,10 +546,7 @@ class _Parser:
     def atom(self):
         t = self.next()
         if t == "(":
-            if self.peek() in ("exists", "exists2", "forall", "forall2"):
-                f = self.expr()
-            else:
-                f = self.expr()
+            f = self.expr()
             self.expect(")")
             return f
         if t == "true":

@@ -492,10 +492,11 @@ def _scc_iter(vertices, edges):
 def is_bounded(resync: Resynchronizer) -> BoundednessResult:
     """Decide boundedness: finitely many sources x per (u, params, y).
 
-    Builds the source-guessing NFA over the determinized gamma; sources
-    biject with its accepting runs, so boundedness equals finite ambiguity.
-    The place-once structure admits only one infinite-ambiguity pattern
-    shape, tested by a polynomial cycle search.
+    Sources biject with the accepting runs of the source-guessing NFA
+    (``source_guessing_nfa``), so boundedness is finite ambiguity of that
+    NFA.  The NFA is not built: its place-once structure admits only one
+    infinite-ambiguity pattern, which ``_place_once_unbounded`` looks for
+    by a polynomial cycle search on the minimized gamma DFA.
     """
     hit = _place_once_unbounded(resync)
     if hit is None:

@@ -1,11 +1,12 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from origami.automata import (StructuredAlphabet, StructuredNfa, intersect, union,
                               ambiguity_class, ambiguity_report, language_equal_upto,
-                              AlphabetMismatchError, FINITE, POLY, EXP)
+                              AlphabetMismatchError, UnknownTrackError, FINITE, POLY, EXP)
 
 
 def nfa(base, tracks, states, initial, final, trans):
@@ -77,6 +78,105 @@ def test_alphabet_mismatch_raises(contains_a):
 def test_track_bits_validated():
     with pytest.raises(AlphabetMismatchError):
         nfa("a", ("x",), "p", "p", "p", [("p", ("a", ()), "p")])
+
+
+def _plain_letter_check(alpha, letter):
+    # the letter test without the cached letter set
+    a, bits = letter
+    return a in alpha.base and len(bits) == len(alpha.tracks) and all(b in (0, 1) for b in bits)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as e:  # the kind of error is part of the contract
+        return type(e)
+
+
+def test_letter_validation_kinds():
+    alpha = StructuredAlphabet(frozenset("ab"), ("x", "y"))
+    good = [("a", (0, 1)), ("b", (True, False)), ("a", [1, 0]), ["b", (0, 0)]]
+    bad = [
+        ("c", (0, 1)),        # base letter outside the alphabet
+        ("a", (0,)),          # too few bits
+        ("a", (0, 1, 0)),     # too many bits
+        ("a", (0, 2)),        # a bit that is not 0 or 1
+        ("a", [0, 2]),        # the same in unhashable list bits
+        ("a", "01"),          # bits that are not numbers
+        ("a", 1),             # bits that are not a sequence
+        ("a",),               # not a (base, bits) pair
+        [["a"], (0, 1)],      # unhashable base letter
+    ]
+    for letter in good + bad:
+        assert _outcome(alpha.contains_letter, letter) == \
+            _outcome(_plain_letter_check, alpha, letter), letter
+    assert all(alpha.contains_letter(letter) is True for letter in good)
+    for letter in bad[:6]:
+        with pytest.raises(AlphabetMismatchError):
+            StructuredNfa(alpha, {"p"}, {"p"}, {"p"}, (("p", letter, "p"),))
+    n = StructuredNfa(alpha, {"p"}, {"p"}, {"p"}, (("p", ("a", (0, 1)), "p"),))
+    for letter in bad[:6]:
+        with pytest.raises(AlphabetMismatchError):
+            n.accepts([("a", (0, 1)), letter])
+
+
+def test_delta_is_read_only_and_pickles(contains_a):
+    d = contains_a.delta()
+    assert d[("p", ("a", ()))] == ("q",)
+    with pytest.raises(TypeError):
+        d[("p", ("a", ()))] = {"p"}
+    with pytest.raises(AttributeError):
+        d[("p", ("a", ()))].add("p")
+    assert contains_a.accepts([("a", ())]) and not contains_a.accepts([("b", ())])
+    # process pools pickle automata whose map is already built
+    again = pickle.loads(pickle.dumps(contains_a))
+    assert again == contains_a and again.delta() == d
+
+
+@st.composite
+def small_nfas(draw):
+    tracks = ("x",)
+    states = range(draw(st.integers(1, 3)))
+    letters_ = letters("ab", len(tracks))
+    trans = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(letters_),
+                                    st.sampled_from(states)), max_size=10))
+    return nfa("ab", tracks, states, draw(st.sets(st.sampled_from(states), min_size=1)),
+               draw(st.sets(st.sampled_from(states))), trans)
+
+
+@given(small_nfas(), st.permutations(["P", "x", "Q"]))
+def test_extend_then_project_round_trip(n, tracks):
+    wide = n.extend_tracks(tracks)
+    assert wide.alphabet.tracks == tuple(tracks)
+    ix = tracks.index("x")
+    # the added bits are unconstrained
+    for k in range(3):
+        for w in itertools.product(wide.alphabet.letters(), repeat=k):
+            assert wide.accepts(w) == n.accepts([(a, (bits[ix],)) for (a, bits) in w])
+    assert language_equal_upto(wide.project_track("P").project_track("Q"), n, 4)
+
+
+def test_extend_tracks_must_keep_every_track(contains_a):
+    assert contains_a.extend_tracks(()) is contains_a
+    with pytest.raises(UnknownTrackError):
+        contains_a.extend_tracks(("x",)).extend_tracks(("y",))
+
+
+def test_minimize_numbers_blocks_breadth_first():
+    # breadth-first from the initial block, a before b: z=0, m=1, d=2, f=3
+    n = nfa("ab", (), ["z", "m", "f", "d", "u"], ["z"], ["f", "u"], [
+        ("z", ("a", ()), "m"), ("z", ("b", ()), "d"),
+        ("m", ("a", ()), "f"), ("m", ("b", ()), "d"),
+        ("f", ("a", ()), "d"), ("f", ("b", ()), "d"),
+        ("d", ("a", ()), "d"), ("d", ("b", ()), "d"),
+        # a complete DFA may keep an unreachable state: its block comes last
+        ("u", ("a", ()), "u"), ("u", ("b", ()), "u"),
+    ]).minimize()
+    assert n.initial == {0} and n.final == {3, 4}
+    assert set(n.transitions) == {
+        (0, ("a", ()), 1), (0, ("b", ()), 2), (1, ("a", ()), 3), (1, ("b", ()), 2),
+        (2, ("a", ()), 2), (2, ("b", ()), 2), (3, ("a", ()), 2), (3, ("b", ()), 2),
+        (4, ("a", ()), 4), (4, ("b", ()), 4)}
 
 
 # -- ambiguity ----------------------------------------------------------------

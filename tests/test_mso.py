@@ -1,9 +1,15 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from origami.mso import (parse_formula, mso_compile, evaluate_extended,
-                         MsoSyntaxError, UnboundVariableError)
+from origami.mso import (parse_formula, mso_compile, evaluate_extended, is_second_order,
+                         MsoSyntaxError, UnboundVariableError,
+                         Top, Letter, Leq, Lt, InSet, Succ, First, Last, Or, Not, Exists)
 
 
 def ext_letters(base, k):
@@ -99,3 +105,79 @@ def test_compile_matches_evaluator_rtrav():
     f = parse_formula(
         "x in R & x < y & forall z. ((x < z & z < y) -> !(z in R))")
     sweep_agreement(f, ("R", "S", "x", "y"), "ab", 3)
+
+
+# generated formulas: every node kind, free variables drawn from x, y, X
+VARS = ("X", "x", "y")
+
+
+@st.composite
+def formula_cases(draw):
+    """A formula with a signature holding its free variables (and maybe
+    more, in any order).  Variables bound in the formula are left out of
+    the signature and never bound twice on one path, as the compiler
+    requires; a quantifier may bind a variable its body does not use."""
+    bound = set(draw(st.sampled_from(
+        [c for r in range(4) for c in itertools.combinations(VARS, r)])))
+    sig = tuple(draw(st.permutations([v for v in VARS if v not in bound])))
+
+    def gen(depth, scope):
+        names = sig + scope
+        fo = [v for v in names if not is_second_order(v)]
+        so = [v for v in names if is_second_order(v)]
+        kinds = ["top"]
+        if fo:
+            kinds += ["letter", "leq", "lt", "succ", "first", "last"]
+        if fo and so:
+            kinds.append("in")
+        if depth:
+            kinds += ["or", "not"]
+            if bound - set(scope):
+                kinds.append("exists")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "top":
+            return Top()
+        if kind == "letter":
+            return Letter(draw(st.sampled_from("ab")), draw(st.sampled_from(fo)))
+        if kind in ("leq", "lt", "succ"):
+            x, y = draw(st.sampled_from(fo)), draw(st.sampled_from(fo))
+            if kind == "succ":
+                return Succ(x, y, draw(st.integers(0, 2)))
+            return Leq(x, y) if kind == "leq" else Lt(x, y)
+        if kind in ("first", "last"):
+            v = draw(st.sampled_from(fo))
+            return First(v) if kind == "first" else Last(v)
+        if kind == "in":
+            return InSet(draw(st.sampled_from(fo)), draw(st.sampled_from(so)))
+        if kind == "or":
+            return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "not":
+            return Not(gen(depth - 1, scope))
+        v = draw(st.sampled_from(sorted(bound - set(scope))))
+        return Exists(v, gen(depth - 1, scope + (v,)))
+
+    return gen(4, ()), sig
+
+
+@settings(max_examples=150)
+@given(formula_cases())
+# vacuous quantifiers: exists x needs a position even when x is unused
+@example((Exists("x", Top()), ("X",)))
+@example((Or(Exists("X", Not(Top())), Exists("x", Top())), ()))
+@example((Not(Exists("y", Not(Letter("a", "x")))), ("x",)))
+def test_generated_formulas_match_evaluator(case):
+    formula, sig = case
+    sweep_agreement(formula, sig, "ab", 3)
+
+
+def test_cli_output_independent_of_hash_seed():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    cmd = [sys.executable, "-m", "origami.cli", "mso-compile",
+           "x < y & forall z. ((x < z & z < y) -> a(z))",
+           "--signature", "x y", "--alphabet", "a b"]
+    outs = set()
+    for seed in ("1", "3", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        outs.add(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
+    assert len(outs) == 1

@@ -343,3 +343,9 @@ def test_bounded_builders_have_limited_traversal_on_sweeps():
     # contrast: the universal resynchronizer's accepted pairs grow
     per_len = _accepted_pair_traversals(make_universal(base="a"), 4, 3)
     assert per_len[4] > per_len[2]
+
+
+@pytest.mark.parametrize("k,size", [(1, (5, 160)), (2, (9, 1152)), (3, (17, 8704))])
+def test_rk_gamma_dfa_sizes(k, size):
+    d, _ = make_Rk(k).gamma_dfa()
+    assert (len(d.states), len(d.transitions)) == size
