@@ -13,7 +13,7 @@ exponential ambiguity with a single state.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -201,9 +201,11 @@ class StructuredNfa:
             if (p, a) in seen and seen[(p, a)] != q:
                 return False
             seen[(p, a)] = q
+        # every transition letter is validated in __post_init__, so a state
+        # is complete when its count of distinct letters is the alphabet's
         n_letters = len(self.alphabet.base) * (2 ** len(self.alphabet.tracks))
-        return all(sum(1 for a in self.alphabet.letters() if (p, a) in seen) == n_letters
-                   for p in self.states)
+        per_state = Counter(p for (p, _a) in seen)
+        return all(per_state[p] == n_letters for p in self.states)
 
     def complement(self) -> "StructuredNfa":
         d = self if self.is_deterministic_complete() else self.determinize()

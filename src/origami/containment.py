@@ -18,22 +18,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness,
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
-from .transducers import (OneWayTransducer, TwoWayTransducer, OriginGraph, RunCaps, EPS,
-                          run_origin_graphs, words_upto, MatchIndex)
+from .transducers import (OneWayTransducer, OriginGraph, RunCaps, EPS,
+                          run_origin_graphs, sweep_origin_graphs, MatchIndex)
 from .traversal import max_traversal, greedy_label, GreedyLabelError
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("ORIGAMI_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -69,28 +60,6 @@ class Verdict:
         if self.counterexample:
             out["counterexample"] = self.counterexample.to_json()
         return out
-
-
-def _emission_table_plain(resync, sigma_p):
-    """Emission oracle (cache, targets, fill): may an output position keep
-    origin h under gamma?  Runs the compiled automaton; the partner search
-    is not the oracle route, witness re-checking stays on the formula
-    evaluator.
-    """
-    u, orig_p = sigma_p.input, sigma_p.orig
-    dfa, delta = resync.gamma_dfa()
-    init = next(iter(dfa.initial))
-    final = dfa.final
-    cache = {}
-
-    def fill(h, y):
-        state = init
-        for p, a in enumerate(u, start=1):
-            state = delta[(state, (a, (1 if p == h else 0, 1 if p == y else 0)))]
-        got = cache[(h, y)] = state in final
-        return got
-
-    return (cache, orig_p, fill)
 
 
 def _emission_table_ext(resync, sigma_p):
@@ -246,190 +215,70 @@ def _ext_precheck_m0(resync, sigma_p):
     return True
 
 
-class _Sweep:
-    """Per-input containment check; picklable so worker processes can run
-    chunks of the input sweep."""
-
-    def __init__(self, t1, t2, resync, caps, record, membership):
-        self.t1 = t1
-        self.t2 = t2
-        self.resync = resync
-        self.caps = caps
-        self.record = record
-        self.membership = membership
-        ext = isinstance(resync, ExtendedResynchronizer)
-        self.m0_plain = (_is_plain_m0(resync) and isinstance(t2, OneWayTransducer)
-                         and membership is None)
-        self.m0_ext = (ext and resync.m == 0 and resync.n_out == 0
-                       and isinstance(t2, OneWayTransducer) and membership is None)
-        self._wake()
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("idx", None)
-        state.pop("idx1", None)
-        state.pop("check", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._wake()
-
-    def _wake(self):
-        from .transducers import transition_index
-        self.idx = MatchIndex(self.t2) if isinstance(self.t2, OneWayTransducer) else None
-        self.idx1 = transition_index(self.t1) if isinstance(self.t1, OneWayTransducer) else None
-        self.check = self.membership or _default_membership(self.resync)
-
-    def handle(self, u, res1=None):
-        """Returns (counterexample or None, pruned flag, recorded pairs)."""
-        if res1 is None:
-            res1 = run_origin_graphs(self.t1, u, self.caps, self.idx1)
-        graphs = sorted(res1.graphs, key=lambda g: g.sort_key())
-        pairs = []
-        caps2 = self.caps
-        if isinstance(self.t2, TwoWayTransducer):
-            out_cap = max([len(g.output) for g in graphs], default=1)
-            caps2 = RunCaps(max(out_cap, 1), self.caps.max_steps)
-        for sigma_p in graphs:
-            matched = None
-            if self.m0_plain or self.m0_ext:
-                if self.m0_ext and not _ext_precheck_m0(self.resync, sigma_p):
-                    org = None
-                else:
-                    emission = (_emission_table_plain(self.resync, sigma_p) if self.m0_plain
-                                else _emission_table_ext(self.resync, sigma_p))
-                    org = _find_partner_m0(self.t2, u, sigma_p.output, emission, self.idx)
-                if org is not None:
-                    if self.record:
-                        matched = (OriginGraph(u, sigma_p.output, org), ResyncWitness(()))
-                    else:
-                        matched = True
-            else:
-                for cand in _candidate_graphs(self.t2, u, sigma_p.output, caps2, self.idx):
-                    w = self.check(cand, sigma_p)
-                    if w is not None:
-                        matched = (cand, w)
-                        break
-            if matched is None:
-                has_partner = next(_candidate_graphs(self.t2, u, sigma_p.output, caps2, self.idx),
-                                   None)
-                reason = "no-accepted-partner" if has_partner is not None else "no-partner"
-                return Counterexample(sigma_p, reason), res1.pruned, pairs
-            if self.record and matched is not True:
-                pairs.append((matched[0], sigma_p, matched[1]))
-        return None, res1.pruned, pairs
-
-
-_WORKER_SWEEP = None
-
-
-def _sweep_init(sweep):
-    global _WORKER_SWEEP
-    _WORKER_SWEEP = sweep
-
-
-def _sweep_chunk(chunk):
-    out_cex = None
-    pruned = False
-    for pos, u in chunk:
-        cex, p, _pairs = _WORKER_SWEEP.handle(u)
-        pruned = pruned or p
-        if cex is not None:
-            out_cex = (pos, cex)
-            break
-    return out_cex, pruned
-
-
 def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
                   record=False, membership=None) -> Verdict:
     """Sweep all inputs up to max_input_len; every t1 graph needs a t2
     partner with the same words accepted by the resynchronizer.
 
-    Inputs are swept by length then lexicographically and the earliest
-    failing graph is reported, so verdicts are deterministic.  With
-    ORIGAMI_THREADS > 1 the sweep runs on a process pool (unless recording
-    pairs or using a custom membership callable); the merge keeps the
-    sweep order.
+    Inputs are swept by length then lexicographically (``words_upto``
+    order), each input's graphs in ``sort_key`` order, and the sweep stops
+    at the first graph without an accepted partner, so the counterexample
+    is the least one and verdicts are deterministic.  ``pruned`` covers the
+    inputs swept: every input on a holding verdict, and on a failing one
+    the inputs up to and including the counterexample's.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise ValueError("transducers must share input and output alphabets")
-    sweep = _Sweep(t1, t2, resync, caps, record, membership)
-    inputs = list(words_upto(t1.input_alphabet, max_input_len))
-    workers = _threads()
-    pruned = False
+    one_way2 = isinstance(t2, OneWayTransducer)
+    idx = MatchIndex(t2) if one_way2 else None
+    check = membership or _default_membership(resync)
+    plain = membership is None and one_way2 and _is_plain_m0(resync)
+    ext = (membership is None and one_way2 and isinstance(resync, ExtendedResynchronizer)
+           and resync.m == 0 and resync.n_out == 0)
+    shared = _PrefixGammaCache(resync) if plain else None
+    state = {"pruned": False, "cex": None}
     pairs = []
-    if workers > 1 and not record and membership is None and len(inputs) >= 4 * workers:
-        chunks = []
-        size = max(1, (len(inputs) + 8 * workers - 1) // (8 * workers))
-        numbered = list(enumerate(inputs))
-        for lo in range(0, len(numbered), size):
-            chunks.append(numbered[lo:lo + size])
-        best = None
-        with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init,
-                                 initargs=(sweep,)) as ex:
-            for got, p in ex.map(_sweep_chunk, chunks):
-                pruned = pruned or p
-                if got is not None and (best is None or got[0] < best[0]):
-                    best = got
-        if best is not None:
-            return Verdict("fails", best[1], max_input_len, caps, pruned, ())
-        return Verdict("holds-on-sweep", None, max_input_len, caps, pruned, ())
-    if isinstance(t1, OneWayTransducer):
-        # tree-order sweep amortizes t1 enumeration over shared prefixes;
-        # the minimal (length, word) counterexample is kept for determinism
-        from .transducers import sweep_origin_graphs
-        state = {"pruned": False, "best": None}
-        shared = _PrefixGammaCache(resync) if sweep.m0_plain and not record \
-            and isinstance(resync, Resynchronizer) else None
-        if shared is not None and not shared.available:
-            shared = None
 
-        def visit(u, res1):
-            key = (len(u), u)
-            if state["best"] is not None and key >= state["best"][0]:
-                return False
-            state["pruned"] = state["pruned"] or res1.pruned
-            cex = None
-            if shared is not None:
-                shared.move_to(u)
-                graphs1 = res1.graphs if len(res1.graphs) < 2 \
-                    else sorted(res1.graphs, key=lambda g: g.sort_key())
-                for sigma_p in graphs1:
-                    emission = (shared.cache, sigma_p.orig,
-                                lambda h, y: shared.fill(u, h, y))
-                    org = _find_partner_m0(t2, u, sigma_p.output, emission,
-                                           sweep.idx, want_witness=False)
-                    if org is None:
-                        has = next(_candidate_graphs(t2, u, sigma_p.output, caps,
-                                                     sweep.idx), None)
-                        reason = ("no-accepted-partner" if has is not None
-                                  else "no-partner")
-                        cex = Counterexample(sigma_p, reason)
-                        break
+    def visit(u, res1):
+        state["pruned"] = state["pruned"] or res1.pruned
+        graphs = sorted(res1.graphs, key=lambda g: g.sort_key())
+        caps2 = caps
+        if not one_way2:
+            out_cap = max([len(g.output) for g in graphs], default=1)
+            caps2 = RunCaps(max(out_cap, 1), caps.max_steps)
+        if shared is not None:
+            shared.move_to(u)
+        for sigma_p in graphs:
+            v = sigma_p.output
+            matched = None
+            if plain or ext:
+                org = None
+                if plain:
+                    org = _find_partner_m0(t2, u, v, (shared.cache, sigma_p.orig, shared.fill),
+                                           idx, want_witness=record)
+                elif _ext_precheck_m0(resync, sigma_p):
+                    org = _find_partner_m0(t2, u, v, _emission_table_ext(resync, sigma_p),
+                                           idx, want_witness=record)
+                if org is not None:
+                    matched = (OriginGraph(u, v, org), ResyncWitness(())) if record else True
             else:
-                cex, p, ps = sweep.handle(u, res1)
-                state["pruned"] = state["pruned"] or p
-                pairs.extend(ps)
-            if cex is not None:
-                if state["best"] is None or key < state["best"][0]:
-                    state["best"] = (key, cex)
+                for cand in _candidate_graphs(t2, u, v, caps2, idx):
+                    w = check(cand, sigma_p)
+                    if w is not None:
+                        matched = (cand, w)
+                        break
+            if matched is None:
+                has_partner = next(_candidate_graphs(t2, u, v, caps2, idx), None)
+                reason = "no-accepted-partner" if has_partner is not None else "no-partner"
+                state["cex"] = Counterexample(sigma_p, reason)
                 return False
-            return True
+            if record:
+                pairs.append((matched[0], sigma_p, matched[1]))
+        return True
 
-        sweep_origin_graphs(t1, max_input_len, caps, visit)
-        if state["best"] is not None:
-            return Verdict("fails", state["best"][1], max_input_len, caps,
-                           state["pruned"], tuple(pairs))
-        return Verdict("holds-on-sweep", None, max_input_len, caps,
-                       state["pruned"], tuple(pairs))
-    for u in inputs:
-        cex, p, ps = sweep.handle(u)
-        pruned = pruned or p
-        pairs.extend(ps)
-        if cex is not None:
-            return Verdict("fails", cex, max_input_len, caps, pruned, tuple(pairs))
-    return Verdict("holds-on-sweep", None, max_input_len, caps, pruned, tuple(pairs))
+    sweep_origin_graphs(t1, max_input_len, caps, visit)
+    status = "holds-on-sweep" if state["cex"] is None else "fails"
+    return Verdict(status, state["cex"], max_input_len, caps, state["pruned"], tuple(pairs))
 
 
 def _zero_extension_stable(resync):
@@ -461,54 +310,56 @@ def _letter_blind(resync):
 
 
 class _PrefixGammaCache:
-    """Shared gamma(u, x, y) results along an input tree walk.
+    """gamma(u, x, y) answers of a plain parameterless resynchronizer,
+    shared by the graphs of one input and, where gamma allows, by later
+    inputs of the sweep.
 
-    Valid only for zero-extension-stable gamma: the answer then depends on
-    the prefix u[:max(x, y)] alone, so entries survive while that prefix
-    does; entries are tagged with max(x, y) and dropped when the walk
-    backtracks above that depth.  A letter-blind gamma (shift-like
-    formulas) depends on (x, y) alone, and its entries are never dropped.
+    How long an entry lives is read off the minimized automaton.  When
+    appending letters with all-zero tracks never changes gamma
+    (zero-extension-stable), the answer depends on the prefix u[:max(x, y)]
+    alone: entries are tagged with max(x, y) and dropped when the next
+    input leaves that prefix, and if gamma is also letter-blind (shift-like
+    formulas) they depend on (x, y) alone and last the whole sweep.
+    Otherwise entries last for the current input only.
     """
 
     def __init__(self, resync):
-        self.available = _zero_extension_stable(resync)
-        if not self.available:
-            return
         dfa, delta = resync.gamma_dfa()
         self.d_init = next(iter(dfa.initial))
         self.d_final = dfa.final
         self.d_delta = delta
-        self.blind = _letter_blind(resync)
+        self.stable = _zero_extension_stable(resync)
+        self.blind = self.stable and _letter_blind(resync)
         self.cache = {}
-        self.by_depth = []   # keys added per depth
-        self.word = []
+        self.by_depth = []   # keys added per prefix depth
+        self.word = ()
 
     def move_to(self, u):
-        """Adjust to the next tree node (prefix order walk)."""
-        if self.blind:
-            return
-        common = 0
-        for a, b in zip(self.word, u):
-            if a != b:
-                break
-            common += 1
-        while len(self.by_depth) > common:
-            for k in self.by_depth.pop():
-                self.cache.pop(k, None)
-        del self.word[common:]
-        for a in u[common:]:
-            self.word.append(a)
-            self.by_depth.append([])
+        """Adjust to the next input of the sweep."""
+        if not self.stable:
+            self.cache.clear()
+        elif not self.blind:
+            common = 0
+            for a, b in zip(self.word, u):
+                if a != b:
+                    break
+                common += 1
+            while len(self.by_depth) > common:
+                for k in self.by_depth.pop():
+                    self.cache.pop(k, None)
+            self.by_depth.extend([] for _ in range(len(u) - common))
+        self.word = u
 
-    def fill(self, u, h, y):
+    def fill(self, h, y):
+        u = self.word
         state = self.d_init
         delta = self.d_delta
-        for p in range(1, max(h, y) + 1):
+        end = max(h, y) if self.stable else len(u)
+        for p in range(1, end + 1):
             state = delta[(state, (u[p - 1], (1 if p == h else 0, 1 if p == y else 0)))]
-        got = state in self.d_final
-        self.cache[(h, y)] = got
-        if not self.blind:
-            self.by_depth[max(h, y) - 1].append((h, y))
+        got = self.cache[(h, y)] = state in self.d_final
+        if self.stable and not self.blind:
+            self.by_depth[end - 1].append((h, y))
         return got
 
 
@@ -712,12 +563,7 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
         values[n] = best
         return True
 
-    if isinstance(t1, OneWayTransducer):
-        from .transducers import sweep_origin_graphs
-        sweep_origin_graphs(t1, max_input_len, caps, assess)
-    else:
-        for u in words_upto(t1.input_alphabet, max_input_len):
-            assess(u, run_origin_graphs(t1, u, caps))
+    sweep_origin_graphs(t1, max_input_len, caps, assess)
     return TraversalProfile(values, state["pruned"], max_input_len)
 
 

@@ -14,7 +14,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .transducers import OriginGraph, OneWayTransducer, RunCaps, run_origin_graphs, words_upto
+from .containment import contains_upto
+from .transducers import OriginGraph, OneWayTransducer, RunCaps
 
 
 class InterleaveError(ValueError):
@@ -420,28 +421,11 @@ def contains_upto_rational(t1, t2, r: RationalResync, max_input_len, caps: RunCa
     deterministic order per (input, output) and tested through the zipped
     interleavings.
     """
-    from .containment import Verdict, Counterexample
-    from .transducers import enumerate_matching_graphs
     if not isinstance(t1, OneWayTransducer) or not isinstance(t2, OneWayTransducer):
         raise InterleaveError("rational resynchronizers only relate one-way transducers")
-    if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
-        raise ValueError("transducers must share input and output alphabets")
     sig, gam = t1.input_alphabet, t1.output_alphabet
-    pruned = False
-    for u in words_upto(t1.input_alphabet, max_input_len):
-        res1 = run_origin_graphs(t1, u, caps)
-        pruned = pruned or res1.pruned
-        for sigma_p in sorted(res1.graphs, key=lambda g: g.sort_key()):
-            matched = False
-            found_any = False
-            for org in enumerate_matching_graphs(t2, u, sigma_p.output):
-                found_any = True
-                cand = OriginGraph(u, sigma_p.output, org)
-                if rational_pair_accepts(r, cand, sigma_p, sig, gam):
-                    matched = True
-                    break
-            if not matched:
-                reason = "no-accepted-partner" if found_any else "no-partner"
-                return Verdict("fails", Counterexample(sigma_p, reason),
-                               max_input_len, caps, pruned)
-    return Verdict("holds-on-sweep", None, max_input_len, caps, pruned)
+
+    def membership(cand, sigma_p):
+        return True if rational_pair_accepts(r, cand, sigma_p, sig, gam) else None
+
+    return contains_upto(t1, t2, r, max_input_len, caps, membership=membership)

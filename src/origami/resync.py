@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import mso
 from .mso import (Formula, Top, InSet, Succ, Lt, Leq, Letter, First, Last, Or, Not, Exists,
                   f_and, forall, implies, eq, evaluate, is_second_order)
-from .automata import StructuredNfa, AmbiguityReport
+from .automata import StructuredNfa, AmbiguityReport, _closure, _scc
 from .transducers import OriginGraph
 
 X, Y = "x", "y"
@@ -324,30 +324,6 @@ class BoundednessResult:
     detail: str = ""
 
 
-def source_guessing_nfa(resync: Resynchronizer):
-    """NFA over base x B^(m+1) whose accepting runs on (u, params, y)
-    correspond one-to-one with the sources x accepted by gamma.
-
-    States are (d, placed) over the determinized gamma; the x track is
-    dropped and the single x bit is placed nondeterministically.
-    """
-    dfa, delta = resync.gamma_dfa()
-    tracks = resync.params + (Y,)
-    alpha = dfa.alphabet.with_tracks(tracks)
-    trans = []
-    for (p, (a, bits), q) in dfa.transitions:
-        row = bits[:resync.m] + bits[resync.m + 1:]
-        if bits[resync.m] == 0:
-            trans.append(((p, 0), (a, row), (q, 0)))
-            trans.append(((p, 1), (a, row), (q, 1)))
-        else:
-            trans.append(((p, 0), (a, row), (q, 1)))
-    states = {(s, f) for s in dfa.states for f in (0, 1)}
-    init = {(next(iter(dfa.initial)), 0)}
-    final = {(s, 1) for s in dfa.final}
-    return StructuredNfa(alpha, states, init, final, tuple(trans)).trim()
-
-
 def _place_once_unbounded(resync):
     """Infinite-ambiguity test specialized to the place-once NFA.
 
@@ -383,8 +359,8 @@ def _place_once_unbounded(resync):
         for p, q in letters0[ltr].items():
             fwd.setdefault(p, set()).add(q)
             bwd.setdefault(q, set()).add(p)
-    acc = _reach({init}, fwd)
-    coacc = _reach(set(dfa.final), bwd)
+    acc = _closure({init}, fwd)
+    coacc = _closure(dfa.final, bwd)
 
     U = "unplaced"
     seeds = deque()
@@ -422,7 +398,7 @@ def _place_once_unbounded(resync):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    comp = _scc_iter(order, edges)
+    comp = _scc(order, edges)
     for node in order:
         a, b, t = node
         if t == b and t is not U and a in acc and b in coacc:
@@ -432,69 +408,14 @@ def _place_once_unbounded(resync):
     return None
 
 
-def _reach(seed, edges):
-    out = set(seed)
-    q = deque(seed)
-    while q:
-        x = q.popleft()
-        for y in edges.get(x, ()):
-            if y not in out:
-                out.add(y)
-                q.append(y)
-    return out
-
-
-def _scc_iter(vertices, edges):
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comp = {}
-    counter = itertools.count()
-    cid = itertools.count()
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(edges.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                c = next(cid)
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp[w] = c
-                    if w == v:
-                        break
-    return comp
-
-
 def is_bounded(resync: Resynchronizer) -> BoundednessResult:
     """Decide boundedness: finitely many sources x per (u, params, y).
 
-    Sources biject with the accepting runs of the source-guessing NFA
-    (``source_guessing_nfa``), so boundedness is finite ambiguity of that
-    NFA.  The NFA is not built: its place-once structure admits only one
+    Sources biject with the accepting runs of the source-guessing NFA, an
+    NFA over base x B^(m+1) on states (gamma state, x placed yet) that
+    places the single x bit nondeterministically, so boundedness is finite
+    ambiguity of that NFA; the test suite builds it as an oracle.  The NFA
+    is not built here: its place-once structure admits only one
     infinite-ambiguity pattern, which ``_place_once_unbounded`` looks for
     by a polynomial cycle search on the minimized gamma DFA.
     """

@@ -15,6 +15,7 @@ tell exhaustive sweeps from sampled ones.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 EPS = None          # input component of an epsilon transition
@@ -169,7 +170,7 @@ class RunResult:
         return sorted(self.graphs, key=lambda g: g.sort_key())
 
 
-def run_origin_graphs(transducer, u, caps: RunCaps, _index=None) -> RunResult:
+def run_origin_graphs(transducer, u, caps: RunCaps) -> RunResult:
     """Enumerate the origin graphs of accepting runs on u, capped.
 
     Returns graphs deduplicated structurally; two runs with the same
@@ -179,7 +180,7 @@ def run_origin_graphs(transducer, u, caps: RunCaps, _index=None) -> RunResult:
     if not u:
         raise EmptyInputError("input word must be non-empty")
     if isinstance(transducer, OneWayTransducer):
-        return _run_1nt(transducer, u, caps, _index)
+        return _run_1nt(transducer, u, caps)
     return _run_2nt(transducer, u, caps)
 
 
@@ -191,9 +192,9 @@ def transition_index(t):
     return by_key
 
 
-def _run_1nt(t: OneWayTransducer, u, caps, by_key=None):
+def _run_1nt(t: OneWayTransducer, u, caps):
     n = len(u)
-    by_key = by_key if by_key is not None else transition_index(t)
+    by_key = transition_index(t)
     graphs = set()
     pruned = False
     max_out = caps.max_output_len
@@ -242,10 +243,12 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
         by_state.setdefault((tr[0], tr[1]), []).append(tr)
     graphs = set()
     pruned = False
-    stack = [(q, 0, (), (), 0) for q in sorted(t.initial, key=repr)]
+    # first in, first out: a configuration is first reached at its least
+    # step count, so marking it seen never cuts off a run that fits the caps
+    queue = deque((q, 0, (), (), 0) for q in sorted(t.initial, key=repr))
     seen = set()
-    while stack:
-        q, pos, out, org, steps = stack.pop()
+    while queue:
+        q, pos, out, org, steps = queue.popleft()
         key = (q, pos, out, org)
         if key in seen:
             continue
@@ -263,7 +266,7 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
             npos = pos + 1 if d == RIGHT else pos - 1
             if npos < 0 or npos > n + 1:
                 continue
-            stack.append((r, npos, out + v, org + (pos,) * len(v), steps + 1))
+            queue.append((r, npos, out + v, org + (pos,) * len(v), steps + 1))
     return RunResult(frozenset(graphs), pruned)
 
 
@@ -275,20 +278,27 @@ def words_upto(alphabet, max_len, min_len=1):
             yield w
 
 
-def sweep_origin_graphs(t: OneWayTransducer, max_len, caps: RunCaps, visit=None):
+def sweep_origin_graphs(t, max_len, caps: RunCaps, visit=None):
     """Run visit(u, RunResult) on every non-empty input up to max_len.
 
-    Equivalent to run_origin_graphs per input but amortized: the run
-    frontier (partial runs, deduplicated, keyed to minimal step count)
-    extends along the input tree, so shared prefixes are processed once.
-    Inputs come in prefix (tree) order, not length order; when visit
-    returns False the input's extensions are skipped.  With visit omitted,
-    returns the collected (u, RunResult) list instead.
+    Inputs come in ``words_upto`` order, by length then lexicographically,
+    and each result equals run_origin_graphs on that input; when visit
+    returns False the sweep stops.  A two-way t is run input by input.  A
+    one-way t shares its work along the input tree by iterative deepening:
+    for each length n the run frontier (partial runs, deduplicated, keyed
+    to minimal step count) is extended down the prefix tree to depth n and
+    only the leaves are visited.  With visit omitted, returns the collected
+    (u, RunResult) list instead.
     """
     collected = None
     if visit is None:
         collected = []
         visit = lambda u, res: collected.append((u, res)) or True
+    if not isinstance(t, OneWayTransducer):
+        for u in words_upto(t.input_alphabet, max_len):
+            if visit(u, run_origin_graphs(t, u, caps)) is False:
+                break
+        return collected
     letters = sorted(t.input_alphabet)
     by_key = transition_index(t)
     max_out, max_steps = caps.max_output_len, caps.max_steps
@@ -320,22 +330,19 @@ def sweep_origin_graphs(t: OneWayTransducer, max_len, caps: RunCaps, visit=None)
                     queue.append((nkey, nsteps))
         return pruned
 
-    def rec(u, raw, pruned):
-        # raw: runs consuming exactly u, no trailing eps steps applied yet
+    def rec(u, raw, pruned, depth):
+        # raw: runs consuming exactly u, no trailing eps steps applied yet;
+        # returns False once visit has stopped the sweep
         n = len(u)
-        if n:
+        if n == depth:
             closed = dict(raw)
             p_end = eclose(closed, n)
             graphs = frozenset(OriginGraph(u, out, org)
                                for (q, out, org) in closed if q in final)
-            if visit(u, RunResult(graphs, pruned or p_end)) is False:
-                return
-        if n >= max_len:
-            return
+            return visit(u, RunResult(graphs, pruned or p_end)) is not False
         mid = dict(raw)
         p_mid = eclose(mid, n + 1)
         for a in letters:
-            nu = u + (a,)
             nxt = {}
             npruned = pruned or p_mid
             for (q, out, org), steps in mid.items():
@@ -354,10 +361,14 @@ def sweep_origin_graphs(t: OneWayTransducer, max_len, caps: RunCaps, visit=None)
                     old = nxt.get(nkey)
                     if old is None or nsteps < old:
                         nxt[nkey] = nsteps
-            rec(nu, nxt, npruned)
+            if not rec(u + (a,), nxt, npruned, depth):
+                return False
+        return True
 
     start = {(q, (), ()): 0 for q in sorted(t.initial, key=repr)}
-    rec((), start, False)
+    for depth in range(1, max_len + 1):
+        if not rec((), start, False, depth):
+            break
     return collected
 
 
@@ -518,10 +529,3 @@ def enumerate_matching_graphs(t: OneWayTransducer, u, v, index=None):
     for q0 in sorted(t.initial, key=repr):
         if (q0, 0, 0) in feasible:
             yield from rec(q0, 0, 0, (), set())
-
-
-def enumerate_matching_graphs_2nt(t: TwoWayTransducer, u, v, caps: RunCaps):
-    """Origin tuples of capped 2NT runs on u with output exactly v."""
-    u, v = word(u), word(v)
-    res = run_origin_graphs(t, u, caps)
-    return sorted((g.orig for g in res.graphs if g.output == v)), res.pruned

@@ -58,6 +58,15 @@ def test_determinize_preserves_language(contains_a):
     assert language_equal_upto(contains_a, det, 8)
 
 
+def test_deterministic_complete_needs_every_letter_at_every_state():
+    full = [(p, ltr, p) for p in "pq" for ltr in letters("ab", 1)]
+    assert nfa("ab", ("x",), "pq", "p", "q", full).is_deterministic_complete()
+    assert nfa("ab", ("x",), "pq", "p", "q", full + full[:2]).is_deterministic_complete()
+    assert not nfa("ab", ("x",), "pq", "p", "q", full[1:]).is_deterministic_complete()
+    clash = full + [("p", ("a", (0,)), "q")]
+    assert not nfa("ab", ("x",), "pq", "p", "q", clash).is_deterministic_complete()
+
+
 def test_project_track_gives_contains_a(contains_a):
     # compiled form of "exists x. x in X & a(x)" projected on X equals the
     # plain contains-an-a automaton (checked via symmetric difference)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -150,6 +151,14 @@ def test_shared_gamma_cache_follows_letters(t_first):
     assert verdict.counterexample.sigma_p.input == ("b",)
 
 
+def test_gamma_cache_lasts_one_input_when_appending_letters_matters(t_first):
+    # last(y) can turn false when a letter is appended, so gamma's answer
+    # at (x, y) = (1, 1) on "a" does not carry over to "aa"
+    r = Resynchronizer((), parse_formula("x = y & last(y)"), base=("a", "b"), name="stay-last")
+    verdict = contains_upto(t_first, t_first, r, 2, RunCaps(2, 20))
+    assert verdict.counterexample.sigma_p.input == ("a", "a")
+
+
 def test_profile_reflexive_zero(t_one_two, caps):
     profile = traversal_profile(t_one_two, t_one_two, 4, caps)
     assert all(v == 0 for v in profile.values.values())
@@ -236,3 +245,43 @@ def test_unbounded_growth_heuristic(t_id, t_rev):
 def test_alphabet_mismatch_raises(t_id, t_first, caps):
     with pytest.raises(ValueError):
         contains_upto(t_id, t_first, make_identity(), 2, caps)
+
+
+def test_failing_verdict_pruned_covers_the_inputs_swept():
+    gt = build_tiles(grow())
+    tdown, tup = build_Tdown(gt), build_Tup(gt)
+    caps = RunCaps(10, 12)
+    r = make_shift(1, base=tuple(sorted(tdown.input_alphabet)))
+    verdict = contains_upto(tdown, tup, r, 4, caps)
+    cex = verdict.counterexample.sigma_p.input
+    assert (verdict.status, cex) == ("fails", ("t5", "t1", "t1"))
+    words = list(words_upto(tdown.input_alphabet, 4))
+    swept = words[:words.index(cex) + 1]
+    assert not verdict.pruned
+    assert not any(run_origin_graphs(tdown, u, caps).pruned for u in swept)
+    # inputs after the counterexample are pruned, and the sweep never saw them
+    assert any(run_origin_graphs(tdown, u, caps).pruned for u in words[len(swept):])
+
+
+def renamed_and_reversed(t):
+    """t with its transitions listed in reverse and its states renamed so
+    that they also sort in reverse."""
+    names = {q: f"s{i}" for i, q in enumerate(sorted(t.states, key=repr, reverse=True))}
+    trans = tuple((names[tr[0]],) + tr[1:-1] + (names[tr[-1]],) for tr in reversed(t.transitions))
+    return type(t)(set(names.values()), t.input_alphabet, t.output_alphabet, trans,
+                   {names[q] for q in t.initial}, {names[q] for q in t.final}, t.name)
+
+
+def test_verdicts_independent_of_transition_order_and_state_names(t_one_two, t_two_one,
+                                                                  t_id, t_rev):
+    cases = [(t_one_two, t_two_one, RunCaps(10, 50), 5), (t_id, t_rev, RunCaps(8, 60), 4)]
+    for (t1, t2, caps, n) in cases:
+        variants = list(itertools.product((t1, renamed_and_reversed(t1)),
+                                          (t2, renamed_and_reversed(t2))))
+        checks = [lambda a, b, k=k: contains_upto(a, b, make_shift(k, base=("a",)), n, caps)
+                  for k in (0, 1)]
+        checks.append(lambda a, b: contains_upto(a, b, make_Rk(1, base=("a",)), n, caps,
+                                                 membership=rk_membership_via_traversal(1)))
+        checks.append(lambda a, b: traversal_profile(a, b, n, caps))
+        for check in checks:
+            assert len({report_json(check(a, b)) for (a, b) in variants}) == 1, (t1.name, t2.name)

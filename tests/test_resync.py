@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from origami.automata import language_equal_upto
+from origami.automata import (StructuredNfa, ambiguity_report, language_equal_upto,
+                              FINITE)
 from origami.mso import parse_formula
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
@@ -105,6 +106,36 @@ def test_universal_unbounded():
     res = is_bounded(make_universal())
     assert not res.bounded
     assert res.report is not None
+
+
+def source_guessing_nfa(resync):
+    """NFA over base x B^(m+1) whose accepting runs on (u, params, y)
+    correspond one-to-one with the sources x accepted by gamma.
+
+    States are (d, placed) over the determinized gamma; the x track is
+    dropped and the single x bit is placed nondeterministically.
+    """
+    dfa, _delta = resync.gamma_dfa()
+    alpha = dfa.alphabet.with_tracks(resync.params + ("y",))
+    trans = []
+    for (p, (a, bits), q) in dfa.transitions:
+        row = bits[:resync.m] + bits[resync.m + 1:]
+        if bits[resync.m] == 0:
+            trans.append(((p, 0), (a, row), (q, 0)))
+            trans.append(((p, 1), (a, row), (q, 1)))
+        else:
+            trans.append(((p, 0), (a, row), (q, 1)))
+    states = {(s, f) for s in dfa.states for f in (0, 1)}
+    init = {(next(iter(dfa.initial)), 0)}
+    final = {(s, 1) for s in dfa.final}
+    return StructuredNfa(alpha, states, init, final, tuple(trans)).trim()
+
+
+@pytest.mark.parametrize("builder", range(len(BOUNDED_BUILDERS) + 2))
+def test_is_bounded_matches_source_guessing_ambiguity(builder):
+    r = (BOUNDED_BUILDERS + [make_universal, lambda: make_Rk(1)])[builder]()
+    finite = ambiguity_report(source_guessing_nfa(r)).kind == FINITE
+    assert is_bounded(r).bounded == finite
 
 
 def test_bounded_by_pm1():

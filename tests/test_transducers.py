@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from origami import corpus
 from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, OriginGraph,
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
-                                 sweep_origin_graphs, enumerate_matching_graphs,
-                                 EmptyInputError, LMARK, RMARK, RIGHT)
+                                 sweep_origin_graphs, enumerate_matching_graphs, words_upto,
+                                 EmptyInputError, LMARK, RMARK, LEFT, RIGHT)
 
 
 def graphs_of(t, u, caps):
@@ -148,3 +148,84 @@ def test_sweep_equals_per_input_random_caps(n, cap):
         ref = run_origin_graphs(t, u, caps)
         assert got[u].graphs == ref.graphs
         assert got[u].pruned == ref.pruned
+
+
+def test_sweep_visits_words_upto_order_and_stops(t_first):
+    # a two-way copy machine over {a, b}
+    copy = TwoWayTransducer({"p", "q", "f"}, {"a", "b"}, {"a", "b"},
+                            (("p", LMARK, (), RIGHT, "q"),
+                             ("q", "a", ("a",), RIGHT, "q"), ("q", "b", ("b",), RIGHT, "q"),
+                             ("q", RMARK, (), LEFT, "f")),
+                            {"p"}, {"f"})
+    caps = RunCaps(6, 20)
+    words = list(words_upto({"a", "b"}, 3))
+    for t in (t_first, copy):
+        assert [u for (u, _res) in sweep_origin_graphs(t, 3, caps)] == words
+        seen = []
+
+        def visit(u, res):
+            seen.append(u)
+            return len(seen) < 5
+
+        assert sweep_origin_graphs(t, 3, caps, visit) is None
+        assert seen == words[:5]
+
+
+def seen_set_repro(short_first):
+    """On input a, p0 moves right to q directly, or to r, which turns on
+    the right endmarker to s, which moves right to q two steps later.  The
+    only run goes through q directly and takes 5 steps."""
+    short = ("p0", "a", (), RIGHT, "q")
+    detour = ("p0", "a", (), RIGHT, "r")
+    trans = (("i", LMARK, (), RIGHT, "p0"),) + ((short, detour) if short_first else (detour, short))
+    trans += (("r", RMARK, (), LEFT, "s"),
+              ("s", "a", (), RIGHT, "q"),
+              ("q", RMARK, (), LEFT, "t1"),
+              ("t1", "a", ("a",), RIGHT, "t2"),
+              ("t2", RMARK, (), LEFT, "f"))
+    return TwoWayTransducer({"i", "p0", "q", "r", "s", "t1", "t2", "f"}, {"a"}, {"a"},
+                            trans, {"i"}, {"f"})
+
+
+@pytest.mark.parametrize("short_first", [True, False])
+def test_2nt_longer_path_does_not_shadow_a_run(short_first):
+    t = seen_set_repro(short_first)
+    for steps in (5, 6):
+        assert graphs_of(t, "a", RunCaps(3, steps)) == {(("a",), (1,))}
+    assert graphs_of(t, "a", RunCaps(3, 4)) == set()
+
+
+STATES_2NT = ("p", "q", "r", "s")
+
+
+@st.composite
+def two_way_machines(draw):
+    """A random two-way machine over {a, b}, dense enough for runs to meet
+    again at a configuration, as three copies: transitions sorted, reversed
+    and shuffled."""
+    state = st.sampled_from(STATES_2NT)
+    trans = {("p", LMARK, (), RIGHT, draw(state))}
+    for _ in range(draw(st.integers(10, 20))):
+        p, q = draw(state), draw(state)
+        a = draw(st.sampled_from(("a", "b", "a", "b", LMARK, RMARK)))
+        if a == LMARK:
+            trans.add((p, a, (), RIGHT, q))
+        elif a == RMARK:
+            trans.add((p, a, (), LEFT, q))
+        else:
+            out = draw(st.sampled_from(((), (), (), ("a",), ("b",))))
+            trans.add((p, a, out, draw(st.sampled_from((LEFT, RIGHT))), q))
+    trans = sorted(trans)
+    final = {draw(state)}
+    orders = (trans, trans[::-1], draw(st.permutations(trans)))
+    return [TwoWayTransducer(STATES_2NT, {"a", "b"}, {"a", "b"}, tr, {"p"}, final)
+            for tr in orders]
+
+
+@given(two_way_machines(), st.integers(3, 12))
+def test_2nt_graphs_independent_of_transition_order(machines, steps):
+    caps = RunCaps(3, steps)
+    for u in words_upto({"a", "b"}, 3):
+        results = [run_origin_graphs(t, u, caps) for t in machines]
+        assert len({res.graphs for res in results}) == 1, u
+        assert len({res.pruned for res in results}) == 1, u
