@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis holds / accepts / is bounded, 1 when it
-fails / rejects / is unbounded, 2 on usage or parse errors.  JSON output
-is deterministic (sorted keys, fixed iteration orders).
+fails / rejects / is unbounded, 2 on usage errors and on input origami
+rejects (see ``INPUT_ERRORS``).  Any other exception is a bug and ends the
+run with its traceback.  JSON output is deterministic (sorted keys, fixed
+iteration orders).
 """
 
 from __future__ import annotations
@@ -16,9 +18,15 @@ import sys
 from . import dot as dotmod
 from . import formats, mso, rational, reduction
 from .containment import contains_upto, resync_search, traversal_profile, report_json
-from .resync import (Resynchronizer, ExtendedResynchronizer, is_bounded,
+from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncError, is_bounded,
                      pair_in_resync, extended_pair_in_resync)
-from .transducers import RunCaps, run_origin_graphs, origin_equivalent_upto, word
+from .transducers import (RunCaps, EmptyInputError, TransducerAlphabetError,
+                          run_origin_graphs, origin_equivalent_upto, word)
+
+# the errors bad input raises: files, formulas, patterns, machines, words
+INPUT_ERRORS = (formats.FormatError, mso.MsoSyntaxError, mso.UnboundVariableError,
+                rational.RegexError, rational.InterleaveError, reduction.MachineError,
+                ResyncError, TransducerAlphabetError, EmptyInputError, FileNotFoundError)
 
 
 def _caps(args):
@@ -72,7 +80,7 @@ def cmd_origin_equiv(args):
 def cmd_mso_compile(args):
     formula = mso.parse_formula(args.formula)
     signature = tuple(args.signature.split()) if args.signature else ()
-    auto = mso.mso_compile(formula, signature, args.alphabet.split())
+    auto = mso.mso_compile(formula, signature, args.alphabet)
     print(formats.format_automaton(auto), end="")
     return 0
 
@@ -192,14 +200,13 @@ def cmd_check_domino(args):
         res = reduction.check_domino_lemma(tiles, lam)
         print(("ok: " if res.ok else "violated: ") + res.detail)
         return 0 if res.ok else 1
-    import itertools as it
-    indexes = tiles.indexes()
+    # one sweep per length, so the first violation is a shortest one
     for n in range(1, args.max_len + 1):
-        for lam in it.product(indexes, repeat=n):
+        lam = reduction.check_domino_sweep(tiles, n)
+        if lam is not None:
             res = reduction.check_domino_lemma(tiles, lam)
-            if not res.ok:
-                print(f"violated at {' '.join(lam)}: {res.detail}")
-                return 1
+            print(f"violated at {' '.join(lam)}: {res.detail}")
+            return 1
     print(f"ok for every sequence up to length {args.max_len}")
     return 0
 
@@ -236,6 +243,20 @@ def cmd_dot(args):
     return 0
 
 
+def _at_least(low):
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return parse
+
+
+def _letters(text):
+    if not text.split():
+        raise argparse.ArgumentTypeError("needs at least one letter")
+    return text.split()
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="origami",
                                 description="origin-graph analyses for string transducers")
@@ -243,8 +264,8 @@ def build_parser():
 
     def common(sp, caps=True, fmt=True):
         if caps:
-            sp.add_argument("--max-output", type=int, default=12)
-            sp.add_argument("--max-steps", type=int, default=60)
+            sp.add_argument("--max-output", type=_at_least(1), default=12)
+            sp.add_argument("--max-steps", type=_at_least(1), default=60)
         if fmt:
             sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
@@ -257,14 +278,14 @@ def build_parser():
     sp = sub.add_parser("origin-equiv", help="compare capped origin semantics")
     sp.add_argument("t1")
     sp.add_argument("t2")
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=_at_least(1), default=4)
     common(sp, fmt=False)
     sp.set_defaults(func=cmd_origin_equiv)
 
     sp = sub.add_parser("mso-compile", help="compile a formula to an automaton")
     sp.add_argument("formula")
     sp.add_argument("--signature", default="")
-    sp.add_argument("--alphabet", default="a b")
+    sp.add_argument("--alphabet", type=_letters, default="a b")
     sp.set_defaults(func=cmd_mso_compile)
 
     sp = sub.add_parser("resync-check", help="membership of a graph pair")
@@ -281,22 +302,22 @@ def build_parser():
     sp.add_argument("t1")
     sp.add_argument("t2")
     sp.add_argument("resync")
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=_at_least(1), default=4)
     common(sp)
     sp.set_defaults(func=cmd_contains)
 
     sp = sub.add_parser("resync-search", help="least k with R_k relating the sweep")
     sp.add_argument("t1")
     sp.add_argument("t2")
-    sp.add_argument("--k-max", type=int, default=3)
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--k-max", type=_at_least(0), default=3)
+    sp.add_argument("--max-len", type=_at_least(1), default=4)
     common(sp)
     sp.set_defaults(func=cmd_resync_search)
 
     sp = sub.add_parser("traversal-profile", help="per-length min-max traversal")
     sp.add_argument("t1")
     sp.add_argument("t2")
-    sp.add_argument("--max-len", type=int, default=6)
+    sp.add_argument("--max-len", type=_at_least(1), default=6)
     common(sp)
     sp.set_defaults(func=cmd_traversal_profile)
 
@@ -309,7 +330,7 @@ def build_parser():
     sp.add_argument("machine")
     sp.add_argument("sequence", nargs="?", default=None,
                     help="tile indexes, comma or space separated; omit to sweep")
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=_at_least(1), default=4)
     sp.set_defaults(func=cmd_check_domino)
 
     sp = sub.add_parser("rational-check", help="rational membership of a graph pair")
@@ -334,8 +355,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (formats.FormatError, mso.MsoSyntaxError, rational.RegexError,
-            rational.InterleaveError, FileNotFoundError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,12 @@ graph sigma of t2, i.e. (sigma, sigma') is in [[R]] with sigma the source.
 This is a desk-scale verifier over finite sweeps, not a decision
 procedure; the underlying relation is undecidable in general.
 
-Partner search: for parameterless resynchronizers over one-way t2 the
-search runs directly on the run lattice with a per-position allowed-origin
-table (complete, no graph enumeration); otherwise candidate graphs are
-enumerated in deterministic order and tested one by one.
+Partner search: every partner query on a one-way t2 is one search of its
+run lattice (``MatchIndex.search``).  Parameterless resynchronizers check a
+per-position allowed-origin table during the search, without enumerating
+graphs; the traversal profile checks a crossing budget; other
+resynchronizers test each distinct partner the search finds.  Partners on
+a two-way t2 are enumerated in deterministic order and tested one by one.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness,
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
-from .transducers import (OneWayTransducer, OriginGraph, RunCaps, EPS,
-                          run_origin_graphs, sweep_origin_graphs, MatchIndex)
+from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
+                          TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
 from .traversal import max_traversal, greedy_label, GreedyLabelError
 
 
@@ -77,127 +79,44 @@ def _emission_table_ext(resync, sigma_p):
     return (cache, targets, fill)
 
 
-def _find_partner_m0(t2: OneWayTransducer, u, v, emission, index=None,
-                     want_witness=True):
-    """Origin tuple of some run of t2 on (u, v) where every output position
-    t is emitted at an allowed head; None if none.
-
-    ``emission`` is (cache, orig_p, fill): the check for head h at output t
-    is cache[(h, orig_p[t])], computed by fill(h, orig_p[t]) on a miss.
-    First-success DFS over the run lattice with a failed-node memo, so the
-    search visits each reachable lattice cell at most once.  Without
-    want_witness, a bare sentinel replaces the origin tuple.
-    """
-    n, m = len(u), len(v)
-    index = index or MatchIndex(t2)
-    failed = set()
-    onpath = set()
-    final = t2.final
-    exact = index.exact
-    lens = index.lens
-    pad = index.pad
-    sink = index.sink
-    ecache, orig_p, fill = emission
-    eget = ecache.get
-    hit = ()
-
-    def rec(q, i, j, org):
-        # second component: failure independent of the current path, so
-        # memoizable (eps cycles make some failures context-dependent)
-        if i == n and j == m and q in final:
-            return org, True
-        if i == n or q in sink:
-            # success-only shortcut: skip the rest of the input silently
-            # and pad the remaining output at the last position in one scan
-            letters = pad.get(q)
-            if letters is not None:
-                ok = True
-                for s in range(j, m):
-                    if v[s] not in letters:
-                        ok = False
-                        break
-                    got = eget((n, orig_p[s]))
-                    if got is None:
-                        got = fill(n, orig_p[s])
-                    if not got:
-                        ok = False
-                        break
-                if ok:
-                    return (org + (n,) * (m - j) if want_witness else hit), True
-        key = (q, i, j)
-        if key in failed:
-            return None, True
-        if key in onpath:
-            return None, False
-        onpath.add(key)
-        clean = True
-        for consuming in (1, 0):
-            if consuming:
-                if i >= n:
-                    continue
-                a = u[i]
-                ni, origin = i + 1, i + 1
-            else:
-                a = EPS
-                ni, origin = i, (i + 1 if i < n else n)
-            for lo in lens.get((q, a), ()):
-                nj = j + lo
-                if nj > m:
-                    break
-                batch = exact.get((q, a, v[j:nj]))
-                if not batch:
-                    continue
-                if lo:
-                    bad = False
-                    for s in range(j, nj):
-                        got = eget((origin, orig_p[s]))
-                        if got is None:
-                            got = fill(origin, orig_p[s])
-                        if not got:
-                            bad = True
-                            break
-                    if bad:
-                        continue
-                norg = org + (origin,) * lo if want_witness else hit
-                for r in batch:
-                    res, c = rec(r, ni, nj, norg)
-                    if res is not None:
-                        onpath.discard(key)
-                        return res, True
-                    clean = clean and c
-        onpath.discard(key)
-        if clean:
-            failed.add(key)
-        return None, clean
-
-    for q0 in sorted(t2.initial, key=repr):
-        res, _c = rec(q0, 0, 0, ())
-        if res is not None:
-            return res
-    return None
+def _partners_2nt(t2, u, v, caps):
+    """Graphs of two-way t2 on u with output v, in ``sort_key`` order."""
+    res = run_origin_graphs(t2, u, caps)
+    for g in sorted(res.graphs, key=lambda g: g.sort_key()):
+        if g.output == v:
+            yield g
 
 
-def _candidate_graphs(t2, u, v, caps, index=None):
-    """Deterministically ordered partner graphs of t2 with output v on u."""
-    from .transducers import enumerate_matching_graphs
-    if isinstance(t2, OneWayTransducer):
-        for org in enumerate_matching_graphs(t2, u, v, index):
-            yield OriginGraph(u, v, org)
+def _first_accepted(t2, index, sigma_p, check, caps, allowed=None):
+    """The first (partner, witness) that check accepts among t2's graphs
+    with sigma_p's words, each distinct partner tested once, or None.  A
+    one-way t2 is searched on its index, a two-way t2 enumerated."""
+    u, v = sigma_p.input, sigma_p.output
+    matched, seen = [], set()
+
+    def each(org):
+        if org in seen:
+            return False
+        seen.add(org)
+        cand = OriginGraph(u, v, org)
+        w = check(cand, sigma_p)
+        if w is not None:
+            matched.append((cand, w))
+        return w is not None
+
+    if index is not None:
+        index.search(u, v, allowed, each=each)
     else:
-        res = run_origin_graphs(t2, u, caps)
-        for g in sorted(res.graphs, key=lambda g: g.sort_key()):
-            if g.output == v:
-                yield g
+        for g in _partners_2nt(t2, u, v, caps):
+            if each(g.orig):
+                break
+    return matched[0] if matched else None
 
 
 def _default_membership(resync):
     if isinstance(resync, ExtendedResynchronizer):
         return lambda s, sp: extended_pair_in_resync(resync, s, sp)
     return lambda s, sp: pair_in_resync(resync, s, sp)
-
-
-def _is_plain_m0(resync):
-    return isinstance(resync, Resynchronizer) and resync.m == 0
 
 
 def _ext_precheck_m0(resync, sigma_p):
@@ -228,13 +147,17 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     the inputs up to and including the counterexample's.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
-        raise ValueError("transducers must share input and output alphabets")
+        raise TransducerAlphabetError("transducers must share input and output alphabets")
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
     check = membership or _default_membership(resync)
-    plain = membership is None and one_way2 and _is_plain_m0(resync)
+    plain = (membership is None and one_way2 and isinstance(resync, Resynchronizer)
+             and resync.m == 0)
     ext = (membership is None and one_way2 and isinstance(resync, ExtendedResynchronizer)
            and resync.m == 0 and resync.n_out == 0)
+    if plain or ext:
+        # the search's gamma table admits exactly the partners gamma relates
+        check = lambda sigma, sigma_p: ResyncWitness(())
     shared = _PrefixGammaCache(resync) if plain else None
     state = {"pruned": False, "cex": None}
     pairs = []
@@ -250,26 +173,19 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
             shared.move_to(u)
         for sigma_p in graphs:
             v = sigma_p.output
-            matched = None
-            if plain or ext:
-                org = None
-                if plain:
-                    org = _find_partner_m0(t2, u, v, (shared.cache, sigma_p.orig, shared.fill),
-                                           idx, want_witness=record)
-                elif _ext_precheck_m0(resync, sigma_p):
-                    org = _find_partner_m0(t2, u, v, _emission_table_ext(resync, sigma_p),
-                                           idx, want_witness=record)
-                if org is not None:
-                    matched = (OriginGraph(u, v, org), ResyncWitness(())) if record else True
+            if not (plain or ext):
+                matched = _first_accepted(t2, idx, sigma_p, check, caps2)
+            elif plain or _ext_precheck_m0(resync, sigma_p):
+                allowed = ((shared.cache, sigma_p.orig, shared.fill) if plain
+                           else _emission_table_ext(resync, sigma_p))
+                matched = (_first_accepted(t2, idx, sigma_p, check, caps2, allowed) if record
+                           else idx.search(u, v, allowed) or None)
             else:
-                for cand in _candidate_graphs(t2, u, v, caps2, idx):
-                    w = check(cand, sigma_p)
-                    if w is not None:
-                        matched = (cand, w)
-                        break
-            if matched is None:
-                has_partner = next(_candidate_graphs(t2, u, v, caps2, idx), None)
-                reason = "no-accepted-partner" if has_partner is not None else "no-partner"
+                matched = None
+            if not matched:
+                has_partner = (idx.search(u, v) if one_way2
+                               else next(_partners_2nt(t2, u, v, caps2), None) is not None)
+                reason = "no-accepted-partner" if has_partner else "no-partner"
                 state["cex"] = Counterexample(sigma_p, reason)
                 return False
             if record:
@@ -369,124 +285,47 @@ def _min_max_traversal_1nt(t2: OneWayTransducer, sigma_p: OriginGraph,
                            start_k=0, index=None):
     """max(start_k, min over t2 partners of the pair's max traversal).
 
-    Iterative deepening on the bound k from start_k: each probe is a DFS
-    over the run lattice (emissions ordered by origin displacement) that
-    prunes as soon as a positional crossing count exceeds k.  A probe
-    succeeding at k succeeds at every larger k, so a caller that only
-    needs to know whether the minimum exceeds some bound passes it as
-    start_k and pays one probe when it does not.  Structural dead ends (no
-    completion regardless of budget) are memoized across probes.  Partners
-    are constrained to the exact (u, v), so the search is cap-free.
-    Returns math.inf when no partner exists.
+    Iterative deepening on the bound k from start_k: each probe searches
+    t2's run lattice with a budget that refuses a move as soon as a
+    positional crossing count exceeds k, and the probes share their dead
+    nodes.  A probe succeeding at k succeeds at every larger k, so a caller
+    that only needs to know whether the minimum exceeds some bound passes
+    it as start_k and pays one probe when it does not.  Partners have the
+    exact (u, v), so the search is cap-free.  Returns math.inf when no
+    partner exists.
     """
     u, v, orig_p = sigma_p.input, sigma_p.output, sigma_p.orig
-    n, m = len(u), len(v)
+    n = len(u)
     index = index or MatchIndex(t2)
-    exact, lens, pad, sink = index.exact, index.lens, index.pad, index.sink
-    readers = index.readers
-    rank = {q: r for r, q in enumerate(sorted(t2.states, key=repr))}
-    final = t2.final
-    dead = set()        # (q, i, j) with no completion at all; probe-independent
-
-    def exists_within(k):
-        lr = [set() for _ in range(n + 1)]   # index = position z, 1-based
+    dead = set()
+    for k in range(start_k, n + 1):
+        # heads crossing each position z (1-based), per direction
+        lr = [set() for _ in range(n + 1)]
         rl = [set() for _ in range(n + 1)]
 
-        def emit(h, new):
-            added = []
-            if h < new:
-                for z in range(h, new):
-                    s = lr[z]
-                    if h not in s:
-                        s.add(h)
-                        added.append((s, h))
-                        if len(s) > k:
-                            return added, False
-            elif h > new:
-                for z in range(new + 1, h + 1):
-                    s = rl[z]
-                    if h not in s:
-                        s.add(h)
-                        added.append((s, h))
-                        if len(s) > k:
-                            return added, False
-            return added, True
-
-        def emit_all(origin, j, nj):
-            # emissions of output positions j..nj-1 at origin, or None
-            # (with nothing left behind) when one breaks the budget
+        def budget(h, j, nj):
+            # output positions j..nj-1 written at head h
             added = []
             for s in range(j, nj):
-                added2, good = emit(origin, orig_p[s])
-                added += added2
-                if not good:
-                    for (z, h) in added:
-                        z.discard(h)
-                    return None
+                y = orig_p[s]
+                if h < y:
+                    spans, zs = lr, range(h, y)
+                elif h > y:
+                    spans, zs = rl, range(y + 1, h + 1)
+                else:
+                    continue
+                for z in zs:
+                    heads = spans[z]
+                    if h not in heads:
+                        heads.add(h)
+                        added.append((heads, h))
+                        if len(heads) > k:
+                            for (heads, h2) in added:
+                                heads.discard(h2)
+                            return False
             return added
 
-        onpath = set()
-
-        def rec(q, i, j):
-            # second component: failure independent of path and budget
-            if q in final and i == n and j == m:
-                return True, True
-            if i < n and q not in readers:
-                return False, True
-            if i == n or q in sink:
-                # success-only shortcut: skip the rest of the input silently
-                # and pad the remaining output at the last position
-                letters = pad.get(q)
-                if letters is not None and all(v[s] in letters for s in range(j, m)) \
-                        and emit_all(n, j, m) is not None:
-                    return True, True
-            key = (q, i, j)
-            if key in dead:
-                return False, True
-            if key in onpath:
-                return False, False
-            onpath.add(key)
-            succ = []
-            if i < n:
-                a = u[i]
-                for lo in lens.get((q, a), ()):
-                    nj = j + lo
-                    if nj > m:
-                        break
-                    for r in exact.get((q, a, v[j:nj]), ()):
-                        cost = sum(abs(i + 1 - orig_p[s]) for s in range(j, nj))
-                        succ.append((cost, rank[r], i + 1, nj, i + 1, r))
-            origin = i + 1 if i < n else n
-            for lo in lens.get((q, EPS), ()):
-                nj = j + lo
-                if nj > m:
-                    break
-                for r in exact.get((q, EPS, v[j:nj]), ()):
-                    cost = sum(abs(origin - orig_p[s]) for s in range(j, nj))
-                    succ.append((cost, rank[r], i, nj, origin, r))
-            succ.sort()
-            clean = True
-            for (_c, _rank, ni, nj, origin, r) in succ:
-                added = emit_all(origin, j, nj)
-                if added is None:
-                    clean = False       # budget prune: not memoizable
-                    continue
-                found, c = rec(r, ni, nj)
-                if found:
-                    onpath.discard(key)
-                    return True, True
-                clean = clean and c
-                for (z, h) in added:
-                    z.discard(h)
-            onpath.discard(key)
-            if clean:
-                dead.add(key)
-            return False, clean
-
-        return any(rec(q, 0, 0)[0] for q in sorted(t2.initial, key=repr))
-
-    for k in range(start_k, n + 1):
-        if exists_within(k):
+        if index.search(u, v, budget=budget, dead=dead):
             return k
     return math.inf
 
@@ -540,7 +379,7 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
     partner at all.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
-        raise ValueError("transducers must share input and output alphabets")
+        raise TransducerAlphabetError("transducers must share input and output alphabets")
     values = {n: 0 for n in range(1, max_input_len + 1)}
     state = {"pruned": False}
     idx = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None

@@ -133,11 +133,12 @@ def parse_transducer(text: str, name=""):
             letter = {"<": LMARK, ">": RMARK}.get(a, a)
             direction = LEFT if d == "L" else RIGHT
             trans.append((p, letter, _word(_tokens(out)), direction, q))
-    if kind == "1nt":
-        return OneWayTransducer(set(states), set(sig), set(gam), tuple(trans),
-                                set(initial), set(final), name=name)
-    return TwoWayTransducer(set(states), set(sig), set(gam), tuple(trans),
-                            set(initial), set(final), name=name)
+    cls = OneWayTransducer if kind == "1nt" else TwoWayTransducer
+    try:
+        return cls(set(states), set(sig), set(gam), tuple(trans), set(initial), set(final),
+                   name=name)
+    except ValueError as exc:
+        raise FormatError(f"bad transducer: {exc}") from None
 
 
 def format_transducer(t) -> str:
@@ -225,8 +226,10 @@ def parse_origin_graph(text: str) -> OriginGraph:
     u = _word(_tokens(_header(lines, "input")))
     v = _word(_tokens(_header(lines, "output", required=False, default="eps")))
     orig_s = _tokens(_header(lines, "orig", required=False, default=""))
-    orig = tuple(int(x) for x in orig_s)
-    return OriginGraph(u, v, orig)
+    try:
+        return OriginGraph(u, v, tuple(int(x) for x in orig_s))
+    except ValueError as exc:
+        raise FormatError(f"bad origin graph: {exc}") from None
 
 
 def format_origin_graph(g: OriginGraph) -> str:

@@ -405,17 +405,18 @@ def origin_equivalent_upto(t1, t2, max_input_len, caps: RunCaps):
 # -- output-constrained run search (1NT) ------------------------------------
 
 class MatchIndex:
-    """Transitions of a one-way transducer indexed for output-constrained
-    search: for each (state, input letter or EPS), the output lengths in
-    use and a dict from the exact output word to the target states, so a
-    lattice node resolves its moves with a handful of dict lookups and no
-    scanning.
+    """Transitions of a one-way transducer indexed for the search of runs
+    that write a given output word: for each (state, input letter or EPS),
+    the output lengths in use and a dict from the exact output word to the
+    target states, so a lattice node resolves its moves with a handful of
+    dict lookups and no scanning.
     """
 
-    __slots__ = ("t", "exact", "lens", "pad", "sink", "readers")
+    __slots__ = ("final", "initial", "exact", "lens", "pad", "sink", "readers")
 
     def __init__(self, t: OneWayTransducer):
-        self.t = t
+        self.final = t.final
+        self.initial = tuple(sorted(t.initial, key=repr))
         self.exact = {}
         self.lens = {}
         for (p, a, out, q) in sorted(t.transitions, key=repr):
@@ -426,7 +427,7 @@ class MatchIndex:
         for lens in self.lens.values():
             lens.sort()
         # accepting states able to pad any tail of single eps-emitted
-        # letters from a set; lets searches finish long paddings in one scan
+        # letters from a set; lets the search finish long paddings in one scan
         self.pad = {}
         for q in t.final:
             letters = {out[0] for (p, a, out, r) in t.transitions
@@ -450,82 +451,139 @@ class MatchIndex:
                     grown = True
         self.readers = frozenset(readers)
 
-    def moves(self, q, u, v, n, m, i, j):
-        """Applicable transitions at lattice node (q, i, j) as tuples
-        (ni, nj, origin, target state)."""
-        exact = self.exact
-        out_moves = []
-        if i < n:
-            a = u[i]
-            for lo in self.lens.get((q, a), ()):
-                if j + lo > m:
-                    break
-                for r in exact.get((q, a, v[j:j + lo]), ()):
-                    out_moves.append((i + 1, j + lo, i + 1, r))
-        origin = i + 1 if i < n else n
-        for lo in self.lens.get((q, EPS), ()):
-            if j + lo > m:
-                break
-            for r in exact.get((q, EPS, v[j:j + lo]), ()):
-                out_moves.append((i, j + lo, origin, r))
-        return out_moves
+    def search(self, u, v, allowed=None, budget=None, dead=None, each=None):
+        """Does some accepting run on u write exactly v and pass the checks?
+
+        Depth first over the run lattice of nodes (q, i, j): state q with i
+        letters of u read and j letters of v written.  A move writing
+        v[j:nj] at head h (i + 1, or n once u is read) must pass
+        ``allowed``, a (cache, keys, fill) table whose answer for output
+        position s is cache[(h, keys[s])], filled by fill(h, keys[s]) on a
+        miss, and ``budget(h, j, nj)``, which may depend on the path and
+        returns the (set, item) pairs it added, for the search to discard
+        on backtracking, or False.  ``each`` receives the origin tuple of
+        every run found, repeats included, until it returns true.
+
+        A node with no accepted run below it, whatever the path and budget,
+        goes into ``dead``; nodes on the path, budget refusals and runs
+        handed to ``each`` keep it out, so searches on the same (u, v) with
+        other budgets may share the set.  An accepting state that pads the
+        rest of v with eps self-loops finishes in one scan, from a sink
+        state without reading the rest of u, and a state that can read no
+        more letters is cut while input remains.
+        """
+        n, m = len(u), len(v)
+        exact, lens, pad, sink = self.exact, self.lens, self.pad, self.sink
+        readers, final = self.readers, self.final
+        dead = set() if dead is None else dead
+        onpath = set()
+        cache, keys, fill = allowed or _NO_TABLE
+        cget = cache.get
+
+        def rec(q, i, j, org):
+            # 2: stop; 0: no accepted run below, whatever the path and budget;
+            # 1: neither.  org is a (rest, head, count) chain, built for each
+            if i == n:
+                if j == m and q in final:
+                    return 2 if each is None or each(_origins(org)) else 1
+            elif q not in readers:
+                return 0
+            if i == n or q in sink:
+                letters = pad.get(q)
+                if letters is not None:
+                    for s in range(j, m):
+                        if v[s] not in letters:
+                            break
+                        if fill is not None:
+                            got = cget((n, keys[s]))
+                            if got is None:
+                                got = fill(n, keys[s])
+                            if not got:
+                                break
+                    else:
+                        # the moves below find this run again
+                        undo = budget(n, j, m) if budget is not None else ()
+                        if undo is not False:
+                            if each is None or each(_origins((org, n, m - j))):
+                                return 2
+                            for (s, x) in undo:
+                                s.discard(x)
+            key = (q, i, j)
+            if key in dead:
+                return 0
+            if key in onpath:
+                return 1
+            onpath.add(key)
+            live = 0
+            for reads in (1, 0):
+                if reads:
+                    if i == n:
+                        continue
+                    a, ni, h = u[i], i + 1, i + 1
+                else:
+                    a, ni, h = EPS, i, (i + 1 if i < n else n)
+                for lo in lens.get((q, a), ()):
+                    nj = j + lo
+                    if nj > m:
+                        break
+                    batch = exact.get((q, a, v[j:nj]))
+                    if not batch:
+                        continue
+                    undo = ()
+                    norg = org
+                    if lo:
+                        if fill is not None:
+                            ok = True
+                            for s in range(j, nj):
+                                got = cget((h, keys[s]))
+                                if got is None:
+                                    got = fill(h, keys[s])
+                                if not got:
+                                    ok = False
+                                    break
+                            if not ok:
+                                continue
+                        if budget is not None:
+                            undo = budget(h, j, nj)
+                            if undo is False:
+                                live = 1
+                                continue
+                        if each is not None:
+                            norg = (org, h, lo)
+                    for r in batch:
+                        got = rec(r, ni, nj, norg)
+                        if got == 2:
+                            return 2
+                        live |= got
+                    for (s, x) in undo:
+                        s.discard(x)
+            onpath.discard(key)
+            if not live:
+                dead.add(key)
+            return live
+
+        for q0 in self.initial:
+            if rec(q0, 0, 0, None) == 2:
+                return True
+        return False
 
 
-def matching_feasible(t: OneWayTransducer, u, v, index: "MatchIndex | None" = None):
-    """Reachability table for runs of t on u producing exactly v.
+_NO_TABLE = ({}, (), None)
 
-    Returns (feasible, index): feasible is the set of (q, i, j) nodes from
-    which an accepting completion exists, with i input letters consumed and
-    j output letters produced so far.  Computed by a backward closure over
-    the finite run lattice, so pure eps|eps cycles are safe; only lattice
-    cells with transitions compatible with v contribute edges.
-    """
-    u, v = word(u), word(v)
-    n, m = len(u), len(v)
-    index = index or MatchIndex(t)
-    back = {}
-    for q in t.states:
-        for i in range(n + 1):
-            for j in range(m + 1):
-                for (ni, nj, _origin, r) in index.moves(q, u, v, n, m, i, j):
-                    back.setdefault((r, ni, nj), []).append((q, i, j))
-    feasible = {(q, n, m) for q in t.final}
-    frontier = list(feasible)
-    while frontier:
-        node = frontier.pop()
-        for prev in back.get(node, ()):
-            if prev not in feasible:
-                feasible.add(prev)
-                frontier.append(prev)
-    return feasible, index
+
+def _origins(chain):
+    """The origin tuple of a (rest, head, count) chain."""
+    out = ()
+    while chain is not None:
+        chain, h, count = chain
+        out = (h,) * count + out
+    return out
 
 
 def enumerate_matching_graphs(t: OneWayTransducer, u, v, index=None):
-    """Yield the distinct origin tuples of runs of t on u with output v.
-
-    Deterministic DFS order; dead branches are pruned with a feasibility
-    check so the enumeration is linear in the number of distinct graphs
-    times the lattice size.
-    """
-    u, v = word(u), word(v)
-    n, m = len(u), len(v)
-    feasible, index = matching_feasible(t, u, v, index)
-    seen = set()
-
-    def rec(q, i, j, org, path):
-        if q in t.final and i == n and j == m and org not in seen:
-            seen.add(org)
-            yield org
-        state_key = (q, i, j)
-        if state_key in path:
-            return
-        path.add(state_key)
-        for (ni, nj, origin, r) in index.moves(q, u, v, n, m, i, j):
-            if (r, ni, nj) not in feasible:
-                continue
-            yield from rec(r, ni, nj, org + (origin,) * (nj - j), path)
-        path.discard(state_key)
-
-    for q0 in sorted(t.initial, key=repr):
-        if (q0, 0, 0) in feasible:
-            yield from rec(q0, 0, 0, (), set())
+    """Yield the distinct origin tuples of runs of t on u with output v,
+    in the deterministic order of ``MatchIndex.search``."""
+    found = {}      # first-found order; setdefault returns False, so the search goes on
+    index = index or MatchIndex(t)
+    index.search(word(u), word(v), each=lambda org: found.setdefault(org, False))
+    yield from found

@@ -2,17 +2,20 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from origami import corpus
 from origami.mso import First, parse_formula
 from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
-                                 run_origin_graphs, enumerate_matching_graphs, words_upto)
+                                 run_origin_graphs, words_upto)
 from origami.traversal import max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, make_identity, make_pm1, make_Rk, make_shift,
                             compose, pair_in_resync, check_witness, make_first_to_last)
 from origami.containment import (contains_upto, resync_search, traversal_profile,
                                  rk_membership_via_traversal, report_json)
+
+from random_one_way import LETTERS, STATES, machine_pairs, partners, variants
 
 
 def r_first(base=("a",)):
@@ -89,17 +92,17 @@ def test_profile_onetwo_twoone(t_one_two, t_two_one):
 def profile_oracle(t1, t2, max_len, caps):
     """profile(n) by brute force: every t2 partner of every t1 graph on
     every input of length n, the least max traversal per graph, the
-    largest of those per length."""
+    largest of those per length.  Partners come from run_origin_graphs,
+    for a one-way t2 under caps that admit every distinct partner."""
     values = {}
     for u in words_upto(t1.input_alphabet, max_len):
         for sp in run_origin_graphs(t1, u, caps).graphs:
             if isinstance(t2, OneWayTransducer):
-                partners = [OriginGraph(u, sp.output, o)
-                            for o in enumerate_matching_graphs(t2, u, sp.output)]
+                found = [OriginGraph(u, sp.output, o) for o in partners(t2, u, sp.output)]
             else:
-                partners = [g for g in run_origin_graphs(t2, u, caps).graphs
-                            if g.output == sp.output]
-            least = min((max_traversal(g, sp) for g in partners), default=math.inf)
+                found = [g for g in run_origin_graphs(t2, u, caps).graphs
+                         if g.output == sp.output]
+            least = min((max_traversal(g, sp) for g in found), default=math.inf)
             values[len(u)] = max(values.get(len(u), 0), least)
     return {n: values.get(n, 0) for n in range(1, max_len + 1)}
 
@@ -285,3 +288,50 @@ def test_verdicts_independent_of_transition_order_and_state_names(t_one_two, t_t
         checks.append(lambda a, b: traversal_profile(a, b, n, caps))
         for check in checks:
             assert len({report_json(check(a, b)) for (a, b) in variants}) == 1, (t1.name, t2.name)
+
+
+def early_and_late():
+    """t1 writes a at every letter; t2 reads the whole input, then writes
+    every a at the last position."""
+    early = OneWayTransducer(STATES, LETTERS, ("a",),
+                             (("p", "a", ("a",), "p"), ("p", "b", ("a",), "p")), {"p"}, {"p"})
+    late = OneWayTransducer(STATES, LETTERS, ("a",),
+                            (("p", "a", (), "p"), ("p", "b", (), "p"), ("p", EPS, (), "r"),
+                             ("r", EPS, ("a",), "r")), {"p"}, {"r"})
+    return early, late
+
+
+@settings(max_examples=40)
+@given(machine_pairs(), st.integers(0, 2))
+@example(early_and_late(), 0)
+def test_gamma_table_search_matches_candidate_membership(pair, k):
+    t1, t2 = pair
+    r = make_shift(k, base=LETTERS)
+    caps = RunCaps(3, 10)
+    table = contains_upto(t1, t2, r, 3, caps)
+    candidates = contains_upto(t1, t2, r, 3, caps,
+                               membership=lambda s, sp: pair_in_resync(r, s, sp))
+    assert report_json(table) == report_json(candidates)
+    assert table.counterexample == candidates.counterexample
+
+
+@settings(max_examples=60)
+@given(machine_pairs(cycle=False))
+@example(early_and_late())
+def test_profile_of_random_machines_matches_bruteforce_oracle(pair):
+    # the oracle would enumerate the laps of an output-free cycle one by
+    # one; test_partner_enumeration_matches_run_enumeration covers cycles
+    t1, t2 = pair
+    caps = RunCaps(3, 10)
+    assert traversal_profile(t1, t2, 3, caps).values == profile_oracle(t1, t2, 3, caps)
+
+
+@settings(max_examples=25)
+@given(st.data(), machine_pairs())
+def test_random_verdicts_independent_of_transition_order_and_state_names(data, pair):
+    t1, t2 = pair
+    caps = RunCaps(3, 10)
+    r = make_shift(data.draw(st.integers(0, 2)), base=LETTERS)
+    pairs = list(zip(data.draw(variants(t1)), data.draw(variants(t2))))
+    assert len({report_json(contains_upto(a, b, r, 3, caps)) for (a, b) in pairs}) == 1
+    assert len({report_json(traversal_profile(a, b, 3, caps)) for (a, b) in pairs}) == 1

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from origami import corpus, formats
+from origami import cli, corpus, formats
 from origami.cli import main
 from origami.formats import (parse_automaton, format_automaton, parse_transducer,
                              format_transducer, parse_machine, format_machine,
@@ -177,3 +177,40 @@ def test_cli_dot(capsys):
 def test_cli_usage_errors(capsys):
     assert main(["contains", "missing.1nt", "missing.1nt", "missing.rsync"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys):
+    for flag in ("--max-output", "--max-steps", "--max-len"):
+        assert main(["contains", data("slow.1nt"), data("fast.1nt"), data("identity.rsync"),
+                     flag, "0"]) == 2
+    assert main(["resync-search", data("slow.1nt"), data("fast.1nt"), "--k-max", "-1"]) == 2
+    assert main(["check-domino", data("halt2.tm"), "--max-len", "0"]) == 2
+    assert main(["mso-compile", "first(x)", "--signature", "x", "--alphabet", ""]) == 2
+    capsys.readouterr()
+    # first.1nt reads {a, b}, slow.1nt reads {a}
+    assert main(["contains", data("first.1nt"), data("slow.1nt"), data("identity.rsync")]) == 2
+    assert main(["traversal-profile", data("first.1nt"), data("slow.1nt")]) == 2
+    assert "must share input and output alphabets" in capsys.readouterr().err
+    bad = tmp_path / "bad.graph"
+    for orig in ("1 x", "1 3"):
+        bad.write_text(f"input: a a\noutput: b b\norig: {orig}\n")
+        assert main(["dot", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad origin graph")
+
+
+def test_cli_lets_internal_errors_through(monkeypatch):
+    # a plain ValueError is a bug, not bad input, and must not exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "contains_upto", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["contains", data("slow.1nt"), data("fast.1nt"), data("identity.rsync")])
+
+
+def test_cli_check_domino_reports_a_shortest_violation(capsys):
+    assert main(["check-domino", data("halt2.tm"), "--max-len", "5"]) == 0
+    assert capsys.readouterr().out == "ok for every sequence up to length 5\n"
+    assert main(["check-domino", data("halt2.tm"), "--max-len", "6"]) == 1
+    assert capsys.readouterr().out == ("violated at t6 t5 t4 t2 t7 t2: bottom "
+                                       "q0#q0B#aq1#aq1B#a is not a prefix of the history\n")

@@ -5,7 +5,9 @@ from origami import corpus
 from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, OriginGraph,
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
-                                 EmptyInputError, LMARK, RMARK, LEFT, RIGHT)
+                                 MatchIndex, EmptyInputError, LMARK, RMARK, LEFT, RIGHT)
+
+from random_one_way import LETTERS, one_way_machines, partners
 
 
 def graphs_of(t, u, caps):
@@ -229,3 +231,15 @@ def test_2nt_graphs_independent_of_transition_order(machines, steps):
         results = [run_origin_graphs(t, u, caps) for t in machines]
         assert len({res.graphs for res in results}) == 1, u
         assert len({res.pruned for res in results}) == 1, u
+
+
+@given(one_way_machines())
+def test_partner_enumeration_matches_run_enumeration(t):
+    # every output word up to length 2, written or not
+    index = MatchIndex(t)
+    for u in words_upto(LETTERS, 2):
+        for v in [()] + list(words_upto(LETTERS, 2)):
+            got = list(enumerate_matching_graphs(t, u, v, index))
+            assert len(got) == len(set(got)), (u, v)
+            assert set(got) == partners(t, u, v), (u, v)
+            assert list(enumerate_matching_graphs(t, u, v)) == got
