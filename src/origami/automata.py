@@ -116,12 +116,6 @@ class StructuredNfa:
             d.setdefault((p, a), set()).add(q)
         return {k: tuple(v) for k, v in d.items()}
 
-    def successors(self):
-        d = {}
-        for (p, a, q) in self.transitions:
-            d.setdefault(p, []).append((a, q))
-        return d
-
     def trim(self) -> "StructuredNfa":
         """Restrict to accessible and co-accessible states."""
         fwd = {}

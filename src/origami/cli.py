@@ -211,24 +211,11 @@ def cmd_check_domino(args):
     return 0
 
 
-def _load_rational(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = formats._lines(text)
-    sig = formats._tokens(formats._header(lines, "input-alphabet"))
-    gam = formats._tokens(formats._header(lines, "output-alphabet"))
-    shift = formats._header(lines, "shift", required=False)
-    if shift is not None:
-        return rational.make_rational_shift(int(shift), sig, gam), sig, gam
-    regex = formats._header(lines, "regex")
-    return rational.parse_pair_regex(regex), sig, gam
-
-
 def cmd_rational_check(args):
-    r, sig, gam = _load_rational(args.resync)
+    r = _load(args.resync, ("RegexResync", "ShiftResync"))
     g1 = _load(args.graph1, ("OriginGraph",))
     g2 = _load(args.graph2, ("OriginGraph",))
-    ok = rational.rational_pair_accepts(r, g1, g2, sig, gam)
+    ok = rational.rational_pair_accepts(r, g1, g2, r.input_alphabet, r.output_alphabet)
     print("accepted" if ok else "rejected")
     return 0 if ok else 1
 

@@ -11,8 +11,11 @@ Partner search: every partner query on a one-way t2 is one search of its
 run lattice (``MatchIndex.search``).  Parameterless resynchronizers check a
 per-position allowed-origin table during the search, without enumerating
 graphs; the traversal profile checks a crossing budget; other
-resynchronizers test each distinct partner the search finds.  Partners on
-a two-way t2 are enumerated in deterministic order and tested one by one.
+resynchronizers test each distinct partner the search finds.  A two-way
+t2 runs once per input and output length, under the output cap |v|, and
+its graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
+the partner test, the no-partner reason and the traversal profile all
+read those groups.
 """
 
 from __future__ import annotations
@@ -79,18 +82,36 @@ def _emission_table_ext(resync, sigma_p):
     return (cache, targets, fill)
 
 
-def _partners_2nt(t2, u, v, caps):
-    """Graphs of two-way t2 on u with output v, in ``sort_key`` order."""
-    res = run_origin_graphs(t2, u, caps)
-    for g in sorted(res.graphs, key=lambda g: g.sort_key()):
-        if g.output == v:
-            yield g
+def _partners_2nt(t2, max_steps):
+    """partners(u, v): the graphs of two-way t2 on u with output v, in
+    ``sort_key`` order.
+
+    t2 runs once per output length |v| of the current input, under
+    RunCaps(max(|v|, 1), max_steps).  The run keys its seen set on the
+    output written, so the graphs with output v are the same under every
+    output cap of at least |v|; a larger cap would only explore more.
+    """
+    word, groups = None, {}      # groups: |v| -> output -> graphs on word
+
+    def partners(u, v):
+        nonlocal word, groups
+        if u != word:
+            word, groups = u, {}
+        by_output = groups.get(len(v))
+        if by_output is None:
+            by_output = groups[len(v)] = {}
+            res = run_origin_graphs(t2, u, RunCaps(max(len(v), 1), max_steps))
+            for g in sorted(res.graphs, key=lambda g: g.sort_key()):
+                by_output.setdefault(g.output, []).append(g)
+        return by_output.get(v, ())
+
+    return partners
 
 
-def _first_accepted(t2, index, sigma_p, check, caps, allowed=None):
+def _first_accepted(index, partners, sigma_p, check, allowed=None):
     """The first (partner, witness) that check accepts among t2's graphs
     with sigma_p's words, each distinct partner tested once, or None.  A
-    one-way t2 is searched on its index, a two-way t2 enumerated."""
+    one-way t2 is searched on its index, a two-way t2's partners listed."""
     u, v = sigma_p.input, sigma_p.output
     matched, seen = [], set()
 
@@ -107,7 +128,7 @@ def _first_accepted(t2, index, sigma_p, check, caps, allowed=None):
     if index is not None:
         index.search(u, v, allowed, each=each)
     else:
-        for g in _partners_2nt(t2, u, v, caps):
+        for g in partners(u, v):
             if each(g.orig):
                 break
     return matched[0] if matched else None
@@ -150,6 +171,7 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         raise TransducerAlphabetError("transducers must share input and output alphabets")
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
+    partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
     check = membership or _default_membership(resync)
     plain = (membership is None and one_way2 and isinstance(resync, Resynchronizer)
              and resync.m == 0)
@@ -165,26 +187,21 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     def visit(u, res1):
         state["pruned"] = state["pruned"] or res1.pruned
         graphs = sorted(res1.graphs, key=lambda g: g.sort_key())
-        caps2 = caps
-        if not one_way2:
-            out_cap = max([len(g.output) for g in graphs], default=1)
-            caps2 = RunCaps(max(out_cap, 1), caps.max_steps)
         if shared is not None:
             shared.move_to(u)
         for sigma_p in graphs:
             v = sigma_p.output
             if not (plain or ext):
-                matched = _first_accepted(t2, idx, sigma_p, check, caps2)
+                matched = _first_accepted(idx, partners, sigma_p, check)
             elif plain or _ext_precheck_m0(resync, sigma_p):
                 allowed = ((shared.cache, sigma_p.orig, shared.fill) if plain
                            else _emission_table_ext(resync, sigma_p))
-                matched = (_first_accepted(t2, idx, sigma_p, check, caps2, allowed) if record
+                matched = (_first_accepted(idx, partners, sigma_p, check, allowed) if record
                            else idx.search(u, v, allowed) or None)
             else:
                 matched = None
             if not matched:
-                has_partner = (idx.search(u, v) if one_way2
-                               else next(_partners_2nt(t2, u, v, caps2), None) is not None)
+                has_partner = idx.search(u, v) if one_way2 else bool(partners(u, v))
                 reason = "no-accepted-partner" if has_partner else "no-partner"
                 state["cex"] = Counterexample(sigma_p, reason)
                 return False
@@ -330,27 +347,11 @@ def _min_max_traversal_1nt(t2: OneWayTransducer, sigma_p: OriginGraph,
     return math.inf
 
 
-def _min_max_traversal_2nt(t2, sigma_p, caps):
-    best = math.inf
-    res = run_origin_graphs(t2, sigma_p.input, caps)
-    for g in res.graphs:
-        if g.output == sigma_p.output:
-            best = min(best, max_traversal(g, sigma_p))
-    return best
-
-
 @dataclass(frozen=True)
 class TraversalProfile:
     values: dict                     # input length -> int or math.inf
     approximate: bool
     max_input_len: int
-
-    def value(self, n):
-        return self.values.get(n, 0)
-
-    def strictly_increasing(self, lo, hi):
-        vals = [self.values.get(n) for n in range(lo, hi + 1)]
-        return all(a is not None and b is not None and a < b for a, b in zip(vals, vals[1:]))
 
     def unbounded_growth_evidence(self):
         """Heuristic flag: strictly increasing over >= 4 consecutive lengths."""
@@ -382,7 +383,9 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
     values = {n: 0 for n in range(1, max_input_len + 1)}
     state = {"pruned": False}
-    idx = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
+    one_way2 = isinstance(t2, OneWayTransducer)
+    idx = MatchIndex(t2) if one_way2 else None
+    partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
 
     def assess(u, res1):
         n = len(u)
@@ -392,11 +395,11 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
         for sigma_p in sorted(res1.graphs, key=lambda g: g.sort_key()):
             if best is math.inf:
                 break
-            if isinstance(t2, OneWayTransducer):
+            if one_way2:
                 val = _min_max_traversal_1nt(t2, sigma_p, start_k=best, index=idx)
             else:
-                out_cap = max(len(sigma_p.output), 1)
-                val = _min_max_traversal_2nt(t2, sigma_p, RunCaps(out_cap, caps.max_steps))
+                val = min((max_traversal(g, sigma_p) for g in partners(u, sigma_p.output)),
+                          default=math.inf)
             if val is math.inf or val > best:
                 best = val
         values[n] = best
@@ -451,19 +454,17 @@ def rk_membership_via_traversal(k):
     return check
 
 
-def resync_search(t1, t2, k_max, max_input_len, caps: RunCaps,
-                  fast_rk=True, record=False) -> SearchResult:
+def resync_search(t1, t2, k_max, max_input_len, caps: RunCaps) -> SearchResult:
     """Least k <= k_max with contains_upto(t1, t2, R_k) holding on the sweep.
 
     Evidence only: a found k certifies the sweep, not the full relation.
-    With fast_rk, R_k membership uses the traversal characterization plus
-    the greedy witness; otherwise the generic automaton route runs.
+    R_k membership uses the traversal characterization plus the greedy
+    witness.
     """
     base = tuple(sorted(t1.input_alphabet))
     for k in range(0, k_max + 1):
-        membership = rk_membership_via_traversal(k) if fast_rk else None
         verdict = contains_upto(t1, t2, make_Rk(k, base=base), max_input_len, caps,
-                                record=record, membership=membership)
+                                membership=rk_membership_via_traversal(k))
         if verdict.holds:
             return SearchResult(True, k, verdict, None)
     profile = traversal_profile(t1, t2, max_input_len, caps)

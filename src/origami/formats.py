@@ -1,5 +1,5 @@
 """Textual file formats for automata, transducers, machines, origin
-graphs, and resynchronizers.
+graphs, and resynchronizers, MSO-defined and rational.
 
 All formats are line based: `key: values` headers followed by one
 transition or rule per line.  Words are whitespace-separated letter
@@ -16,7 +16,7 @@ from .automata import StructuredAlphabet, StructuredNfa
 from .transducers import OneWayTransducer, TwoWayTransducer, OriginGraph, EPS, LMARK, RMARK, LEFT, RIGHT
 from .reduction import TuringMachine
 from .resync import Resynchronizer, ExtendedResynchronizer
-from . import mso
+from . import mso, rational
 
 
 class FormatError(ValueError):
@@ -317,8 +317,24 @@ def parse_resynchronizer(text: str, base_dir=".", name=""):
     return ext
 
 
+# -- rational resynchronizers ---------------------------------------------------------
+
+def parse_rational(text: str, name=""):
+    """Input and output alphabets, then ``shift: k`` or ``regex:`` a pair
+    regex (``rational.parse_pair_regex`` syntax)."""
+    lines = _lines(text)
+    sig = _tokens(_header(lines, "input-alphabet"))
+    gam = _tokens(_header(lines, "output-alphabet"))
+    shift = _header(lines, "shift", required=False)
+    if shift is None:
+        return rational.parse_pair_regex(_header(lines, "regex"), name, sig, gam)
+    if not shift.isdigit():
+        raise FormatError(f"shift must be a non-negative integer, got {shift!r}")
+    return rational.make_rational_shift(int(shift), sig, gam)
+
+
 def load(path: str):
-    """Dispatch on extension: .nfa, .1nt, .2nt, .tm, .graph, .rsync."""
+    """Dispatch on extension: .nfa, .1nt, .2nt, .tm, .graph, .rsync, .rrsync."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     name = os.path.splitext(os.path.basename(path))[0]
@@ -333,4 +349,6 @@ def load(path: str):
         return parse_origin_graph(text)
     if ext == ".rsync":
         return parse_resynchronizer(text, base_dir=os.path.dirname(path) or ".", name=name)
+    if ext == ".rrsync":
+        return parse_rational(text, name=name)
     raise FormatError(f"unknown file extension {ext!r}")

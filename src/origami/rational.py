@@ -10,10 +10,10 @@ with equal words always have equal length.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
+from .automata import StructuredAlphabet, StructuredNfa
 from .containment import contains_upto
 from .transducers import OriginGraph, OneWayTransducer, RunCaps
 
@@ -49,11 +49,6 @@ class InterleavedWord:
             else:
                 raise InterleaveError(f"letter {c!r} is in neither alphabet")
 
-    def projections(self):
-        u = tuple(c for c in self.word if c in self.input_alphabet)
-        v = tuple(c for c in self.word if c in self.output_alphabet)
-        return u, v
-
 
 def interleave(g: OriginGraph, input_alphabet, output_alphabet) -> InterleavedWord:
     """Encode a one-way origin graph; origins must be nondecreasing."""
@@ -87,29 +82,19 @@ def deinterleave(w: InterleavedWord) -> OriginGraph:
 # -- acceptors over the paired alphabet ---------------------------------------
 
 class RationalResync:
-    """Acceptor interface over pair letters (a, b)."""
+    """A pair language, decided by ``accepts_pairs`` on words of pair
+    letters (a, b), over interleavings of disjoint input and output
+    alphabets."""
 
-    name = ""
-
-    def initial_states(self):
-        raise NotImplementedError
-
-    def step(self, state, pair):
-        raise NotImplementedError
-
-    def is_final(self, state):
-        raise NotImplementedError
+    def __init__(self, input_alphabet, output_alphabet, name=""):
+        self.input_alphabet = frozenset(input_alphabet)
+        self.output_alphabet = frozenset(output_alphabet)
+        if self.input_alphabet & self.output_alphabet:
+            raise InterleaveError("alphabets must be disjoint")
+        self.name = name
 
     def accepts_pairs(self, pairs) -> bool:
-        cur = set(self.initial_states())
-        for pair in pairs:
-            nxt = set()
-            for s in cur:
-                nxt.update(self.step(s, pair))
-            cur = nxt
-            if not cur:
-                return False
-        return any(self.is_final(s) for s in cur)
+        raise NotImplementedError
 
 
 def zip_pair(w1: InterleavedWord, w2: InterleavedWord):
@@ -170,110 +155,68 @@ def plus(body):
     return _Cat((body, _Star(body)))
 
 
-class RegexResync(RationalResync):
-    """Thompson construction with epsilon edges resolved by closure."""
+def _position_automaton(ast):
+    """The Glushkov automaton of a pair regex: state 0 is initial, state p
+    the p-th atom, and the letter on every edge into p is p's pair."""
+    pairs = [None]
+    follow = {}
 
-    def __init__(self, ast, name=""):
-        self.name = name
-        self._edges = {}       # state -> list of (pair, state)
-        self._eps = {}         # state -> list of state
-        self._counter = itertools.count()
-        self._init, self._final = self._build(ast)
-        self._closure_cache = {}
-
-    def _new(self):
-        return next(self._counter)
-
-    def _build(self, node):
+    def walk(node):
+        # (nullable, first positions, last positions) of node
         if isinstance(node, _Atom):
-            s, t = self._new(), self._new()
-            self._edges.setdefault(s, []).append((node.pair, t))
-            return s, t
-        if isinstance(node, _Cat):
-            if not node.parts:
-                s = self._new()
-                return s, s
-            first, last = None, None
-            for part in node.parts:
-                a, b = self._build(part)
-                if first is None:
-                    first = a
-                else:
-                    self._eps.setdefault(last, []).append(a)
-                last = b
-            return first, last
-        if isinstance(node, _Union):
-            s, t = self._new(), self._new()
-            for part in node.parts:
-                a, b = self._build(part)
-                self._eps.setdefault(s, []).append(a)
-                self._eps.setdefault(b, []).append(t)
-            return s, t
+            pairs.append(node.pair)
+            return False, {len(pairs) - 1}, {len(pairs) - 1}
         if isinstance(node, _Star):
-            s, t = self._new(), self._new()
-            a, b = self._build(node.body)
-            self._eps.setdefault(s, []).extend((a, t))
-            self._eps.setdefault(b, []).extend((a, t))
-            return s, t
+            _nullable, first, last = walk(node.body)
+            for p in last:
+                follow.setdefault(p, set()).update(first)
+            return True, first, last
+        if isinstance(node, _Cat):
+            nullable, first, last = True, set(), set()
+            for part in node.parts:
+                n2, f2, l2 = walk(part)
+                for p in last:
+                    follow.setdefault(p, set()).update(f2)
+                if nullable:
+                    first |= f2
+                last = last | l2 if n2 else l2
+                nullable = nullable and n2
+            return nullable, first, last
+        if isinstance(node, _Union):
+            nullable, first, last = False, set(), set()
+            for part in node.parts:
+                n2, f2, l2 = walk(part)
+                nullable, first, last = nullable or n2, first | f2, last | l2
+            return nullable, first, last
         raise TypeError(f"unknown regex node {node!r}")
 
-    def _closure(self, state):
-        if state not in self._closure_cache:
-            out = {state}
-            stack = [state]
-            while stack:
-                s = stack.pop()
-                for t in self._eps.get(s, ()):
-                    if t not in out:
-                        out.add(t)
-                        stack.append(t)
-            self._closure_cache[state] = frozenset(out)
-        return self._closure_cache[state]
+    nullable, first, last = walk(ast)
+    if len(pairs) == 1:
+        raise RegexError("a pair regex needs at least one atom")
+    edges = [(0, q) for q in first] + [(p, q) for p, qs in follow.items() for q in qs]
+    return StructuredNfa(StructuredAlphabet(frozenset(pairs[1:])), range(len(pairs)), {0},
+                         last | ({0} if nullable else set()),
+                         tuple((p, (pairs[q], ()), q) for (p, q) in sorted(edges)))
 
-    def initial_states(self):
-        return self._closure(self._init)
 
-    def step(self, state, pair):
-        out = set()
-        for (p, t) in self._edges.get(state, ()):
-            if p == pair:
-                out.update(self._closure(t))
-        return out
+class RegexResync(RationalResync):
+    """A pair regex compiled once to its position automaton, a track-free
+    ``StructuredNfa`` whose base letters are the regex's pairs."""
 
-    def is_final(self, state):
-        return state == self._final
+    def __init__(self, ast, name="", input_alphabet=(), output_alphabet=()):
+        super().__init__(input_alphabet, output_alphabet, name)
+        self.nfa = _position_automaton(ast)
 
-    def enumerate_accepted(self, alphabet_pairs, max_len):
-        """All accepted pair words up to max_len.
-
-        Walks the automaton, so only live prefixes are extended; equivalent
-        to the full product sweep but usable for sparse pair languages.
-        """
-        out = []
-        letters = sorted(alphabet_pairs)
-
-        def rec(states, word):
-            if any(self.is_final(s) for s in states):
-                out.append(tuple(word))
-            if len(word) == max_len:
-                return
-            for pair in letters:
-                nxt = set()
-                for s in states:
-                    nxt.update(self.step(s, pair))
-                if nxt:
-                    word.append(pair)
-                    rec(nxt, word)
-                    word.pop()
-
-        rec(set(self.initial_states()), [])
-        return out
+    def accepts_pairs(self, pairs) -> bool:
+        base = self.nfa.alphabet.base
+        # accepts raises on letters outside the alphabet; a pair no atom has rejects
+        return all(p in base for p in pairs) and self.nfa.accepts([(p, ()) for p in pairs])
 
 
 _PAIR_TOKEN = re.compile(r"\s*(?:([A-Za-z0-9_]+)\s*/\s*([A-Za-z0-9_]+)|([()*+]))")
 
 
-def parse_pair_regex(text: str, name="") -> RegexResync:
+def parse_pair_regex(text: str, name="", input_alphabet=(), output_alphabet=()) -> RegexResync:
     """Pair regex surface syntax: atoms a/b, binary + for union, postfix *
     for iteration, juxtaposition for concatenation, parentheses.
     """
@@ -338,7 +281,7 @@ def parse_pair_regex(text: str, name="") -> RegexResync:
     node = parse_union()
     if peek() is not None:
         raise RegexError(f"trailing tokens at {peek()!r}")
-    return RegexResync(node, name=name)
+    return RegexResync(node, name, input_alphabet, output_alphabet)
 
 
 def make_rational_block(input_alphabet=("a", "b"), output_alphabet=("c", "d")) -> RegexResync:
@@ -349,7 +292,7 @@ def make_rational_block(input_alphabet=("a", "b"), output_alphabet=("c", "d")) -
     e_bd = cat(atom(b, b), atom(d, d))
     e_block = cat(atom(a, a), alt(atom(c, c), cat(atom(c, a), star(atom(a, a)), atom(a, c))))
     ast = cat(star(e_bd), star(cat(e_block, plus(e_bd))), e_block, star(e_bd))
-    return RegexResync(ast, name="R_block")
+    return RegexResync(ast, "R_block", input_alphabet, output_alphabet)
 
 
 class ShiftResync(RationalResync):
@@ -364,44 +307,33 @@ class ShiftResync(RationalResync):
     def __init__(self, k, input_alphabet, output_alphabet):
         if k < 0:
             raise ValueError("k must be >= 0")
+        super().__init__(input_alphabet, output_alphabet, f"rational-shift({k})")
         self.k = k
-        self.name = f"rational-shift({k})"
-        self.input_alphabet = frozenset(input_alphabet)
-        self.output_alphabet = frozenset(output_alphabet)
-        if self.input_alphabet & self.output_alphabet:
-            raise InterleaveError("alphabets must be disjoint")
 
-    def initial_states(self):
-        return (((), ()),)
-
-    def is_final(self, state):
-        uq, pending = state
+    def accepts_pairs(self, pairs) -> bool:
+        k, ins, outs = self.k, self.input_alphabet, self.output_alphabet
+        uq, pending = (), ()
+        for (x, y) in pairs:
+            if y in outs:
+                pending = pending + ((y, len(pending)),)
+            if x in outs:
+                if not pending:
+                    return False
+                (c, age), pending = pending[0], pending[1:]
+                if c != x or not 0 <= age <= k:
+                    return False
+            if x in ins:
+                uq = uq + (x,)
+                pending = tuple((c, age + 1) for (c, age) in pending)
+                if any(age > k for (_c, age) in pending):
+                    return False
+            if y in ins:
+                if not uq or uq[0] != y:
+                    return False
+                uq = uq[1:]
+            if len(uq) > k + 1:
+                return False
         return not uq and not pending
-
-    def step(self, state, pair):
-        uq, pending = state
-        x, y = pair
-        if y in self.output_alphabet:
-            pending = pending + ((y, len(pending)),)
-        if x in self.output_alphabet:
-            if not pending:
-                return ()
-            (c, age), pending = pending[0], pending[1:]
-            if c != x or not 0 <= age <= self.k:
-                return ()
-        if x in self.input_alphabet:
-            uq = uq + (x,)
-            aged = tuple((c, age + 1) for (c, age) in pending)
-            if any(age > self.k for (_c, age) in aged):
-                return ()
-            pending = aged
-        if y in self.input_alphabet:
-            if not uq or uq[0] != y:
-                return ()
-            uq = uq[1:]
-        if len(uq) > self.k + 1:
-            return ()
-        return ((uq, pending),)
 
 
 def make_rational_shift(k, input_alphabet, output_alphabet) -> ShiftResync:

@@ -200,10 +200,16 @@ def _run_1nt(t: OneWayTransducer, u, caps):
     max_out = caps.max_output_len
     max_steps = caps.max_steps
     final = t.final
-    # stack entries: (state, consumed, output, origins, steps)
-    stack = [(q, 0, (), (), 0) for q in sorted(t.initial, key=repr)]
-    while stack:
-        q, i, out, org, steps = stack.pop()
+    # first in, first out with a seen set, as in _run_2nt: an eps cycle
+    # that writes nothing runs no laps, so pruning agrees with the sweep
+    queue = deque((q, 0, (), (), 0) for q in sorted(t.initial, key=repr))
+    seen = set()
+    while queue:
+        q, i, out, org, steps = queue.popleft()
+        key = (q, i, out, org)
+        if key in seen:
+            continue
+        seen.add(key)
         if i == n and q in final:
             graphs.add(OriginGraph(u, out, org))
         batches = ((by_key.get((q, u[i]), ()) if i < n else ()), by_key.get((q, EPS), ()))
@@ -224,7 +230,7 @@ def _run_1nt(t: OneWayTransducer, u, caps):
                 if lo + len(v) > max_out:
                     pruned = True
                     continue
-                stack.append((r, ni, out + v, org + (origin,) * len(v), steps + 1))
+                queue.append((r, ni, out + v, org + (origin,) * len(v), steps + 1))
     return RunResult(frozenset(graphs), pruned)
 
 
@@ -263,9 +269,8 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
             if len(out) + len(v) > caps.max_output_len:
                 pruned = True
                 continue
+            # endmarker transitions point inward, so npos stays in 0..n+1
             npos = pos + 1 if d == RIGHT else pos - 1
-            if npos < 0 or npos > n + 1:
-                continue
             queue.append((r, npos, out + v, org + (pos,) * len(v), steps + 1))
     return RunResult(frozenset(graphs), pruned)
 

@@ -12,10 +12,11 @@ from origami.traversal import max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, make_identity, make_pm1, make_Rk, make_shift,
                             compose, pair_in_resync, check_witness, make_first_to_last)
-from origami.containment import (contains_upto, resync_search, traversal_profile,
-                                 rk_membership_via_traversal, report_json)
+from origami.containment import (Counterexample, contains_upto, resync_search,
+                                 traversal_profile, rk_membership_via_traversal, report_json)
 
 from random_one_way import LETTERS, STATES, machine_pairs, partners, variants
+from random_two_way import every_run_graphs, two_way_pairs
 
 
 def r_first(base=("a",)):
@@ -93,18 +94,40 @@ def profile_oracle(t1, t2, max_len, caps):
     """profile(n) by brute force: every t2 partner of every t1 graph on
     every input of length n, the least max traversal per graph, the
     largest of those per length.  Partners come from run_origin_graphs,
-    for a one-way t2 under caps that admit every distinct partner."""
+    for a one-way t2 under caps that admit every distinct partner, and for
+    a two-way t2 from the every-path oracle."""
     values = {}
     for u in words_upto(t1.input_alphabet, max_len):
         for sp in run_origin_graphs(t1, u, caps).graphs:
             if isinstance(t2, OneWayTransducer):
                 found = [OriginGraph(u, sp.output, o) for o in partners(t2, u, sp.output)]
             else:
-                found = [g for g in run_origin_graphs(t2, u, caps).graphs
-                         if g.output == sp.output]
+                found = [g for g in every_run_graphs(t2, u, caps) if g.output == sp.output]
             least = min((max_traversal(g, sp) for g in found), default=math.inf)
             values[len(u)] = max(values.get(len(u), 0), least)
     return {n: values.get(n, 0) for n in range(1, max_len + 1)}
+
+
+def identity_oracle(t1, t2, max_len, caps):
+    """(status, counterexample) of contains_upto(t1, t2, identity), from
+    the every-path oracle's graph sets of two-way machines."""
+    for u in words_upto(t1.input_alphabet, max_len):
+        found = every_run_graphs(t2, u, caps)
+        for sp in sorted(every_run_graphs(t1, u, caps), key=OriginGraph.sort_key):
+            if sp not in found:
+                written = any(g.output == sp.output for g in found)
+                return "fails", Counterexample(sp, "no-accepted-partner" if written
+                                               else "no-partner")
+    return "holds-on-sweep", None
+
+
+@given(two_way_pairs(), st.integers(3, 9))
+def test_two_way_partners_match_every_path_oracle(pair, steps):
+    t1, t2 = pair
+    caps = RunCaps(3, steps)
+    verdict = contains_upto(t1, t2, make_identity(("a", "b")), 3, caps)
+    assert (verdict.status, verdict.counterexample) == identity_oracle(t1, t2, 3, caps)
+    assert traversal_profile(t1, t2, 3, caps).values == profile_oracle(t1, t2, 3, caps)
 
 
 def t_skip_then_pad():

@@ -165,6 +165,22 @@ def test_cli_rational_check(capsys):
     assert code == 1
 
 
+def test_rrsync_loads_through_formats_load(tmp_path, capsys):
+    shift = formats.load(data("shift2.rrsync"))
+    assert (shift.k, shift.input_alphabet, shift.output_alphabet) == (2, {"a", "b"}, {"c", "d"})
+    block = formats.load(data("block.rrsync"))
+    assert (block.name, block.input_alphabet, block.output_alphabet) == \
+        ("block", {"a", "b"}, {"c", "d"})
+    bad = tmp_path / "bad.rrsync"
+    bad.write_text("input-alphabet: a b\noutput-alphabet: c d\nshift: two\n")
+    with pytest.raises(FormatError):
+        formats.load(str(bad))
+    graphs = [data("block_src.graph"), data("block_tgt.graph")]
+    assert main(["rational-check", str(bad), *graphs]) == 2
+    assert main(["rational-check", data("identity.rsync"), *graphs]) == 2
+    assert main(["contains", data("slow.1nt"), data("fast.1nt"), data("shift2.rrsync")]) == 2
+
+
 def test_cli_dot(capsys):
     assert main(["dot", data("shifted_src.graph")]) == 0
     out = capsys.readouterr().out

@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from origami.transducers import OriginGraph, RunCaps
-from origami.rational import (InterleavedWord, InterleaveError, RegexError,
+from origami.rational import (InterleavedWord, InterleaveError, RegexError, RegexResync,
                               interleave, deinterleave, zip_pair,
                               rational_pair_accepts, parse_pair_regex,
                               make_rational_block, make_rational_shift,
-                              make_rational_identity, contains_upto_rational)
+                              make_rational_identity, contains_upto_rational,
+                              atom, cat, alt, star, plus)
 from origami.resync import make_shift, pair_in_resync
 from origami.reduction import halt2, build_tiles, build_Tdown, build_Tup
 
@@ -93,10 +96,23 @@ def test_block_regex_rejects_moved_b_origin():
 
 
 def test_block_regex_accepted_pairs_are_well_formed():
-    r = make_rational_block(SIG, GAM)
-    letters = sorted(set(SIG) | set(GAM))
-    pairs = [(x, y) for x in letters for y in letters]
-    accepted = r.enumerate_accepted(pairs, 10)
+    nfa = make_rational_block(SIG, GAM).nfa
+    delta = nfa.delta()
+    accepted = []
+
+    def walk(states, w):
+        # every accepted pair word up to length 10, by the subset walk
+        if states & nfa.final:
+            accepted.append(w)
+        if len(w) == 10:
+            return
+        for pair in sorted(nfa.alphabet.base):
+            letter = (pair, ())
+            nxt = frozenset(q for s in states for q in delta.get((s, letter), ()))
+            if nxt:
+                walk(nxt, w + (pair,))
+
+    walk(frozenset(nfa.initial), ())
     assert accepted
     for w in accepted:
         first = tuple(x for (x, _y) in w)
@@ -105,6 +121,71 @@ def test_block_regex_accepted_pairs_are_well_formed():
             keep = set(proj)
             assert tuple(c for c in first if c in keep) == \
                 tuple(c for c in second if c in keep)
+
+
+# pair letters of the random regexes; the last one is in none of them
+PAIRS = (("a", "a"), ("a", "c"), ("c", "a"), ("c", "c"), ("b", "d"), ("d", "b"))
+
+
+def _ends_atom(p):
+    return lambda w, i: {i + 1} if i < len(w) and w[i] == p else set()
+
+
+def _ends_cat(parts):
+    def ends(w, i):
+        out = {i}
+        for part in parts:
+            out = {k for j in out for k in part(w, j)}
+        return out
+    return ends
+
+
+def _ends_alt(parts):
+    return lambda w, i: {k for part in parts for k in part(w, i)}
+
+
+def _ends_star(body):
+    def ends(w, i):
+        out, frontier = {i}, {i}
+        while frontier:
+            frontier = {k for j in frontier for k in body(w, j)} - out
+            out |= frontier
+        return out
+    return ends
+
+
+def _combined(op, ends):
+    return lambda parts: (op(*(ast for (ast, _m) in parts)), ends([m for (_ast, m) in parts]))
+
+
+def pair_regexes():
+    """(AST, matcher) over all pairs but the last.  matcher(w, i) is the
+    set of positions where a match of the regex that starts at i in the
+    pair word w can end."""
+    leaves = st.sampled_from(PAIRS[:-1]).map(lambda p: (atom(*p), _ends_atom(p)))
+
+    def extend(kids):
+        return st.one_of(
+            st.lists(kids, max_size=3).map(_combined(cat, _ends_cat)),
+            st.lists(kids, min_size=1, max_size=3).map(_combined(alt, _ends_alt)),
+            kids.map(lambda k: (star(k[0]), _ends_star(k[1]))),
+            kids.map(lambda k: (plus(k[0]), _ends_cat([k[1], _ends_star(k[1])]))))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@given(pair_regexes())
+def test_compiled_pair_regex_matches_position_matcher(regex):
+    ast, ends = regex
+    words = [w for n in range(5) for w in itertools.product(PAIRS, repeat=n)]
+    try:
+        r = RegexResync(ast)
+    except RegexError:
+        # refused only without atoms, so it matches no letter
+        assert not any(ends(w, 0) - {0} for w in words)
+        return
+    for w in words:
+        assert r.accepts_pairs(w) == (len(w) in ends(w, 0)), w
 
 
 def test_regex_parser_and_errors():

@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from origami import corpus
 from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, OriginGraph,
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
-                                 MatchIndex, EmptyInputError, LMARK, RMARK, LEFT, RIGHT)
+                                 MatchIndex, EmptyInputError, EPS, LMARK, RMARK, LEFT, RIGHT)
 
 from random_one_way import LETTERS, one_way_machines, partners
+from random_two_way import every_run_graphs, two_way_machines
 
 
 def graphs_of(t, u, caps):
@@ -152,6 +153,24 @@ def test_sweep_equals_per_input_random_caps(n, cap):
         assert got[u].pruned == ref.pruned
 
 
+def silent_cycle():
+    """p reads a and writes a; p and q move to each other reading and
+    writing nothing.  Initial and final: p."""
+    return OneWayTransducer({"p", "q"}, {"a"}, {"a"},
+                            (("p", "a", ("a",), "p"), ("p", EPS, (), "q"), ("q", EPS, (), "p")),
+                            {"p"}, {"p"})
+
+
+@given(one_way_machines(), st.integers(1, 6), st.integers(1, 20))
+@example(silent_cycle(), 5, 30)
+def test_one_way_run_agrees_with_the_sweep(t, max_out, max_steps):
+    # graphs and pruned: a cycle of silent eps moves runs no laps in either
+    caps = RunCaps(max_out, max_steps)
+    for u, res in sweep_origin_graphs(t, 3, caps):
+        ref = run_origin_graphs(t, u, caps)
+        assert (res.graphs, res.pruned) == (ref.graphs, ref.pruned), u
+
+
 def test_sweep_visits_words_upto_order_and_stops(t_first):
     # a two-way copy machine over {a, b}
     copy = TwoWayTransducer({"p", "q", "f"}, {"a", "b"}, {"a", "b"},
@@ -197,33 +216,6 @@ def test_2nt_longer_path_does_not_shadow_a_run(short_first):
     assert graphs_of(t, "a", RunCaps(3, 4)) == set()
 
 
-STATES_2NT = ("p", "q", "r", "s")
-
-
-@st.composite
-def two_way_machines(draw):
-    """A random two-way machine over {a, b}, dense enough for runs to meet
-    again at a configuration, as three copies: transitions sorted, reversed
-    and shuffled."""
-    state = st.sampled_from(STATES_2NT)
-    trans = {("p", LMARK, (), RIGHT, draw(state))}
-    for _ in range(draw(st.integers(10, 20))):
-        p, q = draw(state), draw(state)
-        a = draw(st.sampled_from(("a", "b", "a", "b", LMARK, RMARK)))
-        if a == LMARK:
-            trans.add((p, a, (), RIGHT, q))
-        elif a == RMARK:
-            trans.add((p, a, (), LEFT, q))
-        else:
-            out = draw(st.sampled_from(((), (), (), ("a",), ("b",))))
-            trans.add((p, a, out, draw(st.sampled_from((LEFT, RIGHT))), q))
-    trans = sorted(trans)
-    final = {draw(state)}
-    orders = (trans, trans[::-1], draw(st.permutations(trans)))
-    return [TwoWayTransducer(STATES_2NT, {"a", "b"}, {"a", "b"}, tr, {"p"}, final)
-            for tr in orders]
-
-
 @given(two_way_machines(), st.integers(3, 12))
 def test_2nt_graphs_independent_of_transition_order(machines, steps):
     caps = RunCaps(3, steps)
@@ -231,6 +223,15 @@ def test_2nt_graphs_independent_of_transition_order(machines, steps):
         results = [run_origin_graphs(t, u, caps) for t in machines]
         assert len({res.graphs for res in results}) == 1, u
         assert len({res.pruned for res in results}) == 1, u
+
+
+@given(two_way_machines(), st.integers(1, 4), st.integers(3, 12))
+def test_2nt_graphs_match_every_path_oracle(machines, max_out, steps):
+    # graphs only: on loops the seen set keeps pruned from firing by design
+    caps = RunCaps(max_out, steps)
+    t = machines[2]
+    for u in words_upto({"a", "b"}, 3):
+        assert run_origin_graphs(t, u, caps).graphs == every_run_graphs(t, u, caps), u
 
 
 @given(one_way_machines())
