@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Log the answers of origami's containment and profile drivers, one JSON
+line per call, so that two trees can be compared with one ``diff``.
+
+Every outermost call of ``contains_upto``, ``contains_upto_rational``,
+``resync_search`` and ``traversal_profile`` is logged with a description
+of its arguments (names and sizes, not contents; keyword arguments left
+at None are omitted) and its result's ``to_json()``.  Calls made inside another logged call are not logged, and
+a line already written by this process is not written again, so a
+benchmark's repeated passes log as one.  The log goes to the file named
+by ``ORIGAMI_VERDICT_LOG``, appended to.
+
+As a pytest plugin, with ``scripts`` on the path:
+
+    ORIGAMI_VERDICT_LOG=log.jsonl PYTHONPATH=src:scripts \\
+        python -m pytest -q -p verdict_log --hypothesis-seed=0
+
+As a wrapper around a script, for instance a benchmark pass:
+
+    ORIGAMI_VERDICT_LOG=log.jsonl PYTHONPATH=src \\
+        python scripts/verdict_log.py perfbench/run.py --workload per-input ...
+
+Run both trees with the same ``PYTHONHASHSEED`` and compare the logs.
+"""
+
+import functools
+import json
+import os
+import runpy
+import sys
+
+ENV = "ORIGAMI_VERDICT_LOG"
+LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
+          "rational": ("contains_upto_rational",)}
+
+
+def describe(arg):
+    """A short, deterministic description of one argument."""
+    if arg is None or isinstance(arg, (bool, int, str)):
+        return arg
+    if hasattr(arg, "transitions") and hasattr(arg, "states"):
+        return [type(arg).__name__, getattr(arg, "name", ""), len(arg.states),
+                len(arg.transitions)]
+    if hasattr(arg, "max_output_len"):
+        return ["RunCaps", arg.max_output_len, arg.max_steps]
+    if callable(arg) and not hasattr(arg, "name"):
+        return ["callable", getattr(arg, "__qualname__", type(arg).__name__)]
+    return [type(arg).__name__, getattr(arg, "name", "")]
+
+
+def install(path):
+    """Wrap the logged functions everywhere they are bound in origami's
+    modules; returns a function that undoes it."""
+    from origami import cli, containment, rational
+
+    depth = [0]
+    undo = []
+    written = set()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def logged(*args, **kwargs):
+            depth[0] += 1
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                line = {"call": name,
+                        "args": [describe(a) for a in args],
+                        "kwargs": {k: describe(v) for k, v in sorted(kwargs.items())
+                                   if v is not None},
+                        "result": result.to_json()}
+                text = json.dumps(line, sort_keys=True, default=str)
+                if text not in written:
+                    written.add(text)
+                    with open(path, "a") as out:
+                        out.write(text + "\n")
+            return result
+        return logged
+
+    modules = {"containment": containment, "rational": rational}
+    for mod_name, names in LOGGED.items():
+        for name in names:
+            fn = getattr(modules[mod_name], name)
+            wrapper = wrap(name, fn)
+            for mod in (containment, rational, cli):
+                if getattr(mod, name, None) is fn:
+                    undo.append((mod, name, fn))
+                    setattr(mod, name, wrapper)
+
+    def uninstall():
+        for (mod, name, fn) in reversed(undo):
+            setattr(mod, name, fn)
+
+    return uninstall
+
+
+def pytest_configure(config):
+    """pytest hook: install before the test modules import origami's names."""
+    path = os.environ.get(ENV)
+    if path:
+        install(path)
+
+
+def main(argv):
+    if len(argv) < 2 or ENV not in os.environ:
+        print(f"usage: {ENV}=LOG python {argv[0]} SCRIPT [ARGS...]", file=sys.stderr)
+        return 2
+    install(os.environ[ENV])
+    sys.argv = argv[1:]
+    sys.path.insert(0, os.path.dirname(os.path.abspath(argv[1])))
+    runpy.run_path(argv[1], run_name="__main__")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

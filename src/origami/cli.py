@@ -130,7 +130,16 @@ def cmd_contains(args):
     t1 = _load(args.t1, ("1nt", "2nt"))
     t2 = _load(args.t2, ("1nt", "2nt"))
     r = _load_resync(args.resync)
-    verdict = contains_upto(t1, t2, r, args.max_len, _caps(args))
+    stats = {} if args.stats else None
+    verdict = contains_upto(t1, t2, r, args.max_len, _caps(args), stats=stats)
+    if stats is not None:
+        print(f"route: {stats['route']}", file=sys.stderr)
+        if stats["route"] == "frontier":
+            print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
+                  file=sys.stderr)
+        if verdict.saturated_at is not None:
+            print(f"saturated at layer {verdict.saturated_at}: holds for every input length",
+                  file=sys.stderr)
     if args.format == "json":
         print(report_json(verdict))
     else:
@@ -290,6 +299,8 @@ def build_parser():
     sp.add_argument("t2")
     sp.add_argument("resync")
     sp.add_argument("--max-len", type=_at_least(1), default=4)
+    sp.add_argument("--stats", action="store_true",
+                    help="print the route taken and the frontier's layer sizes on stderr")
     common(sp)
     sp.set_defaults(func=cmd_contains)
 

@@ -16,6 +16,16 @@ t2 runs once per input and output length, under the output cap |v|, and
 its graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
 the partner test, the no-partner reason and the traversal profile all
 read those groups.
+
+Frontier route: a plain one-way call (parameterless ``Resynchronizer``, no
+membership callback, no recording) whose gamma never puts t2's origin
+before t1's, whose t1 has no eps-cycle and whose t1 runs fit the caps on
+every input swept does not enumerate inputs.  ``_Frontier`` runs one
+forward t1 x t2 product over the input tree, merging the prefixes that
+reach the same macro-state, finds the least failing input layer by layer,
+and the per-input path turns that one input into the counterexample.  A
+layer with no new macro-state proves the verdict for every input length
+(``Verdict.saturated_at``).
 """
 
 from __future__ import annotations
@@ -25,10 +35,12 @@ import json
 import math
 from dataclasses import dataclass
 
+from .automata import _closure
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness,
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
-from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
-                          TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
+from .transducers import (EPS, OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
+                          TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs,
+                          transition_index)
 from .traversal import max_traversal, greedy_label, GreedyLabelError
 
 
@@ -52,6 +64,7 @@ class Verdict:
     caps: RunCaps
     pruned: bool
     pairs: tuple = ()                # (sigma, sigma_p, witness) when recording
+    saturated_at: int | None = None  # holds for every input length; not in to_json
 
     @property
     def holds(self):
@@ -155,8 +168,315 @@ def _ext_precheck_m0(resync, sigma_p):
     return True
 
 
+# -- frontier route: one forward t1 x t2 product over the input tree ---------
+
+_ZERO = (0, 0)
+_EMPTY = (None, frozenset())       # the macro-state with no run left to check
+
+
+def _t1_fits_caps(t1, max_input_len, caps):
+    """Do all run prefixes of t1 on inputs up to max_input_len stay within
+    caps?  False also when t1 has an eps-cycle.  Longest paths, per number
+    of letters read, over the eps moves in topological order."""
+    succ, indeg = {}, {q: 0 for q in t1.states}
+    for (p, a, out, q) in t1.transitions:
+        if a is EPS:
+            succ.setdefault(p, []).append((len(out), q))
+            indeg[q] += 1
+    order = [q for q in t1.states if not indeg[q]]
+    for p in order:
+        for (_lo, q) in succ.get(p, ()):
+            indeg[q] -= 1
+            if not indeg[q]:
+                order.append(q)
+    if len(order) < len(t1.states):
+        return False
+    # best: state -> (most steps, longest output) over the run prefixes
+    best = {q: (0, 0) for q in t1.initial}
+    for n in range(max_input_len + 1):
+        if n:
+            nxt = {}
+            for (p, a, out, q) in t1.transitions:
+                if a is not EPS and p in best:
+                    s, o = best[p]
+                    s0, o0 = nxt.get(q, (0, 0))
+                    nxt[q] = (max(s0, s + 1), max(o0, o + len(out)))
+            best = nxt
+        for p in order:
+            if p in best:
+                s, o = best[p]
+                for (lo, q) in succ.get(p, ()):
+                    s0, o0 = best.get(q, (0, 0))
+                    best[q] = (max(s0, s + 1), max(o0, o + lo))
+        if any(s > caps.max_steps or o > caps.max_output_len for (s, o) in best.values()):
+            return False
+    return True
+
+
+class _Frontier:
+    """Plain one-way containment over macro-states, for every input length.
+
+    After a prefix u the frontier holds one macro-state (z, E): z is the
+    gamma-DFA state of u with no marks, E an antichain of pairs (q1, S), one
+    per t1 run prefix on u that could still be checked.  S is the set of t2
+    configurations (q2, pending, settled) that write a prefix of that run's
+    output with every letter at or after t1's origin for it: ``pending``
+    holds t1's letters t2 has not written yet, each with the gamma state
+    of its position (y marked), ``settled`` the gamma states of positions
+    both have written.  One position p makes t1's moves with origin p (eps
+    moves, then the read), then t2's, then every gamma state reads u_p with
+    its marks.  A configuration dies when a gamma state can no longer reach
+    acceptance; a settled state leaves once every continuation accepts.
+    For each q1 only the inclusion-minimal S are kept, since a run with
+    fewer partners fails whenever one with more does.  When gamma is
+    identity-safe (x = y accepts from every unmarked state, whatever
+    follows), a pair whose S holds a free t2 state (final, reading every
+    letter silently and eps-writing every output letter) with nothing
+    pending or settled can never fail, and leaves.
+
+    Every prefix reaching a macro-state fails on the same continuations,
+    so each layer keeps the macro-states first reached at its length, each
+    with its least prefix; an input of length n + 1 fails when its last
+    letter fails the end check of its prefix's macro-state.
+    """
+
+    def __init__(self, t1, index, resync, letters, outputs):
+        self.letters = letters
+        self.by_key1 = transition_index(t1)
+        self.index = index
+        dfa, self.delta = resync.gamma_dfa()
+        delta = self.delta
+        init = next(iter(dfa.initial))
+        self.g_final = dfa.final
+        zsucc, zpred, xpred = {}, {}, {}
+        for s in dfa.states:
+            for a in letters:
+                t = delta[(s, (a, _ZERO))]
+                zsucc.setdefault(s, set()).add(t)
+                zpred.setdefault(t, set()).add(s)
+                xpred.setdefault(delta[(s, (a, (1, 0)))], set()).add(s)
+        # co0: can still accept with no mark to come; co1: with x to come;
+        # safe: accepts whatever follows with no mark
+        self.co0 = _closure(dfa.final, zpred)
+        self.co1 = _closure({s for t in self.co0 for s in xpred.get(t, ())}, zpred)
+        self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
+        identity_safe = all(delta[(s, (a, (1, 1)))] in self.safe
+                            for s in _closure({init}, zsucc) for a in letters)
+        # free: a sink state of the index that pads with every output letter
+        self.free = frozenset((q, (), frozenset()) for q in index.sink
+                              if index.pad[q] == outputs and identity_safe)
+        pred1, pred2 = {}, {}
+        for (p, _a, _out, q) in t1.transitions:
+            pred1.setdefault(q, set()).add(p)
+        for (p, _a, _out), targets in index.exact.items():
+            for q in targets:
+                pred2.setdefault(q, set()).add(p)
+        self.live1 = _closure(t1.final, pred1)
+        self.live2 = _closure(index.final, pred2)
+        self.final1 = t1.final
+        self.moves1 = {}
+        self.next2 = {}
+        self.end2 = {}
+        self.shared = {}
+        self.start = (init, frozenset(
+            (q1, frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
+            for q1 in t1.initial if q1 in self.live1))
+
+    def t1_moves(self, q1, a):
+        """From q1 on the letter a: the (q1', w) that eps moves and the read
+        reach, writing w, and the w of those that reach an accepting state
+        with trailing eps moves too."""
+        key = (q1, a)
+        got = self.moves1.get(key)
+        if got is None:
+            by_key = self.by_key1
+
+            def eclose(items):
+                found, stack = set(items), list(items)
+                while stack:
+                    q, w = stack.pop()
+                    for (v, r) in by_key.get((q, EPS), ()):
+                        if (r, w + v) not in found:
+                            found.add((r, w + v))
+                            stack.append((r, w + v))
+                return found
+
+            read = {(r, w + v) for (q, w) in eclose({(q1, ())})
+                    for (v, r) in by_key.get((q, a), ())}
+            ends = {w for (q, w) in eclose(read) if q in self.final1}
+            got = self.moves1[key] = (tuple(x for x in read if x[0] in self.live1), ends)
+        return got
+
+    def t2_moves(self, q2, written, a, end):
+        """(q2', k): t2's moves with one origin, eps moves then the read of
+        a (then eps moves again at the end of the input), writing
+        written[:k]."""
+        exact, lens = self.index.exact, self.index.lens
+        start = (q2, 0, 0)
+        seen, stack, out = {start}, [start], set()
+        m = len(written)
+        while stack:
+            q, k, read = stack.pop()
+            if read:
+                out.add((q, k))
+                if not end:
+                    continue
+            for b in ((EPS, a) if not read else (EPS,)):
+                for lo in lens.get((q, b), ()):
+                    nk = k + lo
+                    if nk > m:
+                        break
+                    for r in exact.get((q, b, written[k:nk]), ()):
+                        item = (r, nk, read or b is not EPS)
+                        if item not in seen:
+                            seen.add(item)
+                            stack.append(item)
+        return out
+
+    def t2_next(self, c, w, a, z):
+        """The configurations t2's configuration c can reach at this position,
+        where t1 writes w and the input letter is a."""
+        key = (c, w, a, z)
+        got = self.next2.get(key)
+        if got is not None:
+            return got
+        q2, pending, settled = c
+        delta, co0, co1, safe = self.delta, self.co0, self.co1, self.safe
+        entries = pending + tuple((b, z) for b in w)
+        written = tuple(b for (b, _g) in entries)
+        # each entry's gamma state if t2 writes it here, and if not yet
+        ys = [0] * len(pending) + [1] * len(w)
+        now = [delta[(g, (a, (1, y)))] for (_b, g), y in zip(entries, ys)]
+        later = [delta[(g, (a, (0, y)))] for (_b, g), y in zip(entries, ys)]
+        # t2 may write entries up to the first that could no longer accept,
+        # and must write those after the last that could not wait
+        most = next((i for i, s in enumerate(now) if s not in co0), len(now))
+        least = next((i + 1 for i in range(len(later) - 1, -1, -1) if later[i] not in co1), 0)
+        kept = [delta[(g, (a, _ZERO))] for g in settled]
+        if least > most or any(s not in co0 for s in kept):
+            got = self.next2[key] = frozenset()
+            return got
+        kept = frozenset(s for s in kept if s not in safe)
+        found = set()
+        # one object per distinct value: the caches hold many equal ones
+        shared = self.shared
+
+        def share(x):
+            return shared.setdefault(x, x)
+
+        for (r, k) in self.t2_moves(q2, written, a, False):
+            if least <= k <= most and r in self.live2:
+                rest = share(tuple(share(e) for e in zip(written[k:], later[k:])))
+                found.add(share((r, rest, share(kept.union(s for s in now[:k] if s not in safe)))))
+        got = self.next2[key] = share(frozenset(found))
+        return got
+
+    def t2_ends(self, c, w, a, z):
+        """Can t2's configuration c finish the input with the letter a, t1
+        writing w, and every gamma state accepting?"""
+        key = (c, w, a, z)
+        got = self.end2.get(key)
+        if got is None:
+            q2, pending, settled = c
+            delta, final = self.delta, self.g_final
+            entries = pending + tuple((b, z) for b in w)
+            old = len(pending)
+            written = tuple(b for (b, _g) in entries)
+            got = (all(delta[(g, (a, (1, 1 if i >= old else 0)))] in final
+                       for i, (_b, g) in enumerate(entries))
+                   and all(delta[(g, (a, _ZERO))] in final for g in settled)
+                   and any(k == len(written) and r in self.index.final
+                           for (r, k) in self.t2_moves(q2, written, a, True)))
+            self.end2[key] = got
+        return got
+
+    def step(self, state, a):
+        """The macro-state after one more letter a."""
+        z, pairs = state
+        minimal = {}
+        for (q1, configs) in pairs:
+            for (r1, w) in self.t1_moves(q1, a)[0]:
+                nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
+                if nxt.isdisjoint(self.free):
+                    minimal.setdefault(r1, set()).add(nxt)
+        out = []
+        for r1, sets in minimal.items():
+            kept = []
+            for s in sorted(sets, key=len):
+                if not any(k <= s for k in kept):
+                    kept.append(s)
+            out.extend((r1, s) for s in kept)
+        if not out:
+            return _EMPTY
+        return (self.delta[(z, (a, _ZERO))], frozenset(out))
+
+    def fails(self, state, a):
+        """Does some t1 run ending with the letter a lack every partner?"""
+        z, pairs = state
+        return any(not any(self.t2_ends(c, w, a, z) for c in configs)
+                   for (q1, configs) in pairs for w in self.t1_moves(q1, a)[1])
+
+    def run(self, max_input_len):
+        """(least failing input or None, new macro-states per layer, the
+        first layer that added none, or None)."""
+        layer, seen, sizes = [((), self.start)], {self.start}, []
+        for n in range(1, max_input_len + 1):
+            for (prefix, state) in layer:
+                for a in self.letters:
+                    if self.fails(state, a):
+                        return prefix + (a,), sizes, None
+            nxt = []
+            for (prefix, state) in layer:
+                for a in self.letters:
+                    got = self.step(state, a)
+                    if got not in seen:
+                        seen.add(got)
+                        nxt.append((prefix + (a,), got))
+            layer = nxt
+            sizes.append(len(layer))
+            if not layer:
+                return None, sizes, n
+        return None, sizes, None
+
+
+def _t2_may_lead(dfa, delta, letters):
+    """Does gamma accept a word with x strictly before y, each marked once?"""
+    # phase 0: no mark yet; 1: x marked; 2: y marked after x
+    moves = {0: ((_ZERO, 0), ((1, 0), 1)), 1: ((_ZERO, 1), ((0, 1), 2)), 2: ((_ZERO, 2),)}
+    start = (next(iter(dfa.initial)), 0)
+    seen, stack = {start}, [start]
+    while stack:
+        s, phase = stack.pop()
+        if phase == 2 and s in dfa.final:
+            return True
+        for (bits, nphase) in moves[phase]:
+            for a in letters:
+                item = (delta[(s, (a, bits))], nphase)
+                if item not in seen:
+                    seen.add(item)
+                    stack.append(item)
+    return False
+
+
+def _frontier_route(t1, t2, index, resync, max_input_len, caps):
+    """For a plain call (one-way t2 with its ``MatchIndex`` index, a
+    parameterless ``Resynchronizer``, no membership callback): the frontier
+    when t1 is one-way without eps-cycles, its runs fit the caps on every
+    input swept, so that the sweep could prune nothing, and gamma never
+    lets t2 write a letter before t1; otherwise None."""
+    if not isinstance(t1, OneWayTransducer):
+        return None
+    dfa, delta = resync.gamma_dfa()
+    letters = tuple(sorted(t1.input_alphabet))
+    if (not t1.input_alphabet <= dfa.alphabet.base
+            or not _t1_fits_caps(t1, max_input_len, caps)
+            or _t2_may_lead(dfa, delta, letters)):
+        return None
+    return _Frontier(t1, index, resync, letters, t2.output_alphabet)
+
+
 def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
-                  record=False, membership=None) -> Verdict:
+                  record=False, membership=None, stats=None) -> Verdict:
     """Sweep all inputs up to max_input_len; every t1 graph needs a t2
     partner with the same words accepted by the resynchronizer.
 
@@ -166,6 +486,14 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     is the least one and verdicts are deterministic.  ``pruned`` covers the
     inputs swept: every input on a holding verdict, and on a failing one
     the inputs up to and including the counterexample's.
+
+    A plain one-way call that ``_frontier_route`` accepts finds the least
+    failing input on the frontier instead, and takes its counterexample
+    from that one input's graphs; its ``pruned`` is False, as the sweep's
+    would be.  When a layer of the frontier adds no macro-state, the
+    verdict holds for every input length, and ``saturated_at`` gives that
+    layer.  A dict passed as ``stats`` receives the route taken and the
+    new macro-states per layer.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
@@ -209,9 +537,20 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
                 pairs.append((matched[0], sigma_p, matched[1]))
         return True
 
-    sweep_origin_graphs(t1, max_input_len, caps, visit)
+    front = (_frontier_route(t1, t2, idx, resync, max_input_len, caps)
+             if plain and not record else None)
+    layers, saturated = [], None
+    if front is None:
+        sweep_origin_graphs(t1, max_input_len, caps, visit)
+    else:
+        u, layers, saturated = front.run(max_input_len)
+        if u is not None and visit(u, run_origin_graphs(t1, u, caps)):
+            raise AssertionError(f"frontier failure on {u} has no failing graph")
+    if stats is not None:
+        stats.update(route="sweep" if front is None else "frontier", layers=layers)
     status = "holds-on-sweep" if state["cex"] is None else "fails"
-    return Verdict(status, state["cex"], max_input_len, caps, state["pruned"], tuple(pairs))
+    return Verdict(status, state["cex"], max_input_len, caps, state["pruned"], tuple(pairs),
+                   saturated)
 
 
 def _zero_extension_stable(resync):

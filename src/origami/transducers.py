@@ -377,13 +377,28 @@ def sweep_origin_graphs(t, max_len, caps: RunCaps, visit=None):
     return collected
 
 
+def _graph_sets(t, n, caps):
+    """The graph sets of t on every input of length n, in ``words_upto``
+    order: from a prefix-tree sweep for a one-way t, input by input for a
+    two-way t."""
+    if not isinstance(t, OneWayTransducer):
+        return [run_origin_graphs(t, u, caps).graphs
+                for u in words_upto(t.input_alphabet, n, min_len=n)]
+    sets = []
+
+    def keep(u, res):
+        if len(u) == n:
+            sets.append(res.graphs)
+
+    sweep_origin_graphs(t, n, caps, keep)
+    return sets
+
+
 def classical_pairs(transducer, max_input_len, caps: RunCaps):
     """The input/output relation restricted to inputs up to max_input_len."""
     pairs = set()
-    alphabet = transducer.input_alphabet
-    for u in words_upto(alphabet, max_input_len):
-        for g in run_origin_graphs(transducer, u, caps).graphs:
-            pairs.add((g.input, g.output))
+    sweep_origin_graphs(transducer, max_input_len, caps,
+                        lambda u, res: pairs.update((g.input, g.output) for g in res.graphs))
     return pairs
 
 
@@ -392,15 +407,14 @@ def origin_equivalent_upto(t1, t2, max_input_len, caps: RunCaps):
 
     Returns (True, None) or (False, counterexample) where the counterexample
     is a minimal-input-length graph present in exactly one side (smallest
-    by (input, output, orig) among those).
+    by (input, output, orig) among those).  Compares one input length at a
+    time; a one-way side is swept (``_graph_sets``).
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
     for n in range(1, max_input_len + 1):
         diff = []
-        for u in words_upto(t1.input_alphabet, n, min_len=n):
-            g1 = run_origin_graphs(t1, u, caps).graphs
-            g2 = run_origin_graphs(t2, u, caps).graphs
+        for g1, g2 in zip(_graph_sets(t1, n, caps), _graph_sets(t2, n, caps)):
             diff.extend(g1 ^ g2)
         if diff:
             return (False, min(diff, key=lambda g: g.sort_key()))

@@ -358,3 +358,123 @@ def test_random_verdicts_independent_of_transition_order_and_state_names(data, p
     pairs = list(zip(data.draw(variants(t1)), data.draw(variants(t2))))
     assert len({report_json(contains_upto(a, b, r, 3, caps)) for (a, b) in pairs}) == 1
     assert len({report_json(traversal_profile(a, b, 3, caps)) for (a, b) in pairs}) == 1
+
+
+def frontier_t1(t):
+    """t with only the eps moves that go to a later state in STATES order,
+    so that its eps moves form no cycle, and with at most one letter
+    written per move, which keeps the oracle's partner enumeration small."""
+    keep = tuple((p, a, out[:1], q) for (p, a, out, q) in t.transitions
+                 if a is not EPS or STATES.index(p) < STATES.index(q))
+    return OneWayTransducer(t.states, t.input_alphabet, t.output_alphabet, keep,
+                            t.initial, t.final)
+
+
+def containment_oracle(t1, t2, r, max_len, caps):
+    """(status, counterexample, pruned) of contains_upto(t1, t2, r) by brute
+    force: t1's graphs from run_origin_graphs, every partner from the
+    restricted enumeration, each position tested with gamma_holds, the
+    naive evaluator."""
+    pruned = False
+    for u in words_upto(t1.input_alphabet, max_len):
+        res = run_origin_graphs(t1, u, caps)
+        pruned = pruned or res.pruned
+        found_for, holds = {}, {}
+        for sp in sorted(res.graphs, key=OriginGraph.sort_key):
+            if sp.output not in found_for:
+                found_for[sp.output] = partners(t2, u, sp.output)
+            found = found_for[sp.output]
+            for (x, y) in {(x, y) for org in found for (x, y) in zip(org, sp.orig)} - set(holds):
+                holds[(x, y)] = r.gamma_holds(u, (), x, y)
+            if not any(all(holds[(x, y)] for (x, y) in zip(org, sp.orig)) for org in found):
+                reason = "no-accepted-partner" if found else "no-partner"
+                return "fails", Counterexample(sp, reason), pruned
+    return "holds-on-sweep", None, pruned
+
+
+# besides shift(k) and identity: a gamma that x = y does not always
+# satisfy, and one that reads the end of the input
+FRONTIER_GAMMAS = ("x = y & a(x)", "x = y | (last(x) & y <= x)")
+
+
+def frontier_cases():
+    return st.tuples(machine_pairs(), st.sampled_from(("identity", 0, 1, 2) + FRONTIER_GAMMAS),
+                     st.integers(1, 4))
+
+
+def frontier_resync(kind):
+    if kind == "identity":
+        return make_identity(LETTERS)
+    if kind in FRONTIER_GAMMAS:
+        return Resynchronizer((), parse_formula(kind), base=LETTERS)
+    return make_shift(kind, base=LETTERS)
+
+
+# a frontier_t1 makes at most 3 moves and writes at most 3 letters per
+# input letter, plus 2 trailing moves: these caps cannot bind
+FRONTIER_CAPS = RunCaps(14, 14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frontier_cases())
+@example((early_and_late(), 0, 3))
+def test_frontier_matches_bruteforce_oracle(case):
+    (t1, t2), kind, n = case
+    t1 = frontier_t1(t1)
+    r = frontier_resync(kind)
+    stats = {}
+    verdict = contains_upto(t1, t2, r, n, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    assert (verdict.status, verdict.counterexample, verdict.pruned) == \
+        containment_oracle(t1, t2, r, n, FRONTIER_CAPS)
+    if verdict.saturated_at is not None:
+        assert verdict.holds and len(stats["layers"]) == verdict.saturated_at
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), frontier_cases())
+def test_frontier_verdicts_independent_of_t2_variants(data, case):
+    (t1, t2), kind, n = case
+    t1 = frontier_t1(t1)
+    r = frontier_resync(kind)
+    got = {(report_json(v), v.saturated_at)
+           for v in (contains_upto(t1, b, r, n, FRONTIER_CAPS) for b in data.draw(variants(t2)))}
+    assert len(got) == 1
+
+
+def test_frontier_keeps_the_run_with_fewer_partners():
+    # both t1 runs reach q after two letters, writing a at 1 or at 2; under
+    # shift(1) the first has only the partner writing a at 2, which cannot
+    # stop at length 3, the second also the one writing a at 3, which can
+    t1 = OneWayTransducer({"p", "m", "n", "q", "f"}, {"a"}, {"a"},
+                          (("p", "a", ("a",), "m"), ("m", "a", (), "q"),
+                           ("p", "a", (), "n"), ("n", "a", ("a",), "q"),
+                           ("q", "a", (), "f")), {"p"}, {"f"})
+    t2 = OneWayTransducer({"p", "s1", "s2", "c1", "c2", "d", "g"}, {"a"}, {"a"},
+                          (("p", "a", (), "s1"), ("s1", "a", ("a",), "c1"),
+                           ("s1", "a", (), "s2"), ("s2", "a", ("a",), "c2"),
+                           ("c1", "a", (), "d"), ("d", "a", (), "g")), {"p"}, {"c2", "g"})
+    r = make_shift(1, base=("a",))
+    stats = {}
+    verdict = contains_upto(t1, t2, r, 4, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    cex = Counterexample(OriginGraph(("a",) * 3, ("a",), (1,)), "no-accepted-partner")
+    assert (verdict.status, verdict.counterexample, verdict.pruned) == ("fails", cex, False) == \
+        containment_oracle(t1, t2, r, 4, FRONTIER_CAPS)
+
+
+def test_frontier_collapses_only_when_identity_is_safe():
+    # t2's state r follows any output at its own origin, but gamma
+    # refuses x = y on b: the run that has written nothing after "a" must
+    # stay on the frontier, and fails once it writes on the b
+    t1 = OneWayTransducer({"p", "q", "f"}, LETTERS, {"a"},
+                          (("p", "a", (), "q"), ("q", "b", ("a",), "f")), {"p"}, {"f"})
+    t2 = OneWayTransducer({"r"}, LETTERS, {"a"},
+                          (("r", "a", (), "r"), ("r", "b", (), "r"), ("r", EPS, ("a",), "r")),
+                          {"r"}, {"r"})
+    r = Resynchronizer((), parse_formula("x = y & a(x)"), base=LETTERS)
+    stats = {}
+    verdict = contains_upto(t1, t2, r, 3, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    assert (verdict.status, verdict.counterexample) == \
+        ("fails", Counterexample(OriginGraph(("a", "b"), ("a",), (2,)), "no-accepted-partner"))

@@ -230,3 +230,31 @@ def test_cli_check_domino_reports_a_shortest_violation(capsys):
     assert main(["check-domino", data("halt2.tm"), "--max-len", "6"]) == 1
     assert capsys.readouterr().out == ("violated at t6 t5 t4 t2 t7 t2: bottom "
                                        "q0#q0B#aq1#aq1B#a is not a prefix of the history\n")
+
+
+def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
+    assert main(["gen-reduction", data("halt2.tm"), "--out-dir", str(tmp_path)]) == 0
+    tiles = " ".join(f"t{i}" for i in range(1, 13))
+    for k in (2, 5):
+        (tmp_path / f"shift{k}.rsync").write_text(
+            f"alphabet: {tiles}\nparams:\ngamma: " +
+            " | ".join(f"(x = y + {j})" for j in range(k + 1)) + "\n")
+    capsys.readouterr()
+    runs = [([str(tmp_path / "tdown.1nt"), str(tmp_path / "tup.1nt"), str(tmp_path / "shift5.rsync"),
+              "--max-len", "9", "--max-output", "38", "--max-steps", "135"], 0, "frontier"),
+            ([str(tmp_path / "tdown.1nt"), str(tmp_path / "tup.1nt"), str(tmp_path / "shift2.rsync"),
+              "--max-len", "5", "--max-output", "22", "--max-steps", "75"], 1, "frontier"),
+            ([data("id.2nt"), data("id.2nt"), data("identity.rsync"), "--max-len", "3"], 0, "sweep")]
+    for args, code, route in runs:
+        for fmt in ("text", "json"):
+            assert main(["contains", *args, "--format", fmt]) == code
+            plain = capsys.readouterr()
+            assert main(["contains", *args, "--format", fmt, "--stats"]) == code
+            stats = capsys.readouterr()
+            assert stats.out == plain.out and plain.err == ""
+            assert stats.err.splitlines()[0] == f"route: {route}"
+    assert stats.err == "route: sweep\n"
+    main(["contains", *runs[0][0], "--stats"])
+    assert capsys.readouterr().err == ("route: frontier\n"
+                                       "macro-states per layer: 12 13 12 12 12 12 24 12 0\n"
+                                       "saturated at layer 9: holds for every input length\n")

@@ -7,7 +7,8 @@ from origami.reduction import (TuringMachine, TileSet, MachineError, build_tiles
                                tape_probe, check_domino_lemma, check_domino_sweep,
                                build_Tdown, build_Tup, build_Tup_prime, build_Tdown_prime,
                                halt2, grow, SEP)
-from origami.transducers import RunCaps, run_origin_graphs, enumerate_matching_graphs, OriginGraph
+from origami.transducers import (RunCaps, MatchIndex, run_origin_graphs, enumerate_matching_graphs,
+                                 OriginGraph)
 from origami.traversal import traversal_report
 from origami.resync import make_shift, make_identity
 from origami.containment import contains_upto, traversal_profile
@@ -225,6 +226,59 @@ def test_shift_containment_small(h2_tiles):
     shift = make_shift(5, base=tuple(sorted(tdown.input_alphabet)))
     verdict = contains_upto(tdown, tup, shift, 3, RunCaps(2 + 4 * 3, 60))
     assert verdict.holds
+
+
+def reduction_caps(n):
+    return RunCaps(2 + 4 * n, 15 * n)
+
+
+def shift_on(tdown, k):
+    return make_shift(k, base=tuple(sorted(tdown.input_alphabet)))
+
+
+def test_halt2_shift2_fails_at_length_five(h2_tiles):
+    # the least failing input found by the per-input sweep, which took 19 s
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    verdict = contains_upto(tdown, tup, shift_on(tdown, 2), 5, reduction_caps(5))
+    cex = verdict.counterexample
+    assert (verdict.status, cex.sigma_p.input, cex.reason, verdict.pruned) == \
+        ("fails", ("t6", "t5", "t4", "t1", "t1"), "no-accepted-partner", False)
+
+
+def test_halt2_shift5_holds_for_every_length(h2_tiles):
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    stats = {}
+    verdict = contains_upto(tdown, tup, shift_on(tdown, 5), 9, reduction_caps(9), stats=stats)
+    assert verdict.holds and not verdict.pruned
+    assert verdict.saturated_at == 9 and stats["layers"][-1] == 0
+
+
+def test_grow_shift3_fails_at_length_eleven():
+    gt = build_tiles(grow())
+    tdown, tup = build_Tdown(gt), build_Tup(gt)
+    r = shift_on(tdown, 3)
+    verdict = contains_upto(tdown, tup, r, 11, reduction_caps(11))
+    u = ("t5", "t4", "t3", "t2", "t5", "t2", "t4", "t3", "t2", "t1", "t1")
+    cex = verdict.counterexample
+    assert (verdict.status, cex.sigma_p.input, cex.reason) == ("fails", u, "no-accepted-partner")
+    # its length-10 prefix has an accepted partner, under the gamma table
+    (sigma_p,) = run_origin_graphs(tdown, u[:10], reduction_caps(10)).graphs
+    cache = {}
+
+    def fill(h, y):
+        got = cache[(h, y)] = r.gamma_holds_dfa(sigma_p.input, (), h, y)
+        return got
+
+    assert MatchIndex(tup).search(sigma_p.input, sigma_p.output, (cache, sigma_p.orig, fill))
+
+
+def test_binding_caps_take_the_sweep(h2_tiles):
+    # criterion 6's pair with an output cap that cuts T_down's runs
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    stats = {}
+    verdict = contains_upto(tdown, tup, shift_on(tdown, 5), 3, RunCaps(6, 90), stats=stats)
+    assert stats["route"] == "sweep"
+    assert (verdict.status, verdict.pruned, verdict.saturated_at) == ("holds-on-sweep", True, None)
 
 
 def test_tdown_prime_union_semantics(h2_tiles):

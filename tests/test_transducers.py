@@ -171,6 +171,31 @@ def test_one_way_run_agrees_with_the_sweep(t, max_out, max_steps):
         assert (res.graphs, res.pruned) == (ref.graphs, ref.pruned), u
 
 
+def equivalence_oracle(t1, t2, max_len, caps):
+    """origin_equivalent_upto, input by input through run_origin_graphs."""
+    for n in range(1, max_len + 1):
+        diff = set()
+        for u in words_upto(t1.input_alphabet, n, min_len=n):
+            diff |= run_origin_graphs(t1, u, caps).graphs ^ run_origin_graphs(t2, u, caps).graphs
+        if diff:
+            return False, min(diff, key=OriginGraph.sort_key)
+    return True, None
+
+
+@given(one_way_machines(("a",)), one_way_machines(("a",)), st.booleans(),
+       st.integers(1, 6), st.integers(1, 20))
+def test_one_way_equivalence_matches_per_input_oracle(t1, t2, twin, max_out, max_steps):
+    # a twin lists t1's transitions in reverse: equal, or differing only by pruning
+    if twin:
+        t2 = OneWayTransducer(t1.states, t1.input_alphabet, t1.output_alphabet,
+                              t1.transitions[::-1], t1.initial, t1.final)
+    caps = RunCaps(max_out, max_steps)
+    assert origin_equivalent_upto(t1, t2, 3, caps) == equivalence_oracle(t1, t2, 3, caps)
+    assert classical_pairs(t1, 3, caps) == {
+        (u, g.output) for u in words_upto(LETTERS, 3)
+        for g in run_origin_graphs(t1, u, caps).graphs}
+
+
 def test_sweep_visits_words_upto_order_and_stops(t_first):
     # a two-way copy machine over {a, b}
     copy = TwoWayTransducer({"p", "q", "f"}, {"a", "b"}, {"a", "b"},
