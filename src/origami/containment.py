@@ -796,18 +796,20 @@ def rk_membership_via_traversal(k):
 def resync_search(t1, t2, k_max, max_input_len, caps: RunCaps) -> SearchResult:
     """Least k <= k_max with contains_upto(t1, t2, R_k) holding on the sweep.
 
-    Evidence only: a found k certifies the sweep, not the full relation.
-    R_k membership uses the traversal characterization plus the greedy
-    witness.
+    A pair is in R_k exactly when its traversal is at most k (the
+    characterization ``rk_membership_via_traversal`` checks), so that k is
+    the largest value of one ``traversal_profile`` sweep: found with a
+    ``holds-on-sweep`` verdict whose ``pruned`` is the profile's
+    ``approximate`` when it is at most k_max, not found with the profile
+    otherwise.  Evidence only: a found k certifies the sweep, not the full
+    relation.
     """
-    base = tuple(sorted(t1.input_alphabet))
-    for k in range(0, k_max + 1):
-        verdict = contains_upto(t1, t2, make_Rk(k, base=base), max_input_len, caps,
-                                membership=rk_membership_via_traversal(k))
-        if verdict.holds:
-            return SearchResult(True, k, verdict, None)
     profile = traversal_profile(t1, t2, max_input_len, caps)
-    return SearchResult(False, None, None, profile)
+    k = max(profile.values.values(), default=0)
+    if k > k_max:
+        return SearchResult(False, None, None, profile)
+    verdict = Verdict("holds-on-sweep", None, max_input_len, caps, profile.approximate)
+    return SearchResult(True, k, verdict, None)
 
 
 def report_json(obj) -> str:

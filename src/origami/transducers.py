@@ -174,13 +174,17 @@ def run_origin_graphs(transducer, u, caps: RunCaps) -> RunResult:
     """Enumerate the origin graphs of accepting runs on u, capped.
 
     Returns graphs deduplicated structurally; two runs with the same
-    (input, output, origins) contribute one graph.
+    (input, output, origins) contribute one graph.  A one-way transducer
+    takes the steps of ``sweep_origin_graphs`` along u alone, so ``pruned``
+    reports a cap that cuts a run at its least step count.
     """
     u = word(u)
     if not u:
         raise EmptyInputError("input word must be non-empty")
     if isinstance(transducer, OneWayTransducer):
-        return _run_1nt(transducer, u, caps)
+        got = []
+        _walk(transducer, [(a,) for a in u], caps, lambda _u, res: got.append(res))
+        return got[0]
     return _run_2nt(transducer, u, caps)
 
 
@@ -192,46 +196,92 @@ def transition_index(t):
     return by_key
 
 
-def _run_1nt(t: OneWayTransducer, u, caps):
-    n = len(u)
-    by_key = transition_index(t)
-    graphs = set()
+def _eps_close(by_key, entries, origin, caps):
+    """Close entries, one-way configurations (state, output, origins) ->
+    step count, under eps moves writing at origin; True when a cap cut a
+    move.  Each configuration is expanded once, at its least step count,
+    whatever the transition order: entries with an eps move are taken from
+    per-step buckets, fewest steps first."""
+    buckets = {}
+    for key, steps in entries.items():
+        if (key[0], EPS) in by_key:
+            buckets.setdefault(steps, []).append(key)
+    if not buckets:
+        return False
+    max_out, max_steps = caps.max_output_len, caps.max_steps
     pruned = False
-    max_out = caps.max_output_len
-    max_steps = caps.max_steps
-    final = t.final
-    # first in, first out with a seen set, as in _run_2nt: an eps cycle
-    # that writes nothing runs no laps, so pruning agrees with the sweep
-    queue = deque((q, 0, (), (), 0) for q in sorted(t.initial, key=repr))
-    seen = set()
-    while queue:
-        q, i, out, org, steps = queue.popleft()
-        key = (q, i, out, org)
-        if key in seen:
-            continue
-        seen.add(key)
-        if i == n and q in final:
-            graphs.add(OriginGraph(u, out, org))
-        batches = ((by_key.get((q, u[i]), ()) if i < n else ()), by_key.get((q, EPS), ()))
-        if steps >= max_steps:
-            if batches[0] or batches[1]:
-                pruned = True
-            continue
-        lo = len(out)
-        for consuming in (0, 1):
-            batch = batches[1 - consuming]
-            if not batch:
+    steps = min(buckets)
+    while buckets:
+        nsteps = steps + 1
+        for key in buckets.pop(steps, ()):
+            if entries[key] != steps:
                 continue
-            if consuming:
-                ni, origin = i + 1, i + 1
-            else:
-                ni, origin = i, i + 1 if i < n else n
-            for (v, r) in batch:
-                if lo + len(v) > max_out:
+            if steps >= max_steps:
+                pruned = True
+                continue
+            q, out, org = key
+            for (v, r) in by_key[(q, EPS)]:
+                if len(out) + len(v) > max_out:
                     pruned = True
                     continue
-                queue.append((r, ni, out + v, org + (origin,) * len(v), steps + 1))
-    return RunResult(frozenset(graphs), pruned)
+                nkey = (r, out + v, org + (origin,) * len(v))
+                old = entries.get(nkey)
+                if old is None or nsteps < old:
+                    entries[nkey] = nsteps
+                    if (r, EPS) in by_key:
+                        buckets.setdefault(nsteps, []).append(nkey)
+        steps = nsteps
+    return pruned
+
+
+def _read(by_key, entries, a, origin, caps):
+    """(the configurations that one read of the letter a reaches from
+    entries, each at its least step count, whether a cap cut a move)."""
+    max_out, max_steps = caps.max_output_len, caps.max_steps
+    nxt = {}
+    pruned = False
+    for (q, out, org), steps in entries.items():
+        batch = by_key.get((q, a))
+        if not batch:
+            continue
+        if steps >= max_steps:
+            pruned = True
+            continue
+        nsteps = steps + 1
+        for (v, r) in batch:
+            if len(out) + len(v) > max_out:
+                pruned = True
+                continue
+            nkey = (r, out + v, org + (origin,) * len(v))
+            old = nxt.get(nkey)
+            if old is None or nsteps < old:
+                nxt[nkey] = nsteps
+    return nxt, pruned
+
+
+def _walk(t: OneWayTransducer, choices, caps, visit):
+    """Run visit(u, RunResult) on every input u with u[i] in choices[i],
+    in the order of the choices, sharing run prefixes along the input
+    tree: a node closes the runs on its prefix under eps moves, then each
+    child reads its letter.  False once visit has returned False."""
+    by_key = transition_index(t)
+    final = t.final
+    n = len(choices)
+
+    def rec(u, entries, pruned):
+        i = len(u)
+        pruned = _eps_close(by_key, entries, i + 1 if i < n else n, caps) or pruned
+        if i == n:
+            graphs = frozenset(OriginGraph(u, out, org)
+                               for (q, out, org) in entries if q in final)
+            return visit(u, RunResult(graphs, pruned)) is not False
+        for a in choices[i]:
+            nxt, cut = _read(by_key, entries, a, i + 1, caps)
+            if not rec(u + (a,), nxt, pruned or cut):
+                return False
+        return True
+
+    return rec((), {(q, (), ()): 0 for q in t.initial}, False)
 
 
 def _run_2nt(t: TwoWayTransducer, u, caps):
@@ -290,9 +340,10 @@ def sweep_origin_graphs(t, max_len, caps: RunCaps, visit=None):
     and each result equals run_origin_graphs on that input; when visit
     returns False the sweep stops.  A two-way t is run input by input.  A
     one-way t shares its work along the input tree by iterative deepening:
-    for each length n the run frontier (partial runs, deduplicated, keyed
-    to minimal step count) is extended down the prefix tree to depth n and
-    only the leaves are visited.  With visit omitted, returns the collected
+    for each length n the partial runs (deduplicated, each expanded at its
+    least step count, so that ``pruned`` does not depend on the transition
+    order) are extended down the prefix tree to depth n, and only the
+    leaves are visited.  With visit omitted, returns the collected
     (u, RunResult) list instead.
     """
     collected = None
@@ -305,92 +356,21 @@ def sweep_origin_graphs(t, max_len, caps: RunCaps, visit=None):
                 break
         return collected
     letters = sorted(t.input_alphabet)
-    by_key = transition_index(t)
-    max_out, max_steps = caps.max_output_len, caps.max_steps
-    final = t.final
-
-    def eclose(entries, origin):
-        # close under eps transitions, outputs taking the given origin
-        pruned = False
-        queue = list(entries.items())
-        while queue:
-            (q, out, org), steps = queue.pop()
-            if entries.get((q, out, org), steps) < steps:
-                continue
-            batch = by_key.get((q, EPS))
-            if not batch:
-                continue
-            if steps >= max_steps:
-                pruned = True
-                continue
-            for (v, r) in batch:
-                if len(out) + len(v) > max_out:
-                    pruned = True
-                    continue
-                nkey = (r, out + v, org + (origin,) * len(v))
-                nsteps = steps + 1
-                old = entries.get(nkey)
-                if old is None or nsteps < old:
-                    entries[nkey] = nsteps
-                    queue.append((nkey, nsteps))
-        return pruned
-
-    def rec(u, raw, pruned, depth):
-        # raw: runs consuming exactly u, no trailing eps steps applied yet;
-        # returns False once visit has stopped the sweep
-        n = len(u)
-        if n == depth:
-            closed = dict(raw)
-            p_end = eclose(closed, n)
-            graphs = frozenset(OriginGraph(u, out, org)
-                               for (q, out, org) in closed if q in final)
-            return visit(u, RunResult(graphs, pruned or p_end)) is not False
-        mid = dict(raw)
-        p_mid = eclose(mid, n + 1)
-        for a in letters:
-            nxt = {}
-            npruned = pruned or p_mid
-            for (q, out, org), steps in mid.items():
-                batch = by_key.get((q, a))
-                if not batch:
-                    continue
-                if steps >= max_steps:
-                    npruned = True
-                    continue
-                for (v, r) in batch:
-                    if len(out) + len(v) > max_out:
-                        npruned = True
-                        continue
-                    nkey = (r, out + v, org + (n + 1,) * len(v))
-                    nsteps = steps + 1
-                    old = nxt.get(nkey)
-                    if old is None or nsteps < old:
-                        nxt[nkey] = nsteps
-            if not rec(u + (a,), nxt, npruned, depth):
-                return False
-        return True
-
-    start = {(q, (), ()): 0 for q in sorted(t.initial, key=repr)}
-    for depth in range(1, max_len + 1):
-        if not rec((), start, False, depth):
+    for n in range(1, max_len + 1):
+        if not _walk(t, [letters] * n, caps, visit):
             break
     return collected
 
 
 def _graph_sets(t, n, caps):
     """The graph sets of t on every input of length n, in ``words_upto``
-    order: from a prefix-tree sweep for a one-way t, input by input for a
-    two-way t."""
+    order: from one prefix-tree walk to depth n for a one-way t, input by
+    input for a two-way t."""
     if not isinstance(t, OneWayTransducer):
         return [run_origin_graphs(t, u, caps).graphs
                 for u in words_upto(t.input_alphabet, n, min_len=n)]
     sets = []
-
-    def keep(u, res):
-        if len(u) == n:
-            sets.append(res.graphs)
-
-    sweep_origin_graphs(t, n, caps, keep)
+    _walk(t, [sorted(t.input_alphabet)] * n, caps, lambda _u, res: sets.append(res.graphs))
     return sets
 
 

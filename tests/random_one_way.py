@@ -1,7 +1,14 @@
 """Random small one-way transducers for the differential and metamorphic
-properties of the partner search, and the brute-force partner oracle.
+properties of the run enumeration and the partner search, the per-input
+run oracle and the brute-force partner oracle.
 
-The oracle runs ``run_origin_graphs``, which shares no code with
+``fifo_run_graphs`` follows the runs on one input first in, first out,
+with a seen set: every move takes one step, so a configuration is first
+met at its least step count, and the caps cut exactly the runs that do
+not fit them.  It shares no code with ``run_origin_graphs`` and
+``sweep_origin_graphs``.
+
+``partners`` runs ``run_origin_graphs``, which shares no code with
 ``MatchIndex.search``, on t2 restricted to runs that write a prefix of v.
 A run that meets a lattice node (q, i, j) twice reads and writes nothing
 in between, so dropping the loop keeps its origins: every distinct origin
@@ -11,12 +18,57 @@ each of the n + m + 1 blocks between them, so the step cap (n + m + 1)|Q|
 admits every one.
 """
 
+from collections import deque
+
 from hypothesis import strategies as st
 
-from origami.transducers import EPS, OneWayTransducer, RunCaps, run_origin_graphs
+from origami.transducers import (EPS, OneWayTransducer, OriginGraph, RunCaps, RunResult,
+                                 run_origin_graphs)
 
 STATES = ("p", "q", "r")
+SIX_STATES = STATES + ("s", "t", "w")
 LETTERS = ("a", "b")
+
+
+def fifo_run_graphs(t, u, caps):
+    """The RunResult of one-way t on u, one configuration at a time."""
+    u, n = tuple(u), len(u)
+    moves = {}
+    for (p, a, out, q) in t.transitions:
+        moves.setdefault((p, a), []).append((out, q))
+    graphs, pruned = set(), False
+    queue = deque((q, 0, (), (), 0) for q in t.initial)
+    seen = set()
+    while queue:
+        q, i, out, org, steps = queue.popleft()
+        if (q, i, out, org) in seen:
+            continue
+        seen.add((q, i, out, org))
+        if i == n and q in t.final:
+            graphs.add(OriginGraph(u, out, org))
+        # reads move the head to i + 1; eps outputs take the next position
+        batches = [(i + 1, i + 1, moves.get((q, u[i]), ()))] if i < n else []
+        batches.append((i, min(i + 1, n), moves.get((q, EPS), ())))
+        for (ni, origin, batch) in batches:
+            for (v, r) in batch:
+                if steps >= caps.max_steps or len(out) + len(v) > caps.max_output_len:
+                    pruned = True
+                    continue
+                queue.append((r, ni, out + v, org + (origin,) * len(v), steps + 1))
+    return RunResult(frozenset(graphs), pruned)
+
+
+def stale_step_repro(order=range(7)):
+    """p reads x into p0, which reaches r by eps moves through a and b or
+    through c alone; r moves to s.  Nothing writes.  Under RunCaps(3, 4)
+    the only run on x takes the path through c, 4 steps, and no run is
+    cut; the path through a and b reaches r at step 4 and must not cut
+    r's move.  ``order`` lists the transitions by their index here."""
+    trans = (("p", "x", (), "p0"), ("p0", EPS, (), "a"), ("a", EPS, (), "b"),
+             ("b", EPS, (), "r"), ("p0", EPS, (), "c"), ("c", EPS, (), "r"),
+             ("r", EPS, (), "s"))
+    return OneWayTransducer({"p", "p0", "a", "b", "c", "r", "s"}, {"x"}, {"x"},
+                            tuple(trans[i] for i in order), {"p"}, {"s"})
 
 
 def partners(t2, u, v):
@@ -33,32 +85,32 @@ def partners(t2, u, v):
 
 
 @st.composite
-def one_way_machines(draw, outputs=LETTERS, cycle=True):
+def one_way_machines(draw, outputs=LETTERS, cycle=True, states=STATES):
     """A random one-way machine from {a, b} to the output letters, with
-    eps moves.
+    eps moves, on the given states; the first is initial.
 
     Moves that read nothing and write nothing come only as the cycle
-    p -> q -> p, so that the oracle's runs stay few.  An accepting state
-    often pads with eps self-loops and sometimes reads every letter in
-    place, so the search's pad and sink shortcuts fire.
+    between the first two states, so that the oracle's runs stay few.  An
+    accepting state often pads with eps self-loops and sometimes reads
+    every letter in place, so the search's pad and sink shortcuts fire.
     """
-    state = st.sampled_from(STATES)
+    state = st.sampled_from(states)
     written = st.sampled_from([(c,) for c in outputs] + [(c, d) for c in outputs for d in outputs])
     trans = set()
-    for _ in range(draw(st.integers(4, 12))):
+    for _ in range(draw(st.integers(4, 4 * len(states)))):
         a = draw(st.sampled_from(LETTERS + (EPS,)))
         out = draw(written) if a is EPS or draw(st.booleans()) else ()
         trans.add((draw(state), a, out, draw(state)))
     if cycle and draw(st.booleans()):
-        trans |= {("p", EPS, (), "q"), ("q", EPS, (), "p")}
+        trans |= {(states[0], EPS, (), states[1]), (states[1], EPS, (), states[0])}
     final = set(draw(st.lists(state, min_size=1, max_size=3)))
     f = min(final)
     if draw(st.booleans()):
         trans |= {(f, EPS, (c,), f) for c in draw(st.lists(st.sampled_from(outputs), min_size=1))}
         if draw(st.booleans()):
             trans |= {(f, c, (), f) for c in LETTERS}
-    return OneWayTransducer(STATES, LETTERS, outputs, tuple(sorted(trans, key=repr)),
-                            {"p"}, final)
+    return OneWayTransducer(states, LETTERS, outputs, tuple(sorted(trans, key=repr)),
+                            {states[0]}, final)
 
 
 @st.composite
@@ -81,7 +133,8 @@ def machine_pairs(draw, cycle=True):
 def variants(draw, t):
     """t with its transitions reversed, shuffled, and with its states
     renamed by a random permutation."""
-    perm = dict(zip(STATES, draw(st.permutations(STATES))))
+    names = sorted(t.states)
+    perm = dict(zip(names, draw(st.permutations(names))))
     shuffled = draw(st.permutations(t.transitions))
     renamed = tuple((perm[p], a, out, perm[q]) for (p, a, out, q) in t.transitions)
     return [t,
@@ -89,6 +142,6 @@ def variants(draw, t):
                              t.transitions[::-1], t.initial, t.final),
             OneWayTransducer(t.states, t.input_alphabet, t.output_alphabet,
                              tuple(shuffled), t.initial, t.final),
-            OneWayTransducer(STATES, t.input_alphabet, t.output_alphabet, renamed,
+            OneWayTransducer(t.states, t.input_alphabet, t.output_alphabet, renamed,
                              {perm[q] for q in t.initial}, {perm[q] for q in t.final})]
 

@@ -15,7 +15,7 @@ from origami.resync import (Resynchronizer, make_identity, make_pm1, make_Rk, ma
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, rk_membership_via_traversal, report_json)
 
-from random_one_way import LETTERS, STATES, machine_pairs, partners, variants
+from random_one_way import LETTERS, STATES, machine_pairs, partners, stale_step_repro, variants
 from random_two_way import every_run_graphs, two_way_pairs
 
 
@@ -227,18 +227,25 @@ def test_fast_rk_membership_matches_generic(t_fast, t_slow):
 
 
 def test_theorem_coherence_on_sweeps(t_slow, t_fast, t_id, t_rev, t_one_two, t_two_one):
-    # found(k) iff the traversal profile stays at or below k pointwise
+    # the search reads the profile; the sweep under R_k, with membership by
+    # the traversal characterization and the greedy witness, must agree
     cases = [
         (t_slow, t_fast, RunCaps(8, 40), 4),
         (t_id, t_rev, RunCaps(8, 60), 4),
         (t_one_two, t_two_one, RunCaps(10, 50), 5),
     ]
     for (t1, t2, caps, max_len) in cases:
-        profile = traversal_profile(t1, t2, max_len, caps)
-        bound = max(v for v in profile.values.values())
+        least = None
         for k in range(0, 4):
+            verdict = contains_upto(t1, t2, make_Rk(k, base=("a",)), max_len, caps,
+                                    membership=rk_membership_via_traversal(k))
+            if verdict.holds and least is None:
+                least = k
             result = resync_search(t1, t2, k, max_len, caps)
-            assert result.found == (bound <= k), (t1.name, t2.name, k, profile.values)
+            assert result.found == verdict.holds, (t1.name, t2.name, k)
+            if result.found:
+                assert result.k == least
+                assert report_json(result.verdict) == report_json(verdict)
 
 
 def test_transitivity_carrier(t_slow, t_fast, caps):
@@ -300,17 +307,22 @@ def renamed_and_reversed(t):
 
 def test_verdicts_independent_of_transition_order_and_state_names(t_one_two, t_two_one,
                                                                   t_id, t_rev):
-    cases = [(t_one_two, t_two_one, RunCaps(10, 50), 5), (t_id, t_rev, RunCaps(8, 60), 4)]
-    for (t1, t2, caps, n) in cases:
-        variants = list(itertools.product((t1, renamed_and_reversed(t1)),
-                                          (t2, renamed_and_reversed(t2))))
-        checks = [lambda a, b, k=k: contains_upto(a, b, make_shift(k, base=("a",)), n, caps)
+    cases = [(list(itertools.product((t1, renamed_and_reversed(t1)),
+                                     (t2, renamed_and_reversed(t2)))), caps, n, ("a",))
+             for (t1, t2, caps, n) in [(t_one_two, t_two_one, RunCaps(10, 50), 5),
+                                       (t_id, t_rev, RunCaps(8, 60), 4)]]
+    # a run's least step count fits the caps, a longer eps path does not
+    repro = [stale_step_repro(order) for order in (range(7), (0, 2, 3, 4, 1, 5, 6))]
+    cases.append((list(itertools.product(repro, repro)), RunCaps(3, 4), 3, ("x",)))
+    for (variants, caps, n, base) in cases:
+        checks = [lambda a, b, k=k: contains_upto(a, b, make_shift(k, base=base), n, caps)
                   for k in (0, 1)]
-        checks.append(lambda a, b: contains_upto(a, b, make_Rk(1, base=("a",)), n, caps,
+        checks.append(lambda a, b: contains_upto(a, b, make_identity(base=base), n, caps))
+        checks.append(lambda a, b: contains_upto(a, b, make_Rk(1, base=base), n, caps,
                                                  membership=rk_membership_via_traversal(1)))
         checks.append(lambda a, b: traversal_profile(a, b, n, caps))
         for check in checks:
-            assert len({report_json(check(a, b)) for (a, b) in variants}) == 1, (t1.name, t2.name)
+            assert len({report_json(check(a, b)) for (a, b) in variants}) == 1, variants[0]
 
 
 def early_and_late():

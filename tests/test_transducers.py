@@ -7,7 +7,8 @@ from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, Or
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
                                  MatchIndex, EmptyInputError, EPS, LMARK, RMARK, LEFT, RIGHT)
 
-from random_one_way import LETTERS, one_way_machines, partners
+from random_one_way import (LETTERS, SIX_STATES, fifo_run_graphs, one_way_machines, partners,
+                            stale_step_repro)
 from random_two_way import every_run_graphs, two_way_machines
 
 
@@ -161,22 +162,27 @@ def silent_cycle():
                             {"p"}, {"p"})
 
 
-@given(one_way_machines(), st.integers(1, 6), st.integers(1, 20))
+@given(st.integers(3, 6).flatmap(lambda k: one_way_machines(states=SIX_STATES[:k])),
+       st.integers(1, 6), st.integers(1, 20))
 @example(silent_cycle(), 5, 30)
+@example(stale_step_repro((0, 2, 3, 4, 1, 5, 6)), 3, 4)
 def test_one_way_run_agrees_with_the_sweep(t, max_out, max_steps):
-    # graphs and pruned: a cycle of silent eps moves runs no laps in either
+    # graphs and pruned: a cycle of silent eps moves runs no laps, and a
+    # configuration met first on a longer path is not cut at that length
     caps = RunCaps(max_out, max_steps)
     for u, res in sweep_origin_graphs(t, 3, caps):
-        ref = run_origin_graphs(t, u, caps)
+        ref = fifo_run_graphs(t, u, caps)
+        run = run_origin_graphs(t, u, caps)
         assert (res.graphs, res.pruned) == (ref.graphs, ref.pruned), u
+        assert (run.graphs, run.pruned) == (ref.graphs, ref.pruned), u
 
 
 def equivalence_oracle(t1, t2, max_len, caps):
-    """origin_equivalent_upto, input by input through run_origin_graphs."""
+    """origin_equivalent_upto, input by input through fifo_run_graphs."""
     for n in range(1, max_len + 1):
         diff = set()
         for u in words_upto(t1.input_alphabet, n, min_len=n):
-            diff |= run_origin_graphs(t1, u, caps).graphs ^ run_origin_graphs(t2, u, caps).graphs
+            diff |= fifo_run_graphs(t1, u, caps).graphs ^ fifo_run_graphs(t2, u, caps).graphs
         if diff:
             return False, min(diff, key=OriginGraph.sort_key)
     return True, None
@@ -193,7 +199,7 @@ def test_one_way_equivalence_matches_per_input_oracle(t1, t2, twin, max_out, max
     assert origin_equivalent_upto(t1, t2, 3, caps) == equivalence_oracle(t1, t2, 3, caps)
     assert classical_pairs(t1, 3, caps) == {
         (u, g.output) for u in words_upto(LETTERS, 3)
-        for g in run_origin_graphs(t1, u, caps).graphs}
+        for g in fifo_run_graphs(t1, u, caps).graphs}
 
 
 def test_sweep_visits_words_upto_order_and_stops(t_first):
