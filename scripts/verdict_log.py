@@ -3,9 +3,12 @@
 line per call, so that two trees can be compared with one ``diff``.
 
 Every outermost call of ``contains_upto``, ``contains_upto_rational``,
-``resync_search`` and ``traversal_profile`` is logged with a description
-of its arguments (names and sizes, not contents; keyword arguments left
-at None are omitted) and its result's ``to_json()``.  Calls made inside another logged call are not logged, and
+``resync_search``, ``traversal_profile`` and ``pair_in_resync`` is logged
+with a description of its arguments (machines and resynchronizers by
+names and sizes, origin graphs by their words and origins; keyword
+arguments left at None are omitted) and its result: the ``to_json()`` of
+a verdict, search or profile, a witness's parameter bits, or null.  Calls
+made inside another logged call are not logged, and
 a line already written by this process is not written again, so a
 benchmark's repeated passes log as one.  The log goes to the file named
 by ``ORIGAMI_VERDICT_LOG``, appended to.
@@ -31,7 +34,8 @@ import sys
 
 ENV = "ORIGAMI_VERDICT_LOG"
 LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
-          "rational": ("contains_upto_rational",)}
+          "rational": ("contains_upto_rational",),
+          "resync": ("pair_in_resync",)}
 
 
 def describe(arg):
@@ -41,6 +45,8 @@ def describe(arg):
     if hasattr(arg, "transitions") and hasattr(arg, "states"):
         return [type(arg).__name__, getattr(arg, "name", ""), len(arg.states),
                 len(arg.transitions)]
+    if hasattr(arg, "orig"):
+        return ["OriginGraph", list(arg.input), list(arg.output), list(arg.orig)]
     if hasattr(arg, "max_output_len"):
         return ["RunCaps", arg.max_output_len, arg.max_steps]
     if callable(arg) and not hasattr(arg, "name"):
@@ -48,10 +54,18 @@ def describe(arg):
     return [type(arg).__name__, getattr(arg, "name", "")]
 
 
+def outcome(result):
+    """A logged call's result: its ``to_json()``, or for ``pair_in_resync``
+    the witness's parameter bits (null when the pair is not related)."""
+    if hasattr(result, "to_json"):
+        return result.to_json()
+    return None if result is None else result.params
+
+
 def install(path):
     """Wrap the logged functions everywhere they are bound in origami's
     modules; returns a function that undoes it."""
-    from origami import cli, containment, rational
+    from origami import cli, containment, rational, resync
 
     depth = [0]
     undo = []
@@ -70,7 +84,7 @@ def install(path):
                         "args": [describe(a) for a in args],
                         "kwargs": {k: describe(v) for k, v in sorted(kwargs.items())
                                    if v is not None},
-                        "result": result.to_json()}
+                        "result": outcome(result)}
                 text = json.dumps(line, sort_keys=True, default=str)
                 if text not in written:
                     written.add(text)
@@ -79,12 +93,12 @@ def install(path):
             return result
         return logged
 
-    modules = {"containment": containment, "rational": rational}
+    modules = {"containment": containment, "rational": rational, "resync": resync}
     for mod_name, names in LOGGED.items():
         for name in names:
             fn = getattr(modules[mod_name], name)
             wrapper = wrap(name, fn)
-            for mod in (containment, rational, cli):
+            for mod in (containment, rational, resync, cli):
                 if getattr(mod, name, None) is fn:
                     undo.append((mod, name, fn))
                     setattr(mod, name, wrapper)

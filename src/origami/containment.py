@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .automata import _closure
-from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness,
+from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, ResyncError,
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
 from .transducers import (EPS, OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
                           TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs,
@@ -468,9 +468,7 @@ def _frontier_route(t1, t2, index, resync, max_input_len, caps):
         return None
     dfa, delta = resync.gamma_dfa()
     letters = tuple(sorted(t1.input_alphabet))
-    if (not t1.input_alphabet <= dfa.alphabet.base
-            or not _t1_fits_caps(t1, max_input_len, caps)
-            or _t2_may_lead(dfa, delta, letters)):
+    if not _t1_fits_caps(t1, max_input_len, caps) or _t2_may_lead(dfa, delta, letters):
         return None
     return _Frontier(t1, index, resync, letters, t2.output_alphabet)
 
@@ -493,18 +491,25 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     would be.  When a layer of the frontier adds no macro-state, the
     verdict holds for every input length, and ``saturated_at`` gives that
     layer.  A dict passed as ``stats`` receives the route taken and the
-    new macro-states per layer.
+    new macro-states per layer.  Without a membership callback, base
+    alphabets that miss one of t1's letters raise ``ResyncError`` before
+    any input is swept.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
+    extended = isinstance(resync, ExtendedResynchronizer)
+    if membership is None and not t1.input_alphabet <= (
+            resync.input_base if extended else resync.base):
+        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
+    if membership is None and extended and not t1.output_alphabet <= resync.output_base:
+        raise ResyncError("output word uses letters outside the resynchronizer's output alphabet")
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
     partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
     check = membership or _default_membership(resync)
     plain = (membership is None and one_way2 and isinstance(resync, Resynchronizer)
              and resync.m == 0)
-    ext = (membership is None and one_way2 and isinstance(resync, ExtendedResynchronizer)
-           and resync.m == 0 and resync.n_out == 0)
+    ext = membership is None and one_way2 and extended and resync.m == 0 and resync.n_out == 0
     if plain or ext:
         # the search's gamma table admits exactly the partners gamma relates
         check = lambda sigma, sigma_p: ResyncWitness(())

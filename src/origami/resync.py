@@ -7,12 +7,14 @@ redirected to y.  A pair of origin graphs sharing input and output is
 related when one parameter valuation makes gamma hold at every output
 position.
 
-Membership search specializes gamma's x/y tracks to the concrete origin
-pair of each output position, producing per-position acceptors of valid
-parameter labelings, and intersects those acceptors (layered DFAs over
-rows of parameter bits, trimmed and minimized between intersections).
-A brute-force search over all parameter valuations is kept as the test
-oracle for small instances.
+Membership is one depth-first search over the input positions.  It runs
+one gamma-DFA state per distinct origin pair (x, y) of the output, all
+reading the same row of parameter bits at each position, tries the rows
+in lexicographic order and abandons a state tuple as soon as one state
+can no longer reach acceptance, so the first valuation found is the
+least one, position-major.  A brute-force search over all parameter
+valuations in the same order is kept as the test oracle for small
+instances.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class Resynchronizer:
         self._nfa = gamma_automaton
         self._dfa = None
         self._delta = None
+        self._live = None    # co-accessible gamma-DFA states
+        self._moves = {}     # row_moves answers
 
     @property
     def m(self):
@@ -97,6 +101,23 @@ class Resynchronizer:
             self._dfa = d
             self._delta = {(p, a): q for (p, a, q) in d.transitions}
         return self._dfa, self._delta
+
+    def row_moves(self, state, letter, marks):
+        """The gamma-DFA successors of state on letter with the (x, y) marks,
+        one per row of parameter bits in ``itertools.product`` order; None
+        stands for a successor from which no word is accepted."""
+        key = (state, letter, marks)
+        if key not in self._moves:
+            dfa, delta = self.gamma_dfa()
+            if self._live is None:
+                back = {}
+                for (p, _a, q) in dfa.transitions:
+                    back.setdefault(q, set()).add(p)
+                self._live = _closure(dfa.final, back)
+            nxt = (delta[(state, (letter, row + marks))]
+                   for row in itertools.product((0, 1), repeat=self.m))
+            self._moves[key] = tuple(t if t in self._live else None for t in nxt)
+        return self._moves[key]
 
     def gamma_holds(self, u, param_bits, xhat, yhat) -> bool:
         """Does (u, params, x=xhat, y=yhat) satisfy gamma?
@@ -122,137 +143,6 @@ class Resynchronizer:
         return state in dfa.final
 
 
-# -- layered DFAs over parameter rows ---------------------------------------
-#
-# A layered DFA represents a set of parameter valuations for one concrete
-# input word: layer p maps states to their moves on the 2^m possible rows
-# of parameter bits at position p+1.
-
-class _Layered:
-    __slots__ = ("n", "rows", "layers", "accepting")
-
-    def __init__(self, n, rows, layers, accepting):
-        self.n = n
-        self.rows = rows
-        self.layers = layers        # list of dicts: state -> {row: next_state}
-        self.accepting = accepting  # set of final-layer states
-
-
-def _specialize(resync, u, xhat, yhat):
-    """Acceptor of the parameter labelings of u valid for origins (xhat, yhat)."""
-    dfa, delta = resync.gamma_dfa()
-    n = len(u)
-    rows = tuple(itertools.product((0, 1), repeat=resync.m))
-    layers = []
-    frontier = {next(iter(dfa.initial))}
-    for p in range(1, n + 1):
-        a = u[p - 1]
-        xb = 1 if p == xhat else 0
-        yb = 1 if p == yhat else 0
-        layer = {}
-        nxt = set()
-        for s in frontier:
-            moves = {}
-            for row in rows:
-                t = delta[(s, (a, row + (xb, yb)))]
-                moves[row] = t
-                nxt.add(t)
-            layer[s] = moves
-        layers.append(layer)
-        frontier = nxt
-    return _layered_trim(_Layered(n, rows, layers, frontier & dfa.final))
-
-
-def _layered_trim(lay):
-    """Drop moves without a path to acceptance; None when empty."""
-    if lay is None or not lay.accepting:
-        return None
-    live = set(lay.accepting)
-    for p in range(lay.n - 1, -1, -1):
-        keep = {}
-        nlive = set()
-        for s, moves in lay.layers[p].items():
-            pruned = {row: t for row, t in moves.items() if t in live}
-            if pruned:
-                keep[s] = pruned
-                nlive.add(s)
-        lay.layers[p] = keep
-        live = nlive
-    if lay.n and not lay.layers[0]:
-        return None
-    return lay
-
-
-def _layered_minimize(lay):
-    """Merge states with identical suffix behavior, layer by layer."""
-    if lay is None:
-        return None
-    rep = {s: "acc" for s in lay.accepting}
-    lay.accepting = {"acc"}
-    for p in range(lay.n - 1, -1, -1):
-        sigs = {}
-        newlayer = {}
-        newrep = {}
-        for s, moves in lay.layers[p].items():
-            sig = tuple(sorted((row, rep[t]) for row, t in moves.items()))
-            canon = sigs.get(sig)
-            if canon is None:
-                canon = (p, len(sigs))
-                sigs[sig] = canon
-                newlayer[canon] = {row: rep[t] for row, t in moves.items()}
-            newrep[s] = canon
-        lay.layers[p] = newlayer
-        rep = newrep
-    return lay
-
-
-def _layered_intersect(a, b):
-    """Product of two layered DFAs over the same word and the same rows."""
-    if a is None or b is None:
-        return None
-    n, rows = a.n, a.rows
-    layers = []
-    frontier = {(sa, sb) for sa in a.layers[0] for sb in b.layers[0]} if n else set()
-    for p in range(n):
-        la, lb = a.layers[p], b.layers[p]
-        layer = {}
-        nxt = set()
-        for (sa, sb) in frontier:
-            ma, mb = la.get(sa), lb.get(sb)
-            if ma is None or mb is None:
-                continue
-            moves = {}
-            for row, ta in ma.items():
-                tb = mb.get(row)
-                if tb is None:
-                    continue
-                moves[row] = (ta, tb)
-                nxt.add((ta, tb))
-            if moves:
-                layer[(sa, sb)] = moves
-        layers.append(layer)
-        frontier = nxt
-    accepting = {(sa, sb) for (sa, sb) in frontier
-                 if sa in a.accepting and sb in b.accepting}
-    return _layered_trim(_Layered(n, rows, layers, accepting))
-
-
-def _layered_least_rows(lay):
-    """Lexicographically least accepted row sequence (position-major)."""
-    if lay is None:
-        return None
-    rows_out = []
-    if lay.n == 0:
-        return rows_out
-    s = min(lay.layers[0], key=repr)
-    for p in range(lay.n):
-        moves = lay.layers[p][s]
-        row = min(moves)
-        rows_out.append(row)
-        s = moves[row]
-    return rows_out
-
-
 # -- membership -------------------------------------------------------------
 
 def _check_graph_pair(sigma, sigma_p):
@@ -272,8 +162,13 @@ def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGr
     """Decide (sigma, sigma') in [[R]]; returns a ResyncWitness or None.
 
     With an explicit witness, only verifies it (returning it back or None).
-    Otherwise searches for the lexicographically least parameter valuation,
-    comparing per-position bit rows in parameter order.
+    Otherwise returns the least parameter valuation position-major: its
+    per-position rows of parameter bits are compared lexicographically.
+    The search is depth-first over positions with one gamma-DFA state per
+    distinct origin pair; it tries the rows in lexicographic order, cuts a
+    state tuple as soon as one state cannot reach acceptance, and
+    remembers the (position, tuple) nodes that failed.  Its explicit stack
+    keeps long inputs from recursing.
     """
     _check_graph_pair(sigma, sigma_p)
     if not set(sigma.input) <= resync.base:
@@ -288,28 +183,46 @@ def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGr
         if all(resync.gamma_holds(u, empty, xh, yh) for (xh, yh) in pairs):
             return ResyncWitness(())
         return None
-    current = None
-    for i, (xh, yh) in enumerate(pairs):
-        spec = _layered_minimize(_specialize(resync, u, xh, yh))
-        if spec is None:
-            return None
-        current = spec if i == 0 else _layered_minimize(_layered_intersect(current, spec))
-        if current is None:
-            return None
-    if current is None:   # no output positions at all
-        return ResyncWitness(tuple((0,) * n for _ in range(resync.m)))
-    rows = _layered_least_rows(current)
-    bits = tuple(tuple(r[i] for r in rows) for i in range(resync.m))
-    return ResyncWitness(bits)
+    if not pairs:
+        return ResyncWitness(((0,) * n,) * resync.m)
+    dfa, _delta = resync.gamma_dfa()
+    rows = tuple(itertools.product((0, 1), repeat=resync.m))
+
+    def choices(p, states):   # (row, next state tuple) at position p + 1, rows in order
+        if p == n:
+            return iter(())
+        moves = [resync.row_moves(s, u[p], (int(p + 1 == xh), int(p + 1 == yh)))
+                 for s, (xh, yh) in zip(states, pairs)]
+        return zip(rows, zip(*moves))
+
+    # depth-first over (position, state tuple); frame p + 1 holds the row read at p + 1
+    start = (next(iter(dfa.initial)),) * len(pairs)
+    stack, dead = [(None, start, choices(0, start))], set()
+    while stack:
+        _row, states, todo = stack[-1]
+        p = len(stack) - 1
+        if p == n and dfa.final.issuperset(states):
+            return ResyncWitness(tuple(zip(*(row for (row, _s, _t) in stack[1:]))))
+        for row, nxt in todo:
+            if None not in nxt and (p + 1, nxt) not in dead:
+                stack.append((row, nxt, choices(p + 1, nxt)))
+                break
+        else:
+            dead.add((p, states))
+            stack.pop()
+    return None
 
 
 def pair_in_resync_bruteforce(resync: Resynchronizer, sigma, sigma_p):
-    """Oracle: try every parameter valuation; exponential in m * |u|."""
+    """Oracle: try every parameter valuation, rows position by position in
+    lexicographic order, so the first hit is ``pair_in_resync``'s least
+    valuation; exponential in m * |u|."""
     _check_graph_pair(sigma, sigma_p)
     u = sigma.input
     n = len(u)
     pairs = {(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))}
-    for combo in itertools.product(itertools.product((0, 1), repeat=n), repeat=resync.m):
+    for rows in itertools.product(itertools.product((0, 1), repeat=resync.m), repeat=n):
+        combo = tuple(tuple(r[i] for r in rows) for i in range(resync.m))
         if all(resync.gamma_holds(u, combo, xh, yh) for (xh, yh) in pairs):
             return ResyncWitness(combo)
     return None

@@ -10,8 +10,9 @@ from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
                                  run_origin_graphs, words_upto)
 from origami.traversal import max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
-from origami.resync import (Resynchronizer, make_identity, make_pm1, make_Rk, make_shift,
-                            compose, pair_in_resync, check_witness, make_first_to_last)
+from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
+                            make_shift, make_param_example, compose, pair_in_resync,
+                            check_witness, make_first_to_last)
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, rk_membership_via_traversal, report_json)
 
@@ -278,6 +279,18 @@ def test_unbounded_growth_heuristic(t_id, t_rev):
 def test_alphabet_mismatch_raises(t_id, t_first, caps):
     with pytest.raises(ValueError):
         contains_upto(t_id, t_first, make_identity(), 2, caps)
+
+
+@pytest.mark.parametrize("t1,t2,r", [
+    ("t_one_two", "t_one_two", lambda: make_identity(base=("z",))),
+    ("t_one_two", "t_one_two", lambda: make_param_example(base=("z",))),
+    ("t_last", "t_first", lambda: make_first_to_last(input_base=("z", "y"))),
+    ("t_last", "t_first", lambda: make_first_to_last(output_base=("z", "y"))),
+], ids=["identity", "param-example", "extended-input", "extended-output"])
+def test_base_alphabet_missing_t1_letters_raises(t1, t2, r, request):
+    t1, t2 = request.getfixturevalue(t1), request.getfixturevalue(t2)
+    with pytest.raises(ResyncError, match="letters outside the resynchronizer's"):
+        contains_upto(t1, t2, r(), 2, RunCaps(6, 20))
 
 
 def test_failing_verdict_pruned_covers_the_inputs_swept():

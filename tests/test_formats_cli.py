@@ -207,6 +207,11 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys):
     assert main(["contains", data("first.1nt"), data("slow.1nt"), data("identity.rsync")]) == 2
     assert main(["traversal-profile", data("first.1nt"), data("slow.1nt")]) == 2
     assert "must share input and output alphabets" in capsys.readouterr().err
+    z = tmp_path / "z.rsync"
+    z.write_text("alphabet: z\nparams:\ngamma: x = y\n")
+    assert main(["contains", data("one_two.1nt"), data("one_two.1nt"), str(z)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: input word uses letters outside the resynchronizer's base alphabet")
     bad = tmp_path / "bad.graph"
     for orig in ("1 x", "1 3"):
         bad.write_text(f"input: a a\noutput: b b\norig: {orig}\n")

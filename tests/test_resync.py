@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from origami.automata import (StructuredNfa, ambiguity_report, language_equal_upto,
                               FINITE)
-from origami.mso import parse_formula
+from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not, Exists,
+                         parse_formula, is_second_order)
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             pair_in_resync, pair_in_resync_bruteforce, check_witness,
@@ -86,6 +88,96 @@ def test_letters_outside_base_rejected():
     r = make_identity(base="a")
     with pytest.raises(ResyncError):
         pair_in_resync(r, graph("ab", "a", (1,)), graph("ab", "a", (1,)))
+
+
+def test_long_input_does_not_recurse():
+    r = make_param_example(base="ab")
+    u = "ab" * 1000
+    s = graph(u, "aaa", (1, 2000, 7))
+    sp = graph(u, "aaa", (1, 1000, 7))
+    w = pair_in_resync(r, s, sp)
+    assert w is not None and w.param_sets() == (frozenset({2000}),)
+    assert pair_in_resync(r, s, graph(u, "aaa", (2, 1000, 7))) is None
+
+
+def _iff(a, b):
+    return f"(({a}) -> ({b})) & (({b}) -> ({a}))"
+
+
+# I = {last} and J empty, or I empty and J = {first}: on "aa" the least
+# valuation position-major is I = {2}, parameter-major it is J = {1}
+LAST_OR_FIRST = parse_formula(
+    f"x = y & (((forall z. ({_iff('z in I', 'last(z)')})) & (forall z. !(z in J)))"
+    f" | ((forall z. !(z in I)) & (forall z. ({_iff('z in J', 'first(z)')}))))")
+
+
+def test_bruteforce_order_is_position_major():
+    r = Resynchronizer(("I", "J"), LAST_OR_FIRST, base="a")
+    g = graph("aa", "a", (1,))
+    assert pair_in_resync(r, g, g).params == ((0, 1), (0, 0))
+    assert pair_in_resync_bruteforce(r, g, g).params == ((0, 1), (0, 0))
+
+
+@st.composite
+def gamma_cases(draw):
+    """A gamma over one or two parameters and (x, y), drawn like
+    test_mso's formula_cases; an input over {a, b} of length <= 4; two
+    origin tuples for <= 3 output positions."""
+    params = draw(st.sampled_from([("I",), ("I", "J")]))
+
+    def gen(depth, scope):
+        fo = ["x", "y"] + [v for v in scope if not is_second_order(v)]
+        so = list(params) + [v for v in scope if is_second_order(v)]
+        kinds = ["top", "letter", "leq", "lt", "succ", "first", "last", "in", "in"]
+        if depth:
+            kinds += ["or", "or", "not", "not"]
+            if {"z", "Z"} - set(scope):
+                kinds.append("exists")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "top":
+            return Top()
+        if kind == "letter":
+            return Letter(draw(st.sampled_from("ab")), draw(st.sampled_from(fo)))
+        if kind in ("leq", "lt", "succ"):
+            x, y = draw(st.sampled_from(fo)), draw(st.sampled_from(fo))
+            if kind == "succ":
+                return Succ(x, y, draw(st.integers(0, 2)))
+            return Leq(x, y) if kind == "leq" else Lt(x, y)
+        if kind in ("first", "last"):
+            v = draw(st.sampled_from(fo))
+            return First(v) if kind == "first" else Last(v)
+        if kind == "in":
+            return InSet(draw(st.sampled_from(fo)), draw(st.sampled_from(so)))
+        if kind == "or":
+            return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "not":
+            return Not(gen(depth - 1, scope))
+        v = draw(st.sampled_from(sorted({"z", "Z"} - set(scope))))
+        return Exists(v, gen(depth - 1, scope + (v,)))
+
+    gamma = gen(4, ())
+    n = draw(st.integers(1, 4))
+    u = draw(st.text("ab", min_size=n, max_size=n))
+    k = draw(st.integers(0, 3))
+    orig = tuple(draw(st.integers(1, n)) for _ in range(2 * k))
+    return params, gamma, u, orig[:k], orig[k:]
+
+
+@given(gamma_cases())
+@example((("I", "J"), LAST_OR_FIRST, "aa", (1,), (1,)))
+@example((("I",), parse_formula("x in I"), "ab", (), ()))
+# once a position is in I no continuation accepts: the DFA has a sink
+@example((("I",), parse_formula("x = y & forall z. !(z in I)"), "ab", (1, 2), (1, 2)))
+def test_generated_gammas_match_position_major_oracle(case):
+    params, gamma, u, orig, orig_p = case
+    r = Resynchronizer(params, gamma, base="ab")
+    s, sp = graph(u, "c" * len(orig), orig), graph(u, "c" * len(orig), orig_p)
+    got = pair_in_resync(r, s, sp)
+    ref = pair_in_resync_bruteforce(r, s, sp)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert got.params == ref.params
+        assert check_witness(r, s, sp, got)
 
 
 # -- boundedness ---------------------------------------------------------------

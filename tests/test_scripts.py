@@ -29,14 +29,18 @@ def test_growth_profiles_runs():
 CALLS = """
 from origami import corpus
 from origami.containment import contains_upto, resync_search
-from origami.resync import make_shift
-from origami.transducers import RunCaps
+from origami.resync import make_param_example, make_shift, pair_in_resync
+from origami.transducers import OriginGraph, RunCaps
 
 def test_calls():
     slow, fast = corpus.t_slow(), corpus.t_fast()
     for _ in range(2):
         contains_upto(slow, fast, make_shift(1, base=("a",)), 3, RunCaps(6, 30))
     resync_search(slow, fast, 2, 3, RunCaps(6, 30))
+    # calls pair_in_resync for each partner, which logs nothing
+    contains_upto(fast, fast, make_param_example(base=("a",)), 2, RunCaps(6, 30))
+    g, g_p = OriginGraph("aa", "b", (1,)), OriginGraph("aa", "b", (2,))
+    pair_in_resync(make_param_example(base=("a",)), g, g_p)
 
 if __name__ == "__main__":
     test_calls()
@@ -60,11 +64,18 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     lines = [json.loads(line) for line in wrapped.read_text().splitlines()]
-    # the repeated call is logged once, the calls resync_search makes not at all
-    assert [line["call"] for line in lines] == ["contains_upto", "resync_search"]
+    # the repeated call is logged once, the calls resync_search and
+    # contains_upto make not at all
+    assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
+                                                "contains_upto", "pair_in_resync"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
     assert lines[0]["result"]["counterexample"]["input"] == "aa"
     assert lines[1]["result"]["k"] == 1
+    assert lines[2]["result"]["status"] == "holds-on-sweep"
+    assert lines[3]["args"] == [["Resynchronizer", "param-example"],
+                                ["OriginGraph", ["a", "a"], ["b"], [1]],
+                                ["OriginGraph", ["a", "a"], ["b"], [2]]]
+    assert lines[3]["result"] == [[1, 0]]
     assert plugin.read_text() == wrapped.read_text()
