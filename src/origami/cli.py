@@ -134,6 +134,8 @@ def cmd_contains(args):
     verdict = contains_upto(t1, t2, r, args.max_len, _caps(args), stats=stats)
     if stats is not None:
         print(f"route: {stats['route']}", file=sys.stderr)
+        print("gamma DFA states: " + " ".join(map(str, stats["gamma_states"])), file=sys.stderr)
+        print(f"gamma compile: {stats['gamma_compile_s']:.4f} s", file=sys.stderr)
         if stats["route"] == "frontier":
             print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
                   file=sys.stderr)
@@ -300,7 +302,8 @@ def build_parser():
     sp.add_argument("resync")
     sp.add_argument("--max-len", type=_at_least(1), default=4)
     sp.add_argument("--stats", action="store_true",
-                    help="print the route taken and the frontier's layer sizes on stderr")
+                    help="print the route taken, the gamma DFA size and compile time and "
+                         "the frontier's layer sizes on stderr")
     common(sp)
     sp.set_defaults(func=cmd_contains)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import time
 from dataclasses import dataclass
 
 from .automata import _closure
@@ -490,8 +491,11 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     from that one input's graphs; its ``pruned`` is False, as the sweep's
     would be.  When a layer of the frontier adds no macro-state, the
     verdict holds for every input length, and ``saturated_at`` gives that
-    layer.  A dict passed as ``stats`` receives the route taken and the
-    new macro-states per layer.  Without a membership callback, base
+    layer.  A dict passed as ``stats`` receives the route taken, the new
+    macro-states per layer and, without a membership callback, the state
+    count of each gamma DFA (one per output type for an extended
+    resynchronizer) with the seconds taken to compile them, which then
+    happens before the sweep.  Without a membership callback, base
     alphabets that miss one of t1's letters raise ``ResyncError`` before
     any input is swept.
     """
@@ -503,6 +507,11 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
     if membership is None and extended and not t1.output_alphabet <= resync.output_base:
         raise ResyncError("output word uses letters outside the resynchronizer's output alphabet")
+    if stats is not None and membership is None:
+        start = time.perf_counter()
+        gammas = [resync._gamma_resync(t) for t in resync.types()] if extended else [resync]
+        stats["gamma_states"] = tuple(len(g.gamma_dfa()[0].states) for g in gammas)
+        stats["gamma_compile_s"] = time.perf_counter() - start
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
     partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)

@@ -19,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .automata import StructuredAlphabet, StructuredNfa, intersect, union
+from .automata import Diagrams, GuardedNfa, StructuredAlphabet, StructuredNfa
 
 
 class UnboundVariableError(ValueError):
@@ -245,59 +245,39 @@ def evaluate_extended(formula: Formula, extended_word, signature) -> bool:
 
 # -- compilation to automata ------------------------------------------------
 
-def _dfa(alpha, states, init, finals, move):
-    """Build a complete DFA from move(state, letter) -> state."""
-    trans = []
-    for s in states:
-        for a in alpha.letters():
-            trans.append((s, a, move(s, a)))
-    return StructuredNfa(alpha, states, {init}, finals, tuple(trans))
-
-
-def singleton_automaton(var, alpha) -> StructuredNfa:
-    idx = alpha.track_index(var)
-
-    def move(s, letter):
-        _a, bits = letter
+def _singleton(var, alpha, dd) -> GuardedNfa:
+    def move(s, _a, bit):
         if s == "dead":
             return "dead"
-        if bits[idx]:
+        if bit[var]:
             return {"zero": "one", "one": "dead"}[s]
         return s
 
-    return _dfa(alpha, {"zero", "one", "dead"}, "zero", {"one"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"zero", "one", "dead"}, "zero", {"one"}, move, (var,))
 
 
-def _atom_letter(f, alpha):
-    idx = alpha.track_index(f.var)
-
-    def move(s, letter):
-        a, bits = letter
-        if s == "dead" or (bits[idx] and a != f.letter):
+def _atom_letter(f, alpha, dd):
+    def move(s, a, bit):
+        if s == "dead" or (bit[f.var] and a != f.letter):
             return "dead"
         return "ok"
 
-    return _dfa(alpha, {"ok", "dead"}, "ok", {"ok"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"ok", "dead"}, "ok", {"ok"}, move, (f.var,),
+                                reads_letter=True)
 
 
-def _atom_inset(f, alpha):
-    ix, iX = alpha.track_index(f.x), alpha.track_index(f.X)
-
-    def move(s, letter):
-        _a, bits = letter
-        if s == "dead" or (bits[ix] and not bits[iX]):
+def _atom_inset(f, alpha, dd):
+    def move(s, _a, bit):
+        if s == "dead" or (bit[f.x] and not bit[f.X]):
             return "dead"
         return "ok"
 
-    return _dfa(alpha, {"ok", "dead"}, "ok", {"ok"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"ok", "dead"}, "ok", {"ok"}, move, (f.x, f.X))
 
 
-def _atom_leq(f, alpha, strict=False):
-    ix, iy = alpha.track_index(f.x), alpha.track_index(f.y)
-
-    def move(s, letter):
-        _a, bits = letter
-        bx, by = bits[ix], bits[iy]
+def _atom_leq(f, alpha, dd, strict=False):
+    def move(s, _a, bit):
+        bx, by = bit[f.x], bit[f.y]
         if s == "dead":
             return "dead"
         if s == "pre":
@@ -312,25 +292,23 @@ def _atom_leq(f, alpha, strict=False):
             return "post" if by else "mid"
         return "post"
 
-    return _dfa(alpha, {"pre", "mid", "post", "dead"}, "pre", {"post"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"pre", "mid", "post", "dead"}, "pre", {"post"},
+                                move, (f.x, f.y))
 
 
-def _atom_succ(f, alpha):
-    ix, iy = alpha.track_index(f.x), alpha.track_index(f.y)
+def _atom_succ(f, alpha, dd):
     k = f.k
     if k == 0:
-        def move(s, letter):
-            _a, bits = letter
-            if s == "dead" or bits[ix] != bits[iy]:
+        def move(s, _a, bit):
+            if s == "dead" or bit[f.x] != bit[f.y]:
                 return "dead"
             return "ok"
 
-        return _dfa(alpha, {"ok", "dead"}, "ok", {"ok"}, move)
+        return GuardedNfa.from_move(dd, alpha, {"ok", "dead"}, "ok", {"ok"}, move, (f.x, f.y))
 
     # ("wait", i) means i positions after y have been read; x expected at step k
-    def move2(s, letter):
-        _a, bits = letter
-        bx, by = bits[ix], bits[iy]
+    def move2(s, _a, bit):
+        bx, by = bit[f.x], bit[f.y]
         if s == "dead":
             return "dead"
         if s == "pre":
@@ -345,49 +323,45 @@ def _atom_succ(f, alpha):
         return "done"
 
     states = {"pre", "done", "dead"} | {("wait", i) for i in range(1, k + 1)}
-    return _dfa(alpha, states, "pre", {"done"}, move2)
+    return GuardedNfa.from_move(dd, alpha, states, "pre", {"done"}, move2, (f.x, f.y))
 
 
-def _atom_first(f, alpha):
-    idx = alpha.track_index(f.var)
-
-    def move(s, letter):
-        _a, bits = letter
+def _atom_first(f, alpha, dd):
+    def move(s, _a, bit):
         if s == "start":
             return "rest"
-        if s == "dead" or bits[idx]:
+        if s == "dead" or bit[f.var]:
             return "dead"
         return "rest"
 
-    return _dfa(alpha, {"start", "rest", "dead"}, "start", {"start", "rest"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"start", "rest", "dead"}, "start", {"start", "rest"},
+                                move, (f.var,))
 
 
-def _atom_last(f, alpha):
-    idx = alpha.track_index(f.var)
-
-    def move(s, letter):
-        _a, bits = letter
+def _atom_last(f, alpha, dd):
+    def move(s, _a, bit):
         if s == "dead" or s == "marked":
             return "dead"
-        return "marked" if bits[idx] else "clean"
+        return "marked" if bit[f.var] else "clean"
 
-    return _dfa(alpha, {"clean", "marked", "dead"}, "clean", {"clean", "marked"}, move)
+    return GuardedNfa.from_move(dd, alpha, {"clean", "marked", "dead"}, "clean",
+                                {"clean", "marked"}, move, (f.var,))
 
 
-def _all_accepting(alpha):
-    return _dfa(alpha, {"ok"}, "ok", {"ok"}, lambda s, a: "ok")
+def _all_accepting(alpha, dd):
+    return GuardedNfa.from_move(dd, alpha, {"ok"}, "ok", {"ok"}, lambda s, _a, _bit: "ok")
 
 
 _MINIMIZE_THRESHOLD = 24
 
 
-def _compact(n: StructuredNfa) -> StructuredNfa:
-    if len(n.states) > _MINIMIZE_THRESHOLD:
+def _compact(n: GuardedNfa) -> GuardedNfa:
+    if len(n.names) > _MINIMIZE_THRESHOLD:
         return n.minimize().trim()
     return n.trim()
 
 
-def _comp(formula, sig, base):
+def _comp(formula, sig, dd):
     """Compile ``formula`` over the tracks of its own free variables only,
     kept in their ``sig`` order (``sig`` lists every variable in scope).
 
@@ -397,38 +371,54 @@ def _comp(formula, sig, base):
     variable's track at ``Exists`` (so a vacuous ``exists z. true`` still
     needs one position for z).
     """
-    alpha = StructuredAlphabet(base, tuple(v for v in sig if v in formula.free_vars()))
+    alpha = StructuredAlphabet(dd.base, tuple(v for v in sig if v in formula.free_vars()))
     if isinstance(formula, Top):
-        return _all_accepting(alpha)
+        return _all_accepting(alpha, dd)
     if isinstance(formula, Letter):
-        return _atom_letter(formula, alpha)
+        return _atom_letter(formula, alpha, dd)
     if isinstance(formula, InSet):
-        return _atom_inset(formula, alpha)
+        return _atom_inset(formula, alpha, dd)
     if isinstance(formula, Leq):
-        return _atom_leq(formula, alpha, strict=False)
+        return _atom_leq(formula, alpha, dd, strict=False)
     if isinstance(formula, Lt):
-        return _atom_leq(formula, alpha, strict=True)
+        return _atom_leq(formula, alpha, dd, strict=True)
     if isinstance(formula, Succ):
-        return _atom_succ(formula, alpha)
+        return _atom_succ(formula, alpha, dd)
     if isinstance(formula, First):
-        return _atom_first(formula, alpha)
+        return _atom_first(formula, alpha, dd)
     if isinstance(formula, Last):
-        return _atom_last(formula, alpha)
+        return _atom_last(formula, alpha, dd)
     if isinstance(formula, Or):
-        left = _comp(formula.left, sig, base).extend_tracks(alpha.tracks)
-        right = _comp(formula.right, sig, base).extend_tracks(alpha.tracks)
-        return _compact(union(left, right))
+        left = _comp(formula.left, sig, dd).extend_tracks(alpha.tracks)
+        right = _comp(formula.right, sig, dd).extend_tracks(alpha.tracks)
+        return _compact(left.union(right))
     if isinstance(formula, Not):
-        return _comp(formula.body, sig, base).complement().minimize().trim()
+        return _comp(formula.body, sig, dd).complement().minimize().trim()
     if isinstance(formula, Exists):
         v = formula.var
         if v in sig:
             raise MsoSyntaxError(f"variable {v!r} shadows an outer binding")
-        inner = _comp(formula.body, sig + (v,), base).extend_tracks(alpha.tracks + (v,))
+        inner = _comp(formula.body, sig + (v,), dd).extend_tracks(alpha.tracks + (v,))
         if not is_second_order(v):
-            inner = intersect(inner, singleton_automaton(v, inner.alphabet))
+            inner = inner.intersect(_singleton(v, inner.alphabet, dd))
         return _compact(inner.project_track(v))
     raise TypeError(f"unknown formula node {formula!r}")
+
+
+def _compile(formula, signature, base) -> GuardedNfa:
+    sig = tuple(signature)
+    if len(set(sig)) != len(sig):
+        raise MsoSyntaxError("signature variables must be distinct")
+    missing = formula.free_vars() - set(sig)
+    if missing:
+        raise UnboundVariableError(f"free variables not in signature: {sorted(missing)}")
+    alpha = StructuredAlphabet(frozenset(base), sig)
+    dd = Diagrams(alpha.base)
+    n = _comp(formula, sig, dd).extend_tracks(sig)
+    for v in sig:
+        if not is_second_order(v):
+            n = n.intersect(_singleton(v, alpha, dd))
+    return n.trim()
 
 
 def mso_compile(formula: Formula, signature, base) -> StructuredNfa:
@@ -438,19 +428,16 @@ def mso_compile(formula: Formula, signature, base) -> StructuredNfa:
     first-order tracks only ever accept with exactly one 1-bit.  Each
     subformula is compiled over its free variables' tracks only; the
     missing tracks are added once, before the singleton intersections.
+    The automata in between keep their transitions as decision diagrams
+    in one table, dropped when the compile returns.
     """
-    sig = tuple(signature)
-    if len(set(sig)) != len(sig):
-        raise MsoSyntaxError("signature variables must be distinct")
-    missing = formula.free_vars() - set(sig)
-    if missing:
-        raise UnboundVariableError(f"free variables not in signature: {sorted(missing)}")
-    alpha = StructuredAlphabet(frozenset(base), sig)
-    n = _comp(formula, sig, alpha.base).extend_tracks(sig)
-    for v in sig:
-        if not is_second_order(v):
-            n = intersect(n, singleton_automaton(v, alpha))
-    return n.trim()
+    return _compile(formula, signature, base).to_nfa()
+
+
+def compile_dfa(formula: Formula, signature, base) -> StructuredNfa:
+    """``mso_compile(formula, signature, base).minimize()``, minimized on
+    the decision diagrams, so the NFA is never written out letter by letter."""
+    return _compile(formula, signature, base).minimize().to_nfa()
 
 
 # -- surface syntax ----------------------------------------------------------

@@ -97,7 +97,10 @@ class Resynchronizer:
     def gamma_dfa(self):
         """Determinized and minimized gamma with its transition dict."""
         if self._dfa is None:
-            d = self.gamma_nfa().minimize()
+            if self.gamma_formula is not None:
+                d = mso.compile_dfa(self.gamma_formula, self.signature, self.base)
+            else:
+                d = self._nfa.minimize()
             self._dfa = d
             self._delta = {(p, a): q for (p, a, q) in d.transitions}
         return self._dfa, self._delta
@@ -651,7 +654,11 @@ def extended_pair_in_resync(ext: ExtendedResynchronizer, sigma: OriginGraph,
     """
     _check_graph_pair(sigma, sigma_p)
     u, v = sigma.input, sigma.output
-    nu, nv = len(u), len(v)
+    if not set(u) <= ext.input_base:
+        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
+    if not set(v) <= ext.output_base:
+        raise ResyncError("output word uses letters outside the resynchronizer's output alphabet")
+    nv = len(v)
     for obits in itertools.product(itertools.product((0, 1), repeat=nv), repeat=ext.n_out):
         if not ext._beta_holds(v, obits):
             continue

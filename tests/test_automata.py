@@ -2,11 +2,15 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from origami.automata import (StructuredAlphabet, StructuredNfa, intersect, union,
                               ambiguity_class, ambiguity_report, language_equal_upto,
                               AlphabetMismatchError, UnknownTrackError, FINITE, POLY, EXP)
+
+import explicit_automata as ref
+from explicit_automata import same_automaton
+from test_mso import formula_cases
 
 
 def nfa(base, tracks, states, initial, final, trans):
@@ -251,3 +255,58 @@ def test_count_runs_matches_path_enumeration(k):
                 total += runs(q, rest[1:])
         return total
     assert n.count_accepting_runs(word) == sum(runs(q, word) for q in n.initial)
+
+
+# -- diagram operations against the explicit-letter reference ------------------
+
+STATE_NAMES = [0, 1, 2, "p", ("q", 1), frozenset({"r"})]
+ALPHABETS = st.builds(StructuredAlphabet, st.sampled_from([frozenset("a"), frozenset("ab"),
+                                                           frozenset("abc")]),
+                      st.sampled_from([(), ("x",), ("x", "Y")]))
+
+
+@st.composite
+def nfas_over(draw, alpha):
+    """Up to four states with names of mixed types; either a random NFA
+    with frequent parallel edges or a complete DFA, whose states need not
+    all be reachable."""
+    states = draw(st.lists(st.sampled_from(STATE_NAMES), min_size=1, max_size=4, unique=True))
+    letters_ = list(alpha.letters())
+    if draw(st.booleans()):
+        trans = [(p, a, draw(st.sampled_from(states))) for p in states for a in letters_]
+        initial = {draw(st.sampled_from(states))}
+    else:
+        trans = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(letters_),
+                                        st.sampled_from(states)), max_size=12))
+        if trans:
+            trans += draw(st.lists(st.sampled_from(trans), max_size=3))
+        initial = draw(st.sets(st.sampled_from(states), min_size=1))
+    return StructuredNfa(alpha, states, initial, draw(st.sets(st.sampled_from(states))), trans)
+
+
+def assert_operations_match_reference(n, m):
+    assert same_automaton(n.determinize(), ref.determinize(n))
+    assert same_automaton(n.complement(), ref.complement(n))
+    assert same_automaton(n.minimize(), ref.minimize(n))
+    # the minimized DFA's transitions come in the explicit construction's order
+    assert n.minimize().transitions == ref.minimize(n).transitions
+    assert same_automaton(intersect(n, m), ref.intersect(n, m))
+    assert same_automaton(union(n, m), ref.union(n, m))
+    for t in n.alphabet.tracks:
+        assert same_automaton(n.project_track(t), ref.project_track(n, t))
+    wider = ("Z",) + tuple(reversed(n.alphabet.tracks))
+    assert same_automaton(n.extend_tracks(wider), ref.extend_tracks(n, wider))
+
+
+@settings(max_examples=200)
+@given(st.data(), ALPHABETS)
+def test_diagram_operations_match_reference_on_random_nfas(data, alpha):
+    assert_operations_match_reference(data.draw(nfas_over(alpha)), data.draw(nfas_over(alpha)))
+
+
+@settings(max_examples=100)
+@given(st.data(), formula_cases())
+def test_diagram_operations_match_reference_on_compiled_formulas(data, case):
+    from origami.mso import mso_compile
+    n = mso_compile(case[0], case[1], "ab")
+    assert_operations_match_reference(n, data.draw(nfas_over(n.alphabet)))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -212,6 +213,16 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys):
     assert main(["contains", data("one_two.1nt"), data("one_two.1nt"), str(z)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: input word uses letters outside the resynchronizer's base alphabet")
+    # an extended resynchronizer's output alphabet is {c, d}; the graph writes b
+    assert main(["resync-check", data("first_to_last.rsync"), data("shifted_src.graph"),
+                 data("shifted_src.graph")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: output word uses letters outside the resynchronizer's output alphabet")
+    zc = tmp_path / "zc.graph"
+    zc.write_text("input: z\noutput: c\norig: 1\n")
+    assert main(["resync-check", data("first_to_last.rsync"), str(zc), str(zc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: input word uses letters outside the resynchronizer's base alphabet")
     bad = tmp_path / "bad.graph"
     for orig in ("1 x", "1 3"):
         bad.write_text(f"input: a a\noutput: b b\norig: {orig}\n")
@@ -258,8 +269,21 @@ def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
             stats = capsys.readouterr()
             assert stats.out == plain.out and plain.err == ""
             assert stats.err.splitlines()[0] == f"route: {route}"
-    assert stats.err == "route: sweep\n"
+            assert re.fullmatch(r"gamma compile: \d+\.\d{4} s", stats.err.splitlines()[2])
+    assert _without_seconds(stats.err) == "route: sweep\ngamma DFA states: 3\n"
     main(["contains", *runs[0][0], "--stats"])
-    assert capsys.readouterr().err == ("route: frontier\n"
-                                       "macro-states per layer: 12 13 12 12 12 12 24 12 0\n"
-                                       "saturated at layer 9: holds for every input length\n")
+    assert _without_seconds(capsys.readouterr().err) == (
+        "route: frontier\n"
+        "gamma DFA states: 8\n"
+        "macro-states per layer: 12 13 12 12 12 12 24 12 0\n"
+        "saturated at layer 9: holds for every input length\n")
+    # an extended resynchronizer has one gamma DFA per output type
+    assert main(["contains", data("first.1nt"), data("first.1nt"), data("first_to_last.rsync"),
+                 "--max-len", "3", "--stats"]) == 1
+    assert _without_seconds(capsys.readouterr().err).splitlines()[:2] == [
+        "route: sweep", "gamma DFA states: 4 4"]
+
+
+def _without_seconds(err):
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("gamma compile: "))

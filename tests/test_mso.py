@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from origami.mso import (parse_formula, mso_compile, evaluate_extended, is_second_order,
-                         MsoSyntaxError, UnboundVariableError,
+from origami.mso import (parse_formula, mso_compile, compile_dfa, evaluate_extended,
+                         is_second_order, MsoSyntaxError, UnboundVariableError,
                          Top, Letter, Leq, Lt, InSet, Succ, First, Last, Or, Not, Exists)
 
 
@@ -168,6 +168,13 @@ def formula_cases(draw):
 def test_generated_formulas_match_evaluator(case):
     formula, sig = case
     sweep_agreement(formula, sig, "ab", 3)
+
+
+@settings(max_examples=100)
+@given(formula_cases())
+def test_compile_dfa_is_the_minimized_compile(case):
+    formula, sig = case
+    assert compile_dfa(formula, sig, "ab") == mso_compile(formula, sig, "ab").minimize()
 
 
 def test_cli_output_independent_of_hash_seed():
