@@ -7,7 +7,9 @@ Every outermost call of ``contains_upto``, ``contains_upto_rational``,
 with a description of its arguments (machines and resynchronizers by
 names and sizes, origin graphs by their words and origins; keyword
 arguments left at None are omitted) and its result: the ``to_json()`` of
-a verdict, search or profile, a witness's parameter bits, or null.  Calls
+a verdict, search or profile, a witness's parameter bits, or null.  A
+verdict's line also carries its ``saturated_at``, which the JSON leaves
+out.  Calls
 made inside another logged call are not logged, and
 a line already written by this process is not written again, so a
 benchmark's repeated passes log as one.  The log goes to the file named
@@ -85,6 +87,8 @@ def install(path):
                         "kwargs": {k: describe(v) for k, v in sorted(kwargs.items())
                                    if v is not None},
                         "result": outcome(result)}
+                if hasattr(result, "saturated_at"):
+                    line["saturated_at"] = result.saturated_at
                 text = json.dumps(line, sort_keys=True, default=str)
                 if text not in written:
                     written.add(text)

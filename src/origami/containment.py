@@ -9,28 +9,29 @@ procedure; the underlying relation is undecidable in general.
 
 Partner search: every partner query on a one-way t2 is one search of its
 run lattice (``MatchIndex.search``).  Parameterless resynchronizers check a
-per-position allowed-origin table during the search, without enumerating
-graphs; the traversal profile checks a crossing budget; other
+table of gamma answers, one per input, during the search, without
+enumerating graphs; the traversal profile checks a crossing budget; other
 resynchronizers test each distinct partner the search finds.  A two-way
 t2 runs once per input and output length, under the output cap |v|, and
 its graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
 the partner test, the no-partner reason and the traversal profile all
 read those groups.
 
-Frontier route: a plain one-way call (parameterless ``Resynchronizer``, no
-membership callback, no recording) whose gamma never puts t2's origin
-before t1's, whose t1 has no eps-cycle and whose t1 runs fit the caps on
-every input swept does not enumerate inputs.  ``_Frontier`` runs one
-forward t1 x t2 product over the input tree, merging the prefixes that
-reach the same macro-state, finds the least failing input layer by layer,
-and the per-input path turns that one input into the counterexample.  A
-layer with no new macro-state proves the verdict for every input length
-(``Verdict.saturated_at``).
+Frontier route: a plain call (one-way t1 and t2, parameterless
+``Resynchronizer``, no membership callback, no recording) whose gamma
+never puts t2's origin before t1's does not enumerate inputs.
+``_Frontier`` runs one forward t1 x t2 product over the input tree,
+merging the prefixes that reach the same macro-state, finds the least
+failing input layer by layer, and the per-input path turns that one input
+into the counterexample.  Unless no cap can bind (``_t1_fits_caps``), each
+t1 run carries its step count and output length, so that the caps cut the
+runs the sweep cuts; ``pruned`` then comes from t1's sweep alone.  When no
+cap can bind, a layer with no new macro-state proves the verdict for every
+input length (``Verdict.saturated_at``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -41,7 +42,7 @@ from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, Resy
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
 from .transducers import (EPS, OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
                           TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs,
-                          transition_index)
+                          transition_index, _eps_close, _read)
 from .traversal import max_traversal, greedy_label, GreedyLabelError
 
 
@@ -81,19 +82,20 @@ class Verdict:
         return out
 
 
-def _emission_table_ext(resync, sigma_p):
-    """Per-type emission oracle; targets carry the output type so the cache
-    key (h, (type, y)) distinguishes positions with different types."""
-    u, v, orig_p = sigma_p.input, sigma_p.output, sigma_p.orig
-    targets = tuple(((v[t],), orig_p[t]) for t in range(len(v)))
+def _gamma_table(resync, u):
+    """(cache, fill) of ``MatchIndex.search``'s table of gamma answers on
+    the input u, keyed (h, (output letter, y)): a parameterless
+    ``Resynchronizer`` reads no output letter, an extended one without
+    parameters has one gamma per output letter.  It lasts one input."""
     cache = {}
 
-    def fill(h, tagged):
-        tau, y = tagged
-        got = cache[(h, tagged)] = resync._gamma_resync(tau).gamma_holds_dfa(u, (), h, y)
+    def fill(h, key):
+        c, y = key
+        gamma = resync if isinstance(resync, Resynchronizer) else resync._gamma_resync((c,))
+        got = cache[(h, key)] = gamma.gamma_holds_dfa(u, (), h, y)
         return got
 
-    return (cache, targets, fill)
+    return cache, fill
 
 
 def _partners_2nt(t2, max_steps):
@@ -218,22 +220,25 @@ class _Frontier:
     """Plain one-way containment over macro-states, for every input length.
 
     After a prefix u the frontier holds one macro-state (z, E): z is the
-    gamma-DFA state of u with no marks, E an antichain of pairs (q1, S), one
-    per t1 run prefix on u that could still be checked.  S is the set of t2
-    configurations (q2, pending, settled) that write a prefix of that run's
-    output with every letter at or after t1's origin for it: ``pending``
-    holds t1's letters t2 has not written yet, each with the gamma state
-    of its position (y marked), ``settled`` the gamma states of positions
-    both have written.  One position p makes t1's moves with origin p (eps
-    moves, then the read), then t2's, then every gamma state reads u_p with
-    its marks.  A configuration dies when a gamma state can no longer reach
-    acceptance; a settled state leaves once every continuation accepts.
-    For each q1 only the inclusion-minimal S are kept, since a run with
-    fewer partners fails whenever one with more does.  When gamma is
-    identity-safe (x = y accepts from every unmarked state, whatever
-    follows), a pair whose S holds a free t2 state (final, reading every
-    letter silently and eps-writing every output letter) with nothing
-    pending or settled can never fail, and leaves.
+    gamma-DFA state of u with no marks, E an antichain of pairs (k1, S), one
+    per t1 run prefix on u that could still be checked.  k1 is t1's state,
+    or, when caps may bind, (state, steps, output length) at the run's
+    least step count.  S is the set of t2 configurations (q2, pending,
+    settled) that write a prefix of that run's output with every letter at
+    or after t1's origin for it: ``pending`` holds t1's letters t2 has not
+    written yet, each with the gamma state of its position (y marked),
+    ``settled`` the gamma states of positions both have written.  One
+    position p makes t1's moves with origin p (eps moves, then the read),
+    then t2's, followed letter by letter through item sets shared by every
+    word written, then every gamma state reads u_p with its marks.  A
+    configuration dies when a gamma state can no longer reach acceptance;
+    a settled state leaves once every continuation accepts.  For each k1
+    only the inclusion-minimal S are kept, since a run with fewer partners
+    fails whenever one with more does.  When gamma is identity-safe (x = y
+    accepts from every unmarked state, whatever follows), a pair whose S
+    holds a free t2 state (final, reading every letter silently and
+    eps-writing every output letter) with nothing pending or settled can
+    never fail, and leaves.
 
     Every prefix reaching a macro-state fails on the same continuations,
     so each layer keeps the macro-states first reached at its length, each
@@ -241,8 +246,9 @@ class _Frontier:
     letter fails the end check of its prefix's macro-state.
     """
 
-    def __init__(self, t1, index, resync, letters, outputs):
+    def __init__(self, t1, index, resync, letters, outputs, caps):
         self.letters = letters
+        self.caps = caps
         self.by_key1 = transition_index(t1)
         self.index = index
         dfa, self.delta = resync.gamma_dfa()
@@ -269,69 +275,111 @@ class _Frontier:
         pred1, pred2 = {}, {}
         for (p, _a, _out, q) in t1.transitions:
             pred1.setdefault(q, set()).add(p)
-        for (p, _a, _out), targets in index.exact.items():
+        # t2's moves by (state, letter or EPS, first letter written), and
+        # those that write nothing
+        self.first2, self.silent2 = {}, {}
+        for (p, b, out), targets in index.exact.items():
             for q in targets:
                 pred2.setdefault(q, set()).add(p)
+                if out:
+                    self.first2.setdefault((p, b, out[0]), []).append((out[1:], q))
+                else:
+                    self.silent2.setdefault((p, b), []).append(q)
         self.live1 = _closure(t1.final, pred1)
         self.live2 = _closure(index.final, pred2)
         self.final1 = t1.final
+        self.closed1 = {}
         self.moves1 = {}
+        self.fronts2 = {}
         self.next2 = {}
         self.end2 = {}
         self.shared = {}
         self.start = (init, frozenset(
-            (q1, frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
+            (q1 if caps is None else (q1, 0, 0),
+             frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
             for q1 in t1.initial if q1 in self.live1))
 
-    def t1_moves(self, q1, a):
-        """From q1 on the letter a: the (q1', w) that eps moves and the read
-        reach, writing w, and the w of those that reach an accepting state
-        with trailing eps moves too."""
-        key = (q1, a)
+    def t1_moves(self, k1, a):
+        """From t1's key k1 on the letter a: the (k1', w) that eps moves and
+        the read reach, writing w, and the w of those that reach an
+        accepting state with trailing eps moves too.  A key is a state, or
+        (state, steps, output length) when caps may bind; then each
+        configuration is expanded at its least step count, as the sweep
+        does, and the caps cut the runs the sweep cuts."""
+        key = (k1, a)
         got = self.moves1.get(key)
         if got is None:
-            by_key = self.by_key1
-
-            def eclose(items):
-                found, stack = set(items), list(items)
-                while stack:
-                    q, w = stack.pop()
-                    for (v, r) in by_key.get((q, EPS), ()):
-                        if (r, w + v) not in found:
-                            found.add((r, w + v))
-                            stack.append((r, w + v))
-                return found
-
-            read = {(r, w + v) for (q, w) in eclose({(q1, ())})
-                    for (v, r) in by_key.get((q, a), ())}
-            ends = {w for (q, w) in eclose(read) if q in self.final1}
-            got = self.moves1[key] = (tuple(x for x in read if x[0] in self.live1), ends)
+            caps, by_key = self.caps, self.by_key1
+            if caps is None:
+                q1, steps, olen, room = k1, 0, 0, (math.inf, math.inf)
+            else:
+                q1, steps, olen = k1
+                room = (caps.max_output_len - olen, caps.max_steps)
+            entries = self.closed1.get(k1)
+            if entries is None:
+                entries = self.closed1[k1] = {(q1, (), ()): steps}
+                _eps_close(by_key, entries, 0, room)
+            read = _read(by_key, entries, a, 0, room)[0]
+            moves = tuple((r if caps is None else (r, s, olen + len(w)), w)
+                          for (r, w, _org), s in read.items() if r in self.live1)
+            _eps_close(by_key, read, 0, room)
+            ends = {w for (q, w, _org) in read if q in self.final1}
+            got = self.moves1[key] = (moves, ends)
         return got
 
-    def t2_moves(self, q2, written, a, end):
-        """(q2', k): t2's moves with one origin, eps moves then the read of
-        a (then eps moves again at the end of the input), writing
-        written[:k]."""
-        exact, lens = self.index.exact, self.index.lens
-        start = (q2, 0, 0)
-        seen, stack, out = {start}, [start], set()
-        m = len(written)
+    def t2_close(self, items, a, end):
+        """items, t2's (state, read yet, rest of a move's output), with the
+        moves that write nothing added."""
+        found, stack = set(items), list(items)
         while stack:
-            q, k, read = stack.pop()
-            if read:
-                out.add((q, k))
-                if not end:
-                    continue
-            for b in ((EPS, a) if not read else (EPS,)):
-                for lo in lens.get((q, b), ()):
-                    nk = k + lo
-                    if nk > m:
-                        break
-                    for r in exact.get((q, b, written[k:nk]), ()):
-                        item = (r, nk, read or b is not EPS)
-                        if item not in seen:
-                            seen.add(item)
-                            stack.append(item)
+            q, read, rest = stack.pop()
+            if rest or (read and not end):
+                continue
+            for b in ((EPS,) if read else (EPS, a)):
+                for r in self.silent2.get((q, b), ()):
+                    item = (r, read or b is not EPS, ())
+                    if item not in found:
+                        found.add(item)
+                        stack.append(item)
+        return frozenset(found)
+
+    def t2_step(self, front, c, a, end):
+        """The items that front reaches by writing the letter c."""
+        key = (front, c, a, end)
+        got = self.fronts2.get(key)
+        if got is None:
+            items = set()
+            for (q, read, rest) in front:
+                if rest:
+                    if rest[0] == c:
+                        items.add((q, read, rest[1:]))
+                elif not read or end:
+                    for b in ((EPS,) if read else (EPS, a)):
+                        for (tail, r) in self.first2.get((q, b, c), ()):
+                            items.add((r, read or b is not EPS, tail))
+            got = self.fronts2[key] = self.t2_close(items, a, end)
+        return got
+
+    def t2_start(self, q2, a, end):
+        """The items of t2's configuration q2 before it writes a letter."""
+        key = (q2, a, end)
+        got = self.fronts2.get(key)
+        if got is None:
+            got = self.fronts2[key] = self.t2_close({(q2, False, ())}, a, end)
+        return got
+
+    def t2_moves(self, q2, written, a):
+        """(q2', k): t2's moves with one origin, eps moves then the read of
+        a, writing written[:k].  The moves are followed letter by letter,
+        through item sets shared by every word written."""
+        front = self.t2_start(q2, a, False)
+        out = []
+        for k in range(len(written) + 1):
+            if k:
+                front = self.t2_step(front, written[k - 1], a, False)
+                if not front:
+                    break
+            out.extend((q, k) for (q, read, rest) in front if read and not rest)
         return out
 
     def t2_next(self, c, w, a, z):
@@ -365,12 +413,21 @@ class _Frontier:
         def share(x):
             return shared.setdefault(x, x)
 
-        for (r, k) in self.t2_moves(q2, written, a, False):
-            if least <= k <= most and r in self.live2:
+        for (r, k) in self.t2_moves(q2, written[:most], a):
+            if k >= least and r in self.live2:
                 rest = share(tuple(share(e) for e in zip(written[k:], later[k:])))
                 found.add(share((r, rest, share(kept.union(s for s in now[:k] if s not in safe)))))
         got = self.next2[key] = share(frozenset(found))
         return got
+
+    def t2_accepts(self, q2, written, a):
+        """Can t2 go from q2 to acceptance on the last letter a, writing
+        written, eps moves after the read included?"""
+        front = self.t2_start(q2, a, True)
+        for c in written:
+            front = self.t2_step(front, c, a, True)
+        final = self.index.final
+        return any(read and not rest and q in final for (q, read, rest) in front)
 
     def t2_ends(self, c, w, a, z):
         """Can t2's configuration c finish the input with the letter a, t1
@@ -380,14 +437,12 @@ class _Frontier:
         if got is None:
             q2, pending, settled = c
             delta, final = self.delta, self.g_final
-            entries = pending + tuple((b, z) for b in w)
-            old = len(pending)
-            written = tuple(b for (b, _g) in entries)
-            got = (all(delta[(g, (a, (1, 1 if i >= old else 0)))] in final
-                       for i, (_b, g) in enumerate(entries))
+            written = tuple(b for (b, _g) in pending) + w
+            # t1's letters here all have the gamma state z, y marked
+            got = (all(delta[(g, (a, (1, 0)))] in final for (_b, g) in pending)
+                   and (not w or delta[(z, (a, (1, 1)))] in final)
                    and all(delta[(g, (a, _ZERO))] in final for g in settled)
-                   and any(k == len(written) and r in self.index.final
-                           for (r, k) in self.t2_moves(q2, written, a, True)))
+                   and self.t2_accepts(q2, written, a))
             self.end2[key] = got
         return got
 
@@ -462,16 +517,17 @@ def _t2_may_lead(dfa, delta, letters):
 def _frontier_route(t1, t2, index, resync, max_input_len, caps):
     """For a plain call (one-way t2 with its ``MatchIndex`` index, a
     parameterless ``Resynchronizer``, no membership callback): the frontier
-    when t1 is one-way without eps-cycles, its runs fit the caps on every
-    input swept, so that the sweep could prune nothing, and gamma never
-    lets t2 write a letter before t1; otherwise None."""
+    when t1 is one-way and gamma never lets t2 write a letter before t1;
+    otherwise None.  Its t1 runs carry their step counts and output
+    lengths unless ``_t1_fits_caps`` shows that no cap can bind."""
     if not isinstance(t1, OneWayTransducer):
         return None
     dfa, delta = resync.gamma_dfa()
     letters = tuple(sorted(t1.input_alphabet))
-    if not _t1_fits_caps(t1, max_input_len, caps) or _t2_may_lead(dfa, delta, letters):
+    if _t2_may_lead(dfa, delta, letters):
         return None
-    return _Frontier(t1, index, resync, letters, t2.output_alphabet)
+    bound = None if _t1_fits_caps(t1, max_input_len, caps) else caps
+    return _Frontier(t1, index, resync, letters, t2.output_alphabet, bound)
 
 
 def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
@@ -486,14 +542,19 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     inputs swept: every input on a holding verdict, and on a failing one
     the inputs up to and including the counterexample's.
 
-    A plain one-way call that ``_frontier_route`` accepts finds the least
-    failing input on the frontier instead, and takes its counterexample
-    from that one input's graphs; its ``pruned`` is False, as the sweep's
-    would be.  When a layer of the frontier adds no macro-state, the
-    verdict holds for every input length, and ``saturated_at`` gives that
-    layer.  A dict passed as ``stats`` receives the route taken, the new
-    macro-states per layer and, without a membership callback, the state
-    count of each gamma DFA (one per output type for an extended
+    A plain call that ``_frontier_route`` accepts (one-way t1 and t2, a
+    parameterless ``Resynchronizer`` under which t2 never writes ahead of
+    t1, no membership callback, no recording) finds the least failing
+    input on the frontier instead, and takes its counterexample from that
+    one input's graphs.  When ``_t1_fits_caps`` shows that no cap can
+    bind, ``pruned`` is False, as the sweep's would be, and a layer of the
+    frontier that adds no macro-state proves the verdict for every input
+    length: ``saturated_at`` gives that layer.  Otherwise t1's runs on the
+    frontier count their steps and output, ``saturated_at`` is None, and
+    ``pruned`` is the sweep's, from t1's runs alone on the inputs the sweep
+    would visit.  A dict passed as ``stats`` receives the route taken, the
+    new macro-states per layer and, without a membership callback, the
+    state count of each gamma DFA (one per output type for an extended
     resynchronizer) with the seconds taken to compile them, which then
     happens before the sweep.  Without a membership callback, base
     alphabets that miss one of t1's letters raise ``ResyncError`` before
@@ -522,22 +583,20 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     if plain or ext:
         # the search's gamma table admits exactly the partners gamma relates
         check = lambda sigma, sigma_p: ResyncWitness(())
-    shared = _PrefixGammaCache(resync) if plain else None
     state = {"pruned": False, "cex": None}
     pairs = []
 
     def visit(u, res1):
         state["pruned"] = state["pruned"] or res1.pruned
         graphs = sorted(res1.graphs, key=lambda g: g.sort_key())
-        if shared is not None:
-            shared.move_to(u)
+        if plain or ext:
+            cache, fill = _gamma_table(resync, u)
         for sigma_p in graphs:
             v = sigma_p.output
             if not (plain or ext):
                 matched = _first_accepted(idx, partners, sigma_p, check)
             elif plain or _ext_precheck_m0(resync, sigma_p):
-                allowed = ((shared.cache, sigma_p.orig, shared.fill) if plain
-                           else _emission_table_ext(resync, sigma_p))
+                allowed = (cache, tuple(zip(v, sigma_p.orig)), fill)
                 matched = (_first_accepted(idx, partners, sigma_p, check, allowed) if record
                            else idx.search(u, v, allowed) or None)
             else:
@@ -560,93 +619,20 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         u, layers, saturated = front.run(max_input_len)
         if u is not None and visit(u, run_origin_graphs(t1, u, caps)):
             raise AssertionError(f"frontier failure on {u} has no failing graph")
+        if front.caps is not None:
+            # the sweep's pruned, from t1's runs alone on the inputs it would visit
+            saturated = None
+
+            def cut(w, res):
+                state["pruned"] = state["pruned"] or res.pruned
+                return not state["pruned"] and w != u
+
+            sweep_origin_graphs(t1, max_input_len, caps, cut)
     if stats is not None:
         stats.update(route="sweep" if front is None else "frontier", layers=layers)
     status = "holds-on-sweep" if state["cex"] is None else "fails"
     return Verdict(status, state["cex"], max_input_len, caps, state["pruned"], tuple(pairs),
                    saturated)
-
-
-def _zero_extension_stable(resync):
-    """Does appending letters with all-zero tracks never change gamma?
-
-    Checked statewise on the minimized automaton; shift-like formulas pass,
-    position-sensitive ones (last, block ends) fail and fall back to the
-    per-input search.
-    """
-    dfa, delta = resync.gamma_dfa()
-    zeros = (0,) * (resync.m + 2)
-    for s in dfa.states:
-        acc = s in dfa.final
-        for a in sorted(dfa.alphabet.base):
-            if (delta[(s, (a, zeros))] in dfa.final) != acc:
-                return False
-    return True
-
-
-def _letter_blind(resync):
-    """Does gamma ignore the input letters, so that only the marked
-    positions matter?  Checked statewise on the minimized automaton."""
-    dfa, delta = resync.gamma_dfa()
-    for s in dfa.states:
-        for bits in itertools.product((0, 1), repeat=resync.m + 2):
-            if len({delta[(s, (a, bits))] for a in dfa.alphabet.base}) > 1:
-                return False
-    return True
-
-
-class _PrefixGammaCache:
-    """gamma(u, x, y) answers of a plain parameterless resynchronizer,
-    shared by the graphs of one input and, where gamma allows, by later
-    inputs of the sweep.
-
-    How long an entry lives is read off the minimized automaton.  When
-    appending letters with all-zero tracks never changes gamma
-    (zero-extension-stable), the answer depends on the prefix u[:max(x, y)]
-    alone: entries are tagged with max(x, y) and dropped when the next
-    input leaves that prefix, and if gamma is also letter-blind (shift-like
-    formulas) they depend on (x, y) alone and last the whole sweep.
-    Otherwise entries last for the current input only.
-    """
-
-    def __init__(self, resync):
-        dfa, delta = resync.gamma_dfa()
-        self.d_init = next(iter(dfa.initial))
-        self.d_final = dfa.final
-        self.d_delta = delta
-        self.stable = _zero_extension_stable(resync)
-        self.blind = self.stable and _letter_blind(resync)
-        self.cache = {}
-        self.by_depth = []   # keys added per prefix depth
-        self.word = ()
-
-    def move_to(self, u):
-        """Adjust to the next input of the sweep."""
-        if not self.stable:
-            self.cache.clear()
-        elif not self.blind:
-            common = 0
-            for a, b in zip(self.word, u):
-                if a != b:
-                    break
-                common += 1
-            while len(self.by_depth) > common:
-                for k in self.by_depth.pop():
-                    self.cache.pop(k, None)
-            self.by_depth.extend([] for _ in range(len(u) - common))
-        self.word = u
-
-    def fill(self, h, y):
-        u = self.word
-        state = self.d_init
-        delta = self.d_delta
-        end = max(h, y) if self.stable else len(u)
-        for p in range(1, end + 1):
-            state = delta[(state, (u[p - 1], (1 if p == h else 0, 1 if p == y else 0)))]
-        got = self.cache[(h, y)] = state in self.d_final
-        if self.stable and not self.blind:
-            self.by_depth[end - 1].append((h, y))
-        return got
 
 
 # -- minimum max-traversal over partners -------------------------------------

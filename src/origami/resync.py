@@ -12,9 +12,8 @@ one gamma-DFA state per distinct origin pair (x, y) of the output, all
 reading the same row of parameter bits at each position, tries the rows
 in lexicographic order and abandons a state tuple as soon as one state
 can no longer reach acceptance, so the first valuation found is the
-least one, position-major.  A brute-force search over all parameter
-valuations in the same order is kept as the test oracle for small
-instances.
+least one, position-major.  The test suite checks it against a
+brute-force search over all parameter valuations in the same order.
 """
 
 from __future__ import annotations
@@ -216,21 +215,6 @@ def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGr
     return None
 
 
-def pair_in_resync_bruteforce(resync: Resynchronizer, sigma, sigma_p):
-    """Oracle: try every parameter valuation, rows position by position in
-    lexicographic order, so the first hit is ``pair_in_resync``'s least
-    valuation; exponential in m * |u|."""
-    _check_graph_pair(sigma, sigma_p)
-    u = sigma.input
-    n = len(u)
-    pairs = {(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))}
-    for rows in itertools.product(itertools.product((0, 1), repeat=resync.m), repeat=n):
-        combo = tuple(tuple(r[i] for r in rows) for i in range(resync.m))
-        if all(resync.gamma_holds(u, combo, xh, yh) for (xh, yh) in pairs):
-            return ResyncWitness(combo)
-    return None
-
-
 # -- boundedness -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -278,11 +262,13 @@ def _place_once_unbounded(resync):
     acc = _closure({init}, fwd)
     coacc = _closure(dfa.final, bwd)
 
+    # seeds and successors in repr order, so that the pump reported does
+    # not depend on set iteration order
     U = "unplaced"
     seeds = deque()
     seen = set()
-    for a in acc:
-        for b in coacc:
+    for a in sorted(acc, key=repr):
+        for b in sorted(coacc, key=repr):
             node = (a, b, U)
             seeds.append(node)
             seen.add(node)
@@ -309,7 +295,7 @@ def _place_once_unbounded(resync):
                     outs.add((na, nb, la[t]))
         if a in acc and b in coacc and t == b:
             outs.add((a, b, U))   # restart edge: a pump cycle may recombine here
-        edges[node] = outs
+        edges[node] = outs = sorted(outs, key=repr)
         for nxt in outs:
             if nxt not in seen:
                 seen.add(nxt)

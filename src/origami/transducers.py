@@ -196,19 +196,20 @@ def transition_index(t):
     return by_key
 
 
-def _eps_close(by_key, entries, origin, caps):
+def _eps_close(by_key, entries, origin, room):
     """Close entries, one-way configurations (state, output, origins) ->
     step count, under eps moves writing at origin; True when a cap cut a
-    move.  Each configuration is expanded once, at its least step count,
-    whatever the transition order: entries with an eps move are taken from
-    per-step buckets, fewest steps first."""
+    move.  room is (most letters the outputs may reach, most steps).  Each
+    configuration is expanded once, at its least step count, whatever the
+    transition order: entries with an eps move are taken from per-step
+    buckets, fewest steps first."""
     buckets = {}
     for key, steps in entries.items():
         if (key[0], EPS) in by_key:
             buckets.setdefault(steps, []).append(key)
     if not buckets:
         return False
-    max_out, max_steps = caps.max_output_len, caps.max_steps
+    max_out, max_steps = room
     pruned = False
     steps = min(buckets)
     while buckets:
@@ -234,10 +235,10 @@ def _eps_close(by_key, entries, origin, caps):
     return pruned
 
 
-def _read(by_key, entries, a, origin, caps):
+def _read(by_key, entries, a, origin, room):
     """(the configurations that one read of the letter a reaches from
     entries, each at its least step count, whether a cap cut a move)."""
-    max_out, max_steps = caps.max_output_len, caps.max_steps
+    max_out, max_steps = room
     nxt = {}
     pruned = False
     for (q, out, org), steps in entries.items():
@@ -267,16 +268,17 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
     by_key = transition_index(t)
     final = t.final
     n = len(choices)
+    room = (caps.max_output_len, caps.max_steps)
 
     def rec(u, entries, pruned):
         i = len(u)
-        pruned = _eps_close(by_key, entries, i + 1 if i < n else n, caps) or pruned
+        pruned = _eps_close(by_key, entries, i + 1 if i < n else n, room) or pruned
         if i == n:
             graphs = frozenset(OriginGraph(u, out, org)
                                for (q, out, org) in entries if q in final)
             return visit(u, RunResult(graphs, pruned)) is not False
         for a in choices[i]:
-            nxt, cut = _read(by_key, entries, a, i + 1, caps)
+            nxt, cut = _read(by_key, entries, a, i + 1, room)
             if not rec(u + (a,), nxt, pruned or cut):
                 return False
         return True

@@ -191,28 +191,3 @@ def greedy_label(sigma: OriginGraph, sigma_p: OriginGraph, k: int) -> LabelAssig
 
     return LabelAssignment(tuple(frozenset(s) for s in rights),
                            tuple(frozenset(s) for s in lefts))
-
-
-def greedy_label_recompute(sigma: OriginGraph, sigma_p: OriginGraph, k: int) -> LabelAssignment:
-    """Reference variant recomputing the free indexes from scratch each step."""
-    _check_pair(sigma, sigma_p)
-    rights = [set() for _ in range(k)]
-    lefts = [set() for _ in range(k)]
-    r_dist = sorted({sigma.orig[t] for t in range(len(sigma.output))
-                     if sigma_p.orig[t] > sigma.orig[t]})
-    l_dist = sorted({sigma.orig[t] for t in range(len(sigma.output))
-                     if sigma_p.orig[t] < sigma.orig[t]}, reverse=True)
-    for x in r_dist:
-        free = [i for i in range(k)
-                if all(not traverses(sigma, sigma_p, s, x) for s in rights[i])]
-        if not free:
-            raise GreedyLabelError("k-traversal exceeded")
-        rights[free[0]].add(x)
-    for x in l_dist:
-        free = [i for i in range(k)
-                if all(not traverses(sigma, sigma_p, s, x) for s in lefts[i])]
-        if not free:
-            raise GreedyLabelError("k-traversal exceeded")
-        lefts[free[0]].add(x)
-    return LabelAssignment(tuple(frozenset(s) for s in rights),
-                           tuple(frozenset(s) for s in lefts))

@@ -170,17 +170,17 @@ def test_sink_padding_respects_gamma(t_fast):
     assert verdict.counterexample.sigma_p.input == ("a", "a")
 
 
-def test_shared_gamma_cache_follows_letters(t_first):
-    # gamma reads the source letter, so its answers depend on the input
-    # prefix and not on the positions alone
+def test_verdict_follows_a_gamma_that_reads_letters(t_first):
+    # gamma reads the source letter, so whether it holds depends on the
+    # input and not on the positions alone
     r = Resynchronizer((), parse_formula("x = y & a(x)"), base=("a", "b"), name="a-stays")
     verdict = contains_upto(t_first, t_first, r, 2, RunCaps(2, 20))
     assert verdict.counterexample.sigma_p.input == ("b",)
 
 
-def test_gamma_cache_lasts_one_input_when_appending_letters_matters(t_first):
-    # last(y) can turn false when a letter is appended, so gamma's answer
-    # at (x, y) = (1, 1) on "a" does not carry over to "aa"
+def test_verdict_follows_a_gamma_that_reads_the_input_end(t_first):
+    # last(y) turns false when a letter is appended: gamma holds at
+    # (x, y) = (1, 1) on "a" but not on "aa"
     r = Resynchronizer((), parse_formula("x = y & last(y)"), base=("a", "b"), name="stay-last")
     verdict = contains_upto(t_first, t_first, r, 2, RunCaps(2, 20))
     assert verdict.counterexample.sigma_p.input == ("a", "a")
@@ -503,3 +503,54 @@ def test_frontier_collapses_only_when_identity_is_safe():
     assert stats["route"] == "frontier"
     assert (verdict.status, verdict.counterexample) == \
         ("fails", Counterexample(OriginGraph(("a", "b"), ("a",), (2,)), "no-accepted-partner"))
+
+
+def with_eps_cycle(t, out):
+    """t with an eps-cycle through its first two states that writes out."""
+    cycle = {("p", EPS, out, "q"), ("q", EPS, (), "p")}
+    return OneWayTransducer(t.states, t.input_alphabet, t.output_alphabet,
+                            tuple(sorted(set(t.transitions) | cycle, key=repr)),
+                            t.initial, t.final)
+
+
+@st.composite
+def capped_cases(draw):
+    """(t1, t2), a gamma kind, a length and small caps, which often bind:
+    t1 has a silent or a writing eps-cycle, and the output cap stays small
+    enough for the oracle's partner enumeration."""
+    (t1, t2), kind, n = draw(frontier_cases())
+    t1 = with_eps_cycle(t1, draw(st.sampled_from(((), ("a",)))))
+    caps = RunCaps(draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    return (t1, t2), kind, min(n, 3), caps
+
+
+def eps_cycle_machine(out):
+    """From p, reading a or b writes a; q returns to p by an eps move, and
+    p reaches q by an eps move writing out.  p is initial and final."""
+    trans = (("p", "a", ("a",), "p"), ("p", "b", ("a",), "p"),
+             ("p", EPS, out, "q"), ("q", EPS, (), "p"))
+    return OneWayTransducer(STATES, LETTERS, ("a",), trans, {"p"}, {"p"})
+
+
+def reads_a_only():
+    return OneWayTransducer(STATES, LETTERS, ("a",), (("p", "a", ("a",), "p"),), {"p"}, {"p"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_cases())
+# a writing eps-cycle: every input has a run the output cap cuts
+@example(((eps_cycle_machine(("a",)), eps_cycle_machine(("a",))), 0, 2, RunCaps(4, 8)))
+# a silent eps-cycle whose caps never bind
+@example(((eps_cycle_machine(()), eps_cycle_machine(())), "identity", 3, RunCaps(3, 8)))
+# fails on b, before the first input whose runs the output cap cuts
+@example(((eps_cycle_machine(()), reads_a_only()), "identity", 3, RunCaps(2, 20)))
+def test_capped_frontier_matches_bruteforce_oracle(case):
+    (t1, t2), kind, n, caps = case
+    r = frontier_resync(kind)
+    stats = {}
+    verdict = contains_upto(t1, t2, r, n, caps, stats=stats)
+    assert stats["route"] == "frontier"
+    assert (verdict.status, verdict.counterexample, verdict.pruned) == \
+        containment_oracle(t1, t2, r, n, caps)
+    # an eps-cycle keeps the caps from being shown never to bind
+    assert verdict.saturated_at is None

@@ -177,14 +177,29 @@ def test_compile_dfa_is_the_minimized_compile(case):
     assert compile_dfa(formula, sig, "ab") == mso_compile(formula, sig, "ab").minimize()
 
 
-def test_cli_output_independent_of_hash_seed():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    cmd = [sys.executable, "-m", "origami.cli", "mso-compile",
-           "x < y & forall z. ((x < z & z < y) -> a(z))",
-           "--signature", "x y", "--alphabet", "a b"]
+def outputs_under_hash_seeds(args, seeds):
+    """The distinct (exit code, stdout) of ``origami args`` under each
+    PYTHONHASHSEED, run from the repository root."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     outs = set()
-    for seed in ("1", "3", "5"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        outs.add(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout)
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        res = subprocess.run([sys.executable, "-m", "origami.cli", *args], cwd=root, env=env,
+                             capture_output=True)
+        outs.add((res.returncode, res.stdout))
+    return outs
+
+
+def test_cli_output_independent_of_hash_seed():
+    args = ["mso-compile", "x < y & forall z. ((x < z & z < y) -> a(z))",
+            "--signature", "x y", "--alphabet", "a b"]
+    outs = outputs_under_hash_seeds(args, ("1", "3", "5"))
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
+
+
+def test_resync_bounded_output_independent_of_hash_seed():
+    # the pump search once followed set order: seeds 4 and 6 gave (1, 3)
+    outs = outputs_under_hash_seeds(["resync-bounded", "data/univ.rsync"], ("0", "4", "6"))
     assert len(outs) == 1
+    assert b"pump cycle at gamma states (0, 2)" in next(iter(outs))[1]

@@ -272,12 +272,14 @@ def test_grow_shift3_fails_at_length_eleven():
     assert MatchIndex(tup).search(sigma_p.input, sigma_p.output, (cache, sigma_p.orig, fill))
 
 
-def test_binding_caps_take_the_sweep(h2_tiles):
-    # criterion 6's pair with an output cap that cuts T_down's runs
+def test_binding_caps_stay_on_the_frontier(h2_tiles):
+    # criterion 6's pair with an output cap that cuts T_down's runs: the
+    # frontier counts t1's steps and output, and pruned comes from t1's
+    # sweep; a bound that cuts runs proves nothing past the last layer
     tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
     stats = {}
     verdict = contains_upto(tdown, tup, shift_on(tdown, 5), 3, RunCaps(6, 90), stats=stats)
-    assert stats["route"] == "sweep"
+    assert stats["route"] == "frontier"
     assert (verdict.status, verdict.pruned, verdict.saturated_at) == ("holds-on-sweep", True, None)
 
 

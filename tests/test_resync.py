@@ -10,7 +10,7 @@ from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not
                          parse_formula, is_second_order)
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
-                            pair_in_resync, pair_in_resync_bruteforce, check_witness,
+                            pair_in_resync, check_witness,
                             is_bounded, bounded_by, compose, simplify_extended,
                             extended_pair_in_resync, ExtendedResynchronizer,
                             make_identity, make_universal, make_pm1, make_shift,
@@ -19,6 +19,19 @@ from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
 
 
 A6B6 = ("aaaaaa", "bbbbbb")
+
+
+def pair_in_resync_bruteforce(resync, sigma, sigma_p):
+    """Oracle: try every parameter valuation, rows position by position in
+    lexicographic order, so the first hit is ``pair_in_resync``'s least
+    valuation; exponential in m * |u|."""
+    u = sigma.input
+    pairs = {(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))}
+    for rows in itertools.product(itertools.product((0, 1), repeat=resync.m), repeat=len(u)):
+        combo = tuple(tuple(r[i] for r in rows) for i in range(resync.m))
+        if all(resync.gamma_holds(u, combo, xh, yh) for (xh, yh) in pairs):
+            return ResyncWitness(combo)
+    return None
 
 
 def graph(u, v, orig):

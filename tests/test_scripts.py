@@ -41,6 +41,8 @@ def test_calls():
     contains_upto(fast, fast, make_param_example(base=("a",)), 2, RunCaps(6, 30))
     g, g_p = OriginGraph("aa", "b", (1,)), OriginGraph("aa", "b", (2,))
     pair_in_resync(make_param_example(base=("a",)), g, g_p)
+    one_two = corpus.t_one_two()
+    contains_upto(one_two, one_two, make_shift(0, base=("a",)), 3, RunCaps(6, 30))
 
 if __name__ == "__main__":
     test_calls()
@@ -67,15 +69,20 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     # the repeated call is logged once, the calls resync_search and
     # contains_upto make not at all
     assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
-                                                "contains_upto", "pair_in_resync"]
+                                                "contains_upto", "pair_in_resync",
+                                                "contains_upto"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
     assert lines[0]["result"]["counterexample"]["input"] == "aa"
-    assert lines[1]["result"]["k"] == 1
+    assert lines[0]["saturated_at"] is None
+    assert lines[1]["result"]["k"] == 1 and "saturated_at" not in lines[1]
     assert lines[2]["result"]["status"] == "holds-on-sweep"
+    assert lines[2]["saturated_at"] is None
     assert lines[3]["args"] == [["Resynchronizer", "param-example"],
                                 ["OriginGraph", ["a", "a"], ["b"], [1]],
                                 ["OriginGraph", ["a", "a"], ["b"], [2]]]
     assert lines[3]["result"] == [[1, 0]]
+    # saturated_at is not in the verdict's JSON, so the line carries it
+    assert lines[4]["saturated_at"] == 2
     assert plugin.read_text() == wrapped.read_text()

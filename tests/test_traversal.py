@@ -4,13 +4,38 @@ import pytest
 
 from origami.transducers import OriginGraph, RunCaps, run_origin_graphs
 from origami.traversal import (traverses, traversal_report, max_traversal, mirror,
-                               greedy_label, greedy_label_recompute, GreedyLabelError,
+                               greedy_label, GreedyLabelError, LabelAssignment,
                                TraversalError)
 from origami.resync import make_Rk, check_witness
 
 
 def graph(u, v, orig):
     return OriginGraph(u, v, tuple(orig))
+
+
+def greedy_label_recompute(sigma, sigma_p, k):
+    """Reference for ``greedy_label``: recomputes the free indexes from
+    scratch at each step."""
+    rights = [set() for _ in range(k)]
+    lefts = [set() for _ in range(k)]
+    r_dist = sorted({sigma.orig[t] for t in range(len(sigma.output))
+                     if sigma_p.orig[t] > sigma.orig[t]})
+    l_dist = sorted({sigma.orig[t] for t in range(len(sigma.output))
+                     if sigma_p.orig[t] < sigma.orig[t]}, reverse=True)
+    for x in r_dist:
+        free = [i for i in range(k)
+                if all(not traverses(sigma, sigma_p, s, x) for s in rights[i])]
+        if not free:
+            raise GreedyLabelError("k-traversal exceeded")
+        rights[free[0]].add(x)
+    for x in l_dist:
+        free = [i for i in range(k)
+                if all(not traverses(sigma, sigma_p, s, x) for s in lefts[i])]
+        if not free:
+            raise GreedyLabelError("k-traversal exceeded")
+        lefts[free[0]].add(x)
+    return LabelAssignment(tuple(frozenset(s) for s in rights),
+                           tuple(frozenset(s) for s in lefts))
 
 
 def random_pair(rng, max_len=8):
