@@ -28,13 +28,13 @@ def profile_for(machine, max_len):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-len", type=int, default=7)
+    ap.add_argument("--max-len", type=int, default=12)
     args = ap.parse_args()
     for machine in (halt2(), grow()):
         profile, took = profile_for(machine, args.max_len)
         vals = [profile.values[n] for n in range(1, args.max_len + 1)]
         print(f"{machine.name}: profile(1..{args.max_len}) = {vals}  "
-              f"[{took:.1f}s, growth evidence: {profile.unbounded_growth_evidence()}]")
+              f"[{took:.3f}s, growth evidence: {profile.unbounded_growth_evidence()}]")
 
 
 if __name__ == "__main__":

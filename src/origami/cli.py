@@ -171,7 +171,13 @@ def cmd_resync_search(args):
 def cmd_traversal_profile(args):
     t1 = _load(args.t1, ("1nt", "2nt"))
     t2 = _load(args.t2, ("1nt", "2nt"))
-    profile = traversal_profile(t1, t2, args.max_len, _caps(args))
+    stats = {} if args.stats else None
+    profile = traversal_profile(t1, t2, args.max_len, _caps(args), stats=stats)
+    if stats is not None:
+        print(f"route: {stats['route']}", file=sys.stderr)
+        if stats["route"] == "frontier":
+            print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
+                  file=sys.stderr)
     if args.format == "json":
         print(report_json(profile))
     else:
@@ -319,6 +325,8 @@ def build_parser():
     sp.add_argument("t1")
     sp.add_argument("t2")
     sp.add_argument("--max-len", type=_at_least(1), default=6)
+    sp.add_argument("--stats", action="store_true",
+                    help="print the route taken and the frontier's layer sizes on stderr")
     common(sp)
     sp.set_defaults(func=cmd_traversal_profile)
 

@@ -10,24 +10,30 @@ procedure; the underlying relation is undecidable in general.
 Partner search: every partner query on a one-way t2 is one search of its
 run lattice (``MatchIndex.search``).  Parameterless resynchronizers check a
 table of gamma answers, one per input, during the search, without
-enumerating graphs; the traversal profile checks a crossing budget; other
-resynchronizers test each distinct partner the search finds.  A two-way
-t2 runs once per input and output length, under the output cap |v|, and
-its graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
+enumerating graphs; other resynchronizers, and the traversal profile of a
+two-way t1, test each distinct partner the search finds.  A two-way t2
+runs once per input and output length, under the output cap |v|, and its
+graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
 the partner test, the no-partner reason and the traversal profile all
 read those groups.
 
 Frontier route: a plain call (one-way t1 and t2, parameterless
 ``Resynchronizer``, no membership callback, no recording) whose gamma
 never puts t2's origin before t1's does not enumerate inputs.
-``_Frontier`` runs one forward t1 x t2 product over the input tree,
-merging the prefixes that reach the same macro-state, finds the least
-failing input layer by layer, and the per-input path turns that one input
-into the counterexample.  Unless no cap can bind (``_t1_fits_caps``), each
+``frontier._Frontier`` runs one forward t1 x t2 product over the input
+tree, merging the prefixes that reach the same macro-state, finds the
+least failing input layer by layer, and the per-input path turns that one
+input into the counterexample.  Unless no cap can bind (``_t1_fits_caps``), each
 t1 run carries its step count and output length, so that the caps cut the
 runs the sweep cuts; ``pruned`` then comes from t1's sweep alone.  When no
 cap can bind, a layer with no new macro-state proves the verdict for every
 input length (``Verdict.saturated_at``).
+
+The traversal profile of one-way t1 and t2 comes from the same kind of
+product (``frontier._ProfileFrontier``): t2's configurations carry, for
+the side that is ahead, its unmatched letters in blocks with the
+crossing counts of their cuts, and every layer's macro-states give the
+profile at the next length.
 """
 
 from __future__ import annotations
@@ -37,12 +43,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from .automata import _closure
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, ResyncError,
                      pair_in_resync, extended_pair_in_resync, check_witness, make_Rk)
-from .transducers import (EPS, OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
-                          TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs,
-                          transition_index, _eps_close, _read)
+from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex,
+                          TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
+from .frontier import _Frontier, _ProfileFrontier, _t1_fits_caps, _t2_may_lead
 from .traversal import max_traversal, greedy_label, GreedyLabelError
 
 
@@ -171,349 +176,6 @@ def _ext_precheck_m0(resync, sigma_p):
     return True
 
 
-# -- frontier route: one forward t1 x t2 product over the input tree ---------
-
-_ZERO = (0, 0)
-_EMPTY = (None, frozenset())       # the macro-state with no run left to check
-
-
-def _t1_fits_caps(t1, max_input_len, caps):
-    """Do all run prefixes of t1 on inputs up to max_input_len stay within
-    caps?  False also when t1 has an eps-cycle.  Longest paths, per number
-    of letters read, over the eps moves in topological order."""
-    succ, indeg = {}, {q: 0 for q in t1.states}
-    for (p, a, out, q) in t1.transitions:
-        if a is EPS:
-            succ.setdefault(p, []).append((len(out), q))
-            indeg[q] += 1
-    order = [q for q in t1.states if not indeg[q]]
-    for p in order:
-        for (_lo, q) in succ.get(p, ()):
-            indeg[q] -= 1
-            if not indeg[q]:
-                order.append(q)
-    if len(order) < len(t1.states):
-        return False
-    # best: state -> (most steps, longest output) over the run prefixes
-    best = {q: (0, 0) for q in t1.initial}
-    for n in range(max_input_len + 1):
-        if n:
-            nxt = {}
-            for (p, a, out, q) in t1.transitions:
-                if a is not EPS and p in best:
-                    s, o = best[p]
-                    s0, o0 = nxt.get(q, (0, 0))
-                    nxt[q] = (max(s0, s + 1), max(o0, o + len(out)))
-            best = nxt
-        for p in order:
-            if p in best:
-                s, o = best[p]
-                for (lo, q) in succ.get(p, ()):
-                    s0, o0 = best.get(q, (0, 0))
-                    best[q] = (max(s0, s + 1), max(o0, o + lo))
-        if any(s > caps.max_steps or o > caps.max_output_len for (s, o) in best.values()):
-            return False
-    return True
-
-
-class _Frontier:
-    """Plain one-way containment over macro-states, for every input length.
-
-    After a prefix u the frontier holds one macro-state (z, E): z is the
-    gamma-DFA state of u with no marks, E an antichain of pairs (k1, S), one
-    per t1 run prefix on u that could still be checked.  k1 is t1's state,
-    or, when caps may bind, (state, steps, output length) at the run's
-    least step count.  S is the set of t2 configurations (q2, pending,
-    settled) that write a prefix of that run's output with every letter at
-    or after t1's origin for it: ``pending`` holds t1's letters t2 has not
-    written yet, each with the gamma state of its position (y marked),
-    ``settled`` the gamma states of positions both have written.  One
-    position p makes t1's moves with origin p (eps moves, then the read),
-    then t2's, followed letter by letter through item sets shared by every
-    word written, then every gamma state reads u_p with its marks.  A
-    configuration dies when a gamma state can no longer reach acceptance;
-    a settled state leaves once every continuation accepts.  For each k1
-    only the inclusion-minimal S are kept, since a run with fewer partners
-    fails whenever one with more does.  When gamma is identity-safe (x = y
-    accepts from every unmarked state, whatever follows), a pair whose S
-    holds a free t2 state (final, reading every letter silently and
-    eps-writing every output letter) with nothing pending or settled can
-    never fail, and leaves.
-
-    Every prefix reaching a macro-state fails on the same continuations,
-    so each layer keeps the macro-states first reached at its length, each
-    with its least prefix; an input of length n + 1 fails when its last
-    letter fails the end check of its prefix's macro-state.
-    """
-
-    def __init__(self, t1, index, resync, letters, outputs, caps):
-        self.letters = letters
-        self.caps = caps
-        self.by_key1 = transition_index(t1)
-        self.index = index
-        dfa, self.delta = resync.gamma_dfa()
-        delta = self.delta
-        init = next(iter(dfa.initial))
-        self.g_final = dfa.final
-        zsucc, zpred, xpred = {}, {}, {}
-        for s in dfa.states:
-            for a in letters:
-                t = delta[(s, (a, _ZERO))]
-                zsucc.setdefault(s, set()).add(t)
-                zpred.setdefault(t, set()).add(s)
-                xpred.setdefault(delta[(s, (a, (1, 0)))], set()).add(s)
-        # co0: can still accept with no mark to come; co1: with x to come;
-        # safe: accepts whatever follows with no mark
-        self.co0 = _closure(dfa.final, zpred)
-        self.co1 = _closure({s for t in self.co0 for s in xpred.get(t, ())}, zpred)
-        self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
-        identity_safe = all(delta[(s, (a, (1, 1)))] in self.safe
-                            for s in _closure({init}, zsucc) for a in letters)
-        # free: a sink state of the index that pads with every output letter
-        self.free = frozenset((q, (), frozenset()) for q in index.sink
-                              if index.pad[q] == outputs and identity_safe)
-        pred1, pred2 = {}, {}
-        for (p, _a, _out, q) in t1.transitions:
-            pred1.setdefault(q, set()).add(p)
-        # t2's moves by (state, letter or EPS, first letter written), and
-        # those that write nothing
-        self.first2, self.silent2 = {}, {}
-        for (p, b, out), targets in index.exact.items():
-            for q in targets:
-                pred2.setdefault(q, set()).add(p)
-                if out:
-                    self.first2.setdefault((p, b, out[0]), []).append((out[1:], q))
-                else:
-                    self.silent2.setdefault((p, b), []).append(q)
-        self.live1 = _closure(t1.final, pred1)
-        self.live2 = _closure(index.final, pred2)
-        self.final1 = t1.final
-        self.closed1 = {}
-        self.moves1 = {}
-        self.fronts2 = {}
-        self.next2 = {}
-        self.end2 = {}
-        self.shared = {}
-        self.start = (init, frozenset(
-            (q1 if caps is None else (q1, 0, 0),
-             frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
-            for q1 in t1.initial if q1 in self.live1))
-
-    def t1_moves(self, k1, a):
-        """From t1's key k1 on the letter a: the (k1', w) that eps moves and
-        the read reach, writing w, and the w of those that reach an
-        accepting state with trailing eps moves too.  A key is a state, or
-        (state, steps, output length) when caps may bind; then each
-        configuration is expanded at its least step count, as the sweep
-        does, and the caps cut the runs the sweep cuts."""
-        key = (k1, a)
-        got = self.moves1.get(key)
-        if got is None:
-            caps, by_key = self.caps, self.by_key1
-            if caps is None:
-                q1, steps, olen, room = k1, 0, 0, (math.inf, math.inf)
-            else:
-                q1, steps, olen = k1
-                room = (caps.max_output_len - olen, caps.max_steps)
-            entries = self.closed1.get(k1)
-            if entries is None:
-                entries = self.closed1[k1] = {(q1, (), ()): steps}
-                _eps_close(by_key, entries, 0, room)
-            read = _read(by_key, entries, a, 0, room)[0]
-            moves = tuple((r if caps is None else (r, s, olen + len(w)), w)
-                          for (r, w, _org), s in read.items() if r in self.live1)
-            _eps_close(by_key, read, 0, room)
-            ends = {w for (q, w, _org) in read if q in self.final1}
-            got = self.moves1[key] = (moves, ends)
-        return got
-
-    def t2_close(self, items, a, end):
-        """items, t2's (state, read yet, rest of a move's output), with the
-        moves that write nothing added."""
-        found, stack = set(items), list(items)
-        while stack:
-            q, read, rest = stack.pop()
-            if rest or (read and not end):
-                continue
-            for b in ((EPS,) if read else (EPS, a)):
-                for r in self.silent2.get((q, b), ()):
-                    item = (r, read or b is not EPS, ())
-                    if item not in found:
-                        found.add(item)
-                        stack.append(item)
-        return frozenset(found)
-
-    def t2_step(self, front, c, a, end):
-        """The items that front reaches by writing the letter c."""
-        key = (front, c, a, end)
-        got = self.fronts2.get(key)
-        if got is None:
-            items = set()
-            for (q, read, rest) in front:
-                if rest:
-                    if rest[0] == c:
-                        items.add((q, read, rest[1:]))
-                elif not read or end:
-                    for b in ((EPS,) if read else (EPS, a)):
-                        for (tail, r) in self.first2.get((q, b, c), ()):
-                            items.add((r, read or b is not EPS, tail))
-            got = self.fronts2[key] = self.t2_close(items, a, end)
-        return got
-
-    def t2_start(self, q2, a, end):
-        """The items of t2's configuration q2 before it writes a letter."""
-        key = (q2, a, end)
-        got = self.fronts2.get(key)
-        if got is None:
-            got = self.fronts2[key] = self.t2_close({(q2, False, ())}, a, end)
-        return got
-
-    def t2_moves(self, q2, written, a):
-        """(q2', k): t2's moves with one origin, eps moves then the read of
-        a, writing written[:k].  The moves are followed letter by letter,
-        through item sets shared by every word written."""
-        front = self.t2_start(q2, a, False)
-        out = []
-        for k in range(len(written) + 1):
-            if k:
-                front = self.t2_step(front, written[k - 1], a, False)
-                if not front:
-                    break
-            out.extend((q, k) for (q, read, rest) in front if read and not rest)
-        return out
-
-    def t2_next(self, c, w, a, z):
-        """The configurations t2's configuration c can reach at this position,
-        where t1 writes w and the input letter is a."""
-        key = (c, w, a, z)
-        got = self.next2.get(key)
-        if got is not None:
-            return got
-        q2, pending, settled = c
-        delta, co0, co1, safe = self.delta, self.co0, self.co1, self.safe
-        entries = pending + tuple((b, z) for b in w)
-        written = tuple(b for (b, _g) in entries)
-        # each entry's gamma state if t2 writes it here, and if not yet
-        ys = [0] * len(pending) + [1] * len(w)
-        now = [delta[(g, (a, (1, y)))] for (_b, g), y in zip(entries, ys)]
-        later = [delta[(g, (a, (0, y)))] for (_b, g), y in zip(entries, ys)]
-        # t2 may write entries up to the first that could no longer accept,
-        # and must write those after the last that could not wait
-        most = next((i for i, s in enumerate(now) if s not in co0), len(now))
-        least = next((i + 1 for i in range(len(later) - 1, -1, -1) if later[i] not in co1), 0)
-        kept = [delta[(g, (a, _ZERO))] for g in settled]
-        if least > most or any(s not in co0 for s in kept):
-            got = self.next2[key] = frozenset()
-            return got
-        kept = frozenset(s for s in kept if s not in safe)
-        found = set()
-        # one object per distinct value: the caches hold many equal ones
-        shared = self.shared
-
-        def share(x):
-            return shared.setdefault(x, x)
-
-        for (r, k) in self.t2_moves(q2, written[:most], a):
-            if k >= least and r in self.live2:
-                rest = share(tuple(share(e) for e in zip(written[k:], later[k:])))
-                found.add(share((r, rest, share(kept.union(s for s in now[:k] if s not in safe)))))
-        got = self.next2[key] = share(frozenset(found))
-        return got
-
-    def t2_accepts(self, q2, written, a):
-        """Can t2 go from q2 to acceptance on the last letter a, writing
-        written, eps moves after the read included?"""
-        front = self.t2_start(q2, a, True)
-        for c in written:
-            front = self.t2_step(front, c, a, True)
-        final = self.index.final
-        return any(read and not rest and q in final for (q, read, rest) in front)
-
-    def t2_ends(self, c, w, a, z):
-        """Can t2's configuration c finish the input with the letter a, t1
-        writing w, and every gamma state accepting?"""
-        key = (c, w, a, z)
-        got = self.end2.get(key)
-        if got is None:
-            q2, pending, settled = c
-            delta, final = self.delta, self.g_final
-            written = tuple(b for (b, _g) in pending) + w
-            # t1's letters here all have the gamma state z, y marked
-            got = (all(delta[(g, (a, (1, 0)))] in final for (_b, g) in pending)
-                   and (not w or delta[(z, (a, (1, 1)))] in final)
-                   and all(delta[(g, (a, _ZERO))] in final for g in settled)
-                   and self.t2_accepts(q2, written, a))
-            self.end2[key] = got
-        return got
-
-    def step(self, state, a):
-        """The macro-state after one more letter a."""
-        z, pairs = state
-        minimal = {}
-        for (q1, configs) in pairs:
-            for (r1, w) in self.t1_moves(q1, a)[0]:
-                nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
-                if nxt.isdisjoint(self.free):
-                    minimal.setdefault(r1, set()).add(nxt)
-        out = []
-        for r1, sets in minimal.items():
-            kept = []
-            for s in sorted(sets, key=len):
-                if not any(k <= s for k in kept):
-                    kept.append(s)
-            out.extend((r1, s) for s in kept)
-        if not out:
-            return _EMPTY
-        return (self.delta[(z, (a, _ZERO))], frozenset(out))
-
-    def fails(self, state, a):
-        """Does some t1 run ending with the letter a lack every partner?"""
-        z, pairs = state
-        return any(not any(self.t2_ends(c, w, a, z) for c in configs)
-                   for (q1, configs) in pairs for w in self.t1_moves(q1, a)[1])
-
-    def run(self, max_input_len):
-        """(least failing input or None, new macro-states per layer, the
-        first layer that added none, or None)."""
-        layer, seen, sizes = [((), self.start)], {self.start}, []
-        for n in range(1, max_input_len + 1):
-            for (prefix, state) in layer:
-                for a in self.letters:
-                    if self.fails(state, a):
-                        return prefix + (a,), sizes, None
-            nxt = []
-            for (prefix, state) in layer:
-                for a in self.letters:
-                    got = self.step(state, a)
-                    if got not in seen:
-                        seen.add(got)
-                        nxt.append((prefix + (a,), got))
-            layer = nxt
-            sizes.append(len(layer))
-            if not layer:
-                return None, sizes, n
-        return None, sizes, None
-
-
-def _t2_may_lead(dfa, delta, letters):
-    """Does gamma accept a word with x strictly before y, each marked once?"""
-    # phase 0: no mark yet; 1: x marked; 2: y marked after x
-    moves = {0: ((_ZERO, 0), ((1, 0), 1)), 1: ((_ZERO, 1), ((0, 1), 2)), 2: ((_ZERO, 2),)}
-    start = (next(iter(dfa.initial)), 0)
-    seen, stack = {start}, [start]
-    while stack:
-        s, phase = stack.pop()
-        if phase == 2 and s in dfa.final:
-            return True
-        for (bits, nphase) in moves[phase]:
-            for a in letters:
-                item = (delta[(s, (a, bits))], nphase)
-                if item not in seen:
-                    seen.add(item)
-                    stack.append(item)
-    return False
-
-
 def _frontier_route(t1, t2, index, resync, max_input_len, caps):
     """For a plain call (one-way t2 with its ``MatchIndex`` index, a
     parameterless ``Resynchronizer``, no membership callback): the frontier
@@ -635,57 +297,6 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
                    saturated)
 
 
-# -- minimum max-traversal over partners -------------------------------------
-
-def _min_max_traversal_1nt(t2: OneWayTransducer, sigma_p: OriginGraph,
-                           start_k=0, index=None):
-    """max(start_k, min over t2 partners of the pair's max traversal).
-
-    Iterative deepening on the bound k from start_k: each probe searches
-    t2's run lattice with a budget that refuses a move as soon as a
-    positional crossing count exceeds k, and the probes share their dead
-    nodes.  A probe succeeding at k succeeds at every larger k, so a caller
-    that only needs to know whether the minimum exceeds some bound passes
-    it as start_k and pays one probe when it does not.  Partners have the
-    exact (u, v), so the search is cap-free.  Returns math.inf when no
-    partner exists.
-    """
-    u, v, orig_p = sigma_p.input, sigma_p.output, sigma_p.orig
-    n = len(u)
-    index = index or MatchIndex(t2)
-    dead = set()
-    for k in range(start_k, n + 1):
-        # heads crossing each position z (1-based), per direction
-        lr = [set() for _ in range(n + 1)]
-        rl = [set() for _ in range(n + 1)]
-
-        def budget(h, j, nj):
-            # output positions j..nj-1 written at head h
-            added = []
-            for s in range(j, nj):
-                y = orig_p[s]
-                if h < y:
-                    spans, zs = lr, range(h, y)
-                elif h > y:
-                    spans, zs = rl, range(y + 1, h + 1)
-                else:
-                    continue
-                for z in zs:
-                    heads = spans[z]
-                    if h not in heads:
-                        heads.add(h)
-                        added.append((heads, h))
-                        if len(heads) > k:
-                            for (heads, h2) in added:
-                                heads.discard(h2)
-                            return False
-            return added
-
-        if index.search(u, v, budget=budget, dead=dead):
-            return k
-    return math.inf
-
-
 @dataclass(frozen=True)
 class TraversalProfile:
     values: dict                     # input length -> int or math.inf
@@ -713,17 +324,40 @@ class TraversalProfile:
                 "unbounded_growth_evidence": self.unbounded_growth_evidence()}
 
 
-def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
+def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> TraversalProfile:
     """profile(n) = max over t1 graphs with |u| = n of the least max
     traversal over same-words t2 partners; math.inf when a graph has no
     partner at all.
+
+    With one-way t1 and t2 the profile comes from one forward product over
+    the input tree (``_ProfileFrontier``).  Unless ``_t1_fits_caps`` shows
+    that no cap can bind, t1's runs there count their steps and output,
+    and ``approximate`` comes from t1's sweep alone, as in
+    ``contains_upto``.  Otherwise inputs are swept one by one: a one-way
+    t2's partners are listed by ``MatchIndex.search``, a two-way t2's by
+    ``_partners_2nt``.  A dict passed as ``stats`` receives the route taken
+    and, on the frontier, the macro-states each length's end check reads.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
-    values = {n: 0 for n in range(1, max_input_len + 1)}
     state = {"pruned": False}
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
+    if one_way2 and isinstance(t1, OneWayTransducer):
+        fits = _t1_fits_caps(t1, max_input_len, caps)
+        front = _ProfileFrontier(t1, idx, tuple(sorted(t1.input_alphabet)), t2.output_alphabet,
+                                 None if fits else caps, caps.max_output_len, max_input_len)
+        values, layers = front.run(max_input_len)
+        if not fits:
+            def cut(_u, res):
+                state["pruned"] = res.pruned
+                return not res.pruned
+
+            sweep_origin_graphs(t1, max_input_len, caps, cut)
+        if stats is not None:
+            stats.update(route="frontier", layers=layers)
+        return TraversalProfile(values, state["pruned"], max_input_len)
+    values = {n: 0 for n in range(1, max_input_len + 1)}
     partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
 
     def assess(u, res1):
@@ -734,17 +368,26 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps) -> TraversalProfile:
         for sigma_p in sorted(res1.graphs, key=lambda g: g.sort_key()):
             if best is math.inf:
                 break
+            v = sigma_p.output
             if one_way2:
-                val = _min_max_traversal_1nt(t2, sigma_p, start_k=best, index=idx)
+                least = [math.inf]
+
+                def each(org):
+                    least[0] = min(least[0], max_traversal(OriginGraph(u, v, org), sigma_p))
+                    return least[0] <= best
+
+                idx.search(u, v, each=each)
+                val = least[0]
             else:
-                val = min((max_traversal(g, sigma_p) for g in partners(u, sigma_p.output)),
-                          default=math.inf)
-            if val is math.inf or val > best:
+                val = min((max_traversal(g, sigma_p) for g in partners(u, v)), default=math.inf)
+            if val > best:
                 best = val
         values[n] = best
         return True
 
     sweep_origin_graphs(t1, max_input_len, caps, assess)
+    if stats is not None:
+        stats.update(route="sweep", layers=[])
     return TraversalProfile(values, state["pruned"], max_input_len)
 
 

@@ -452,7 +452,7 @@ class MatchIndex:
                     grown = True
         self.readers = frozenset(readers)
 
-    def search(self, u, v, allowed=None, budget=None, dead=None, each=None):
+    def search(self, u, v, allowed=None, each=None):
         """Does some accepting run on u write exactly v and pass the checks?
 
         Depth first over the run lattice of nodes (q, i, j): state q with i
@@ -460,30 +460,26 @@ class MatchIndex:
         v[j:nj] at head h (i + 1, or n once u is read) must pass
         ``allowed``, a (cache, keys, fill) table whose answer for output
         position s is cache[(h, keys[s])], filled by fill(h, keys[s]) on a
-        miss, and ``budget(h, j, nj)``, which may depend on the path and
-        returns the (set, item) pairs it added, for the search to discard
-        on backtracking, or False.  ``each`` receives the origin tuple of
-        every run found, repeats included, until it returns true.
+        miss.  ``each`` receives the origin tuple of every run found,
+        repeats included, until it returns true.
 
-        A node with no accepted run below it, whatever the path and budget,
-        goes into ``dead``; nodes on the path, budget refusals and runs
-        handed to ``each`` keep it out, so searches on the same (u, v) with
-        other budgets may share the set.  An accepting state that pads the
-        rest of v with eps self-loops finishes in one scan, from a sink
-        state without reading the rest of u, and a state that can read no
-        more letters is cut while input remains.
+        A node with no accepted run below it is not searched again; nodes
+        on the path and runs handed to ``each`` keep it searchable.  An
+        accepting state that pads the rest of v with eps self-loops
+        finishes in one scan, from a sink state without reading the rest
+        of u, and a state that can read no more letters is cut while input
+        remains.
         """
         n, m = len(u), len(v)
         exact, lens, pad, sink = self.exact, self.lens, self.pad, self.sink
         readers, final = self.readers, self.final
-        dead = set() if dead is None else dead
-        onpath = set()
+        dead, onpath = set(), set()
         cache, keys, fill = allowed or _NO_TABLE
         cget = cache.get
 
         def rec(q, i, j, org):
-            # 2: stop; 0: no accepted run below, whatever the path and budget;
-            # 1: neither.  org is a (rest, head, count) chain, built for each
+            # 2: stop; 0: no accepted run below, whatever the path; 1:
+            # neither.  org is a (rest, head, count) chain, built for each
             if i == n:
                 if j == m and q in final:
                     return 2 if each is None or each(_origins(org)) else 1
@@ -503,12 +499,8 @@ class MatchIndex:
                                 break
                     else:
                         # the moves below find this run again
-                        undo = budget(n, j, m) if budget is not None else ()
-                        if undo is not False:
-                            if each is None or each(_origins((org, n, m - j))):
-                                return 2
-                            for (s, x) in undo:
-                                s.discard(x)
+                        if each is None or each(_origins((org, n, m - j))):
+                            return 2
             key = (q, i, j)
             if key in dead:
                 return 0
@@ -530,7 +522,6 @@ class MatchIndex:
                     batch = exact.get((q, a, v[j:nj]))
                     if not batch:
                         continue
-                    undo = ()
                     norg = org
                     if lo:
                         if fill is not None:
@@ -544,11 +535,6 @@ class MatchIndex:
                                     break
                             if not ok:
                                 continue
-                        if budget is not None:
-                            undo = budget(h, j, nj)
-                            if undo is False:
-                                live = 1
-                                continue
                         if each is not None:
                             norg = (org, h, lo)
                     for r in batch:
@@ -556,8 +542,6 @@ class MatchIndex:
                         if got == 2:
                             return 2
                         live |= got
-                    for (s, x) in undo:
-                        s.discard(x)
             onpath.discard(key)
             if not live:
                 dead.add(key)

@@ -550,7 +550,59 @@ def test_capped_frontier_matches_bruteforce_oracle(case):
     stats = {}
     verdict = contains_upto(t1, t2, r, n, caps, stats=stats)
     assert stats["route"] == "frontier"
-    assert (verdict.status, verdict.counterexample, verdict.pruned) == \
-        containment_oracle(t1, t2, r, n, caps)
-    # an eps-cycle keeps the caps from being shown never to bind
-    assert verdict.saturated_at is None
+    oracle = containment_oracle(t1, t2, r, n, caps)
+    assert (verdict.status, verdict.counterexample, verdict.pruned) == oracle
+    # a writing eps-cycle keeps the caps from being shown never to bind; a
+    # silent one does not lengthen a run at its least step count
+    if ("p", EPS, ("a",), "q") in t1.transitions or oracle[2]:
+        assert verdict.saturated_at is None
+    if verdict.saturated_at is not None:
+        assert verdict.holds and len(stats["layers"]) == verdict.saturated_at
+
+
+def writes_ahead():
+    """t1 writes a at every letter; t2 writes all of its a's before it
+    reads the first letter, then reads the rest silently."""
+    eager = OneWayTransducer(STATES, LETTERS, ("a",),
+                             (("p", EPS, ("a",), "p"), ("p", "a", (), "q"), ("p", "b", (), "q"),
+                              ("q", "a", (), "q"), ("q", "b", (), "q")), {"p"}, {"q"})
+    return early_and_late()[0], eager
+
+
+@st.composite
+def profile_cases(draw):
+    """(t1, t2), a length and caps.  t1 sometimes has a silent or a writing
+    eps-cycle.  The caps are small enough to bind often, or, without a
+    writing cycle, large enough that they seldom do, on inputs kept short
+    for the oracle.  Half the time t2 can write any number of a's at the
+    last position, and its accepting state often pads and reads in place,
+    which makes it free."""
+    t1, t2 = draw(machine_pairs(cycle=False))
+    cycle = draw(st.sampled_from((None, (), ("a",))))
+    if cycle is not None:
+        t1 = with_eps_cycle(t1, cycle)
+    if cycle != ("a",) and draw(st.booleans()):
+        return (t1, t2), draw(st.integers(1, 4 if cycle is None else 3)), RunCaps(6, 30)
+    caps = RunCaps(draw(st.integers(1, 4)), draw(st.integers(1, 10)))
+    return (t1, t2), draw(st.integers(1, 3)), caps
+
+
+@settings(max_examples=50, deadline=None)
+@given(profile_cases())
+@example((early_and_late(), 4, RunCaps(8, 40)))
+# t2 owes t1 every letter but the first, up to what t1 can still write
+@example((writes_ahead(), 4, RunCaps(8, 40)))
+@example(((corpus.t_fast(), t_skip_then_pad()), 4, RunCaps(6, 40)))
+# a two-way t1 and a one-way t2 stay on the sweep
+@example(((corpus.t_rev(), corpus.t_slow()), 4, RunCaps(8, 40)))
+def test_profile_frontier_matches_bruteforce_oracle(case):
+    (t1, t2), n, caps = case
+    stats = {}
+    profile = traversal_profile(t1, t2, n, caps, stats=stats)
+    one_way = isinstance(t1, OneWayTransducer)
+    assert stats["route"] == ("frontier" if one_way else "sweep")
+    assert len(stats["layers"]) == (n if one_way else 0)
+    assert profile.values == profile_oracle(t1, t2, n, caps)
+    assert profile.approximate == any(run_origin_graphs(t1, u, caps).pruned
+                                      for u in words_upto(t1.input_alphabet, n))
+

@@ -284,6 +284,26 @@ def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
         "route: sweep", "gamma DFA states: 4 4"]
 
 
+def test_cli_traversal_profile_stats_go_to_stderr_only(tmp_path, capsys):
+    assert main(["gen-reduction", data("grow.tm"), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    runs = [([str(tmp_path / "tdown.1nt"), str(tmp_path / "tup.1nt"), "--max-len", "8",
+              "--max-output", "34", "--max-steps", "110"],
+             "route: frontier\nmacro-states per layer: 1 2 3 3 4 4 4 4\n"),
+            ([data("id.2nt"), data("rev.2nt"), "--max-len", "4"], "route: sweep\n")]
+    for args, err in runs:
+        for fmt in ("text", "json"):
+            assert main(["traversal-profile", *args, "--format", fmt]) == 0
+            plain = capsys.readouterr()
+            assert main(["traversal-profile", *args, "--format", fmt, "--stats"]) == 0
+            stats = capsys.readouterr()
+            assert stats.out == plain.out and plain.err == ""
+            assert stats.err == err
+    assert main(["traversal-profile", *runs[0][0]]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{n}: {v}\n" for n, v in enumerate([0, 1, 2, 2, 3, 3, 3, 3], 1))
+
+
 def _without_seconds(err):
     return "".join(line for line in err.splitlines(keepends=True)
                    if not line.startswith("gamma compile: "))
