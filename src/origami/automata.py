@@ -156,15 +156,42 @@ class StructuredNfa:
     # -- language operations ----------------------------------------------
 
     def accepts(self, word) -> bool:
-        cur = set(self.initial)
-        d = self._delta
+        """Run the subset construction lazily: each (state set, letter)
+        step is computed once per automaton and then read from a table.
+        A letter is checked against the alphabet when its step is first
+        computed, so a letter outside it raises ``AlphabetMismatchError``."""
+        cur = self.initial
+        steps = self._steps
         for letter in word:
-            if not self.alphabet.contains_letter(letter):
-                raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
-            cur = set().union(*(d.get((p, letter), ()) for p in cur)) if cur else set()
-            if not cur:
+            try:
+                nxt = steps.get((cur, letter))
+            except TypeError:     # unhashable letter: the check below decides
+                nxt = None
+            if nxt is None:
+                nxt = self._subset_step(cur, letter)
+            if not nxt:
                 return False
-        return bool(cur & self.final)
+            cur = nxt
+        return not cur.isdisjoint(self.final)
+
+    @cached_property
+    def _steps(self):
+        # (frozenset of states, letter) -> frozenset of states
+        return {}
+
+    @cached_property
+    def _subsets(self):
+        # every state set in _steps, so that equal sets are stored once
+        return {}
+
+    def _subset_step(self, cur, letter):
+        if not self.alphabet.contains_letter(letter):
+            raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
+        d = self._delta
+        nxt = frozenset().union(*(d.get((p, letter), ()) for p in cur))
+        nxt = self._subsets.setdefault(nxt, nxt)
+        self._steps[(cur, letter)] = nxt
+        return nxt
 
     def count_accepting_runs(self, word) -> int:
         """Number of accepting runs; parallel transitions count separately."""

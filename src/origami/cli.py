@@ -126,6 +126,12 @@ def cmd_resync_bounded(args):
     return 1
 
 
+def _print_sweep_counts(stats):
+    print(f"inputs visited: {stats['inputs']}", file=sys.stderr)
+    print(f"t1 graphs checked: {stats['graphs']}", file=sys.stderr)
+    print(f"t2 runs: {stats['t2_runs']}", file=sys.stderr)
+
+
 def cmd_contains(args):
     t1 = _load(args.t1, ("1nt", "2nt"))
     t2 = _load(args.t2, ("1nt", "2nt"))
@@ -139,6 +145,8 @@ def cmd_contains(args):
         if stats["route"] == "frontier":
             print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
                   file=sys.stderr)
+        else:
+            _print_sweep_counts(stats)
         if verdict.saturated_at is not None:
             print(f"saturated at layer {verdict.saturated_at}: holds for every input length",
                   file=sys.stderr)
@@ -178,6 +186,8 @@ def cmd_traversal_profile(args):
         if stats["route"] == "frontier":
             print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
                   file=sys.stderr)
+        else:
+            _print_sweep_counts(stats)
     if args.format == "json":
         print(report_json(profile))
     else:

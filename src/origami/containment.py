@@ -12,10 +12,13 @@ run lattice (``MatchIndex.search``).  Parameterless resynchronizers check a
 table of gamma answers, one per input, during the search, without
 enumerating graphs; other resynchronizers, and the traversal profile of a
 two-way t1, test each distinct partner the search finds.  A two-way t2
-runs once per input and output length, under the output cap |v|, and its
-graphs are grouped by output in ``sort_key`` order (``_partners_2nt``):
-the partner test, the no-partner reason and the traversal profile all
-read those groups.
+gives one set of graphs per input, grouped by output in ``sort_key`` order
+(``_partner_groups``): t1's own graphs on the input when t2 equals t1,
+otherwise one run of t2 under the output cap of t1's longest output there,
+which finds every graph with a shorter output too.  The partner test, the
+no-partner reason and the traversal profile all read those groups, and a
+parameterless resynchronizer checks the listed partners against the same
+gamma table, in order, the first one admitted being the partner.
 
 Frontier route: a plain call (one-way t1 and t2, parameterless
 ``Resynchronizer``, no membership callback, no recording) whose gamma
@@ -103,36 +106,49 @@ def _gamma_table(resync, u):
     return cache, fill
 
 
-def _partners_2nt(t2, max_steps):
-    """partners(u, v): the graphs of two-way t2 on u with output v, in
-    ``sort_key`` order.
+def _table_admits(cache, fill, org, keys):
+    """Does the gamma table of ``_gamma_table`` admit a partner with origins
+    org, key s being keys[s] at output position s?"""
+    for h, key in zip(org, keys):
+        got = cache.get((h, key))
+        if got is None:
+            got = fill(h, key)
+        if not got:
+            return False
+    return True
 
-    t2 runs once per output length |v| of the current input, under
-    RunCaps(max(|v|, 1), max_steps).  The run keys its seen set on the
-    output written, so the graphs with output v are the same under every
-    output cap of at least |v|; a larger cap would only explore more.
+
+def _partner_groups(t2, u, graphs, same, max_steps):
+    """The graphs of two-way t2 on u with the outputs of t1's graphs on u
+    (``graphs``, non-empty, in ``sort_key`` order), grouped by output, each
+    group in ``sort_key`` order.
+
+    When t2 equals t1 (same), these are t1's own graphs.  Otherwise t2
+    runs once, under the output cap of t1's longest output: the graphs with
+    output v are the same under every output cap of at least |v|
+    (``transducers._run_2nt``), so one run serves every output of t1.
     """
-    word, groups = None, {}      # groups: |v| -> output -> graphs on word
-
-    def partners(u, v):
-        nonlocal word, groups
-        if u != word:
-            word, groups = u, {}
-        by_output = groups.get(len(v))
-        if by_output is None:
-            by_output = groups[len(v)] = {}
-            res = run_origin_graphs(t2, u, RunCaps(max(len(v), 1), max_steps))
-            for g in sorted(res.graphs, key=lambda g: g.sort_key()):
-                by_output.setdefault(g.output, []).append(g)
-        return by_output.get(v, ())
-
-    return partners
+    if not same:
+        longest = max(len(g.output) for g in graphs)
+        res = run_origin_graphs(t2, u, RunCaps(max(1, longest), max_steps))
+        graphs = sorted(res.graphs, key=OriginGraph.sort_key)
+    groups = {}
+    for g in graphs:
+        groups.setdefault(g.output, []).append(g)
+    return groups
 
 
-def _first_accepted(index, partners, sigma_p, check, allowed=None):
+def _first_accepted(index, groups, sigma_p, check, allowed=None):
     """The first (partner, witness) that check accepts among t2's graphs
     with sigma_p's words, each distinct partner tested once, or None.  A
-    one-way t2 is searched on its index, a two-way t2's partners listed."""
+    one-way t2 is searched on its index, a two-way t2's partners are
+    listed from its ``_partner_groups``."""
+    if index is None:
+        for g in groups.get(sigma_p.output, ()):
+            w = check(g, sigma_p)
+            if w is not None:
+                return g, w
+        return None
     u, v = sigma_p.input, sigma_p.output
     matched, seen = [], set()
 
@@ -146,12 +162,7 @@ def _first_accepted(index, partners, sigma_p, check, allowed=None):
             matched.append((cand, w))
         return w is not None
 
-    if index is not None:
-        index.search(u, v, allowed, each=each)
-    else:
-        for g in partners(u, v):
-            if each(g.orig):
-                break
+    index.search(u, v, allowed, each=each)
     return matched[0] if matched else None
 
 
@@ -182,7 +193,7 @@ def _frontier_route(t1, t2, index, resync, max_input_len, caps):
     when t1 is one-way and gamma never lets t2 write a letter before t1;
     otherwise None.  Its t1 runs carry their step counts and output
     lengths unless ``_t1_fits_caps`` shows that no cap can bind."""
-    if not isinstance(t1, OneWayTransducer):
+    if not (isinstance(t1, OneWayTransducer) and isinstance(t2, OneWayTransducer)):
         return None
     dfa, delta = resync.gamma_dfa()
     letters = tuple(sorted(t1.input_alphabet))
@@ -218,7 +229,10 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     new macro-states per layer and, without a membership callback, the
     state count of each gamma DFA (one per output type for an extended
     resynchronizer) with the seconds taken to compile them, which then
-    happens before the sweep.  Without a membership callback, base
+    happens before the sweep.  On the sweep it also receives three
+    counters: ``inputs`` visited, t1 ``graphs`` checked, and ``t2_runs``,
+    the runs of a two-way t2 (none when t2 equals t1, whose own graphs are
+    its partners).  Without a membership callback, base
     alphabets that miss one of t1's letters raise ``ResyncError`` before
     any input is swept.
     """
@@ -237,34 +251,52 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         stats["gamma_compile_s"] = time.perf_counter() - start
     one_way2 = isinstance(t2, OneWayTransducer)
     idx = MatchIndex(t2) if one_way2 else None
-    partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
+    same = not one_way2 and t2 == t1
     check = membership or _default_membership(resync)
-    plain = (membership is None and one_way2 and isinstance(resync, Resynchronizer)
-             and resync.m == 0)
-    ext = membership is None and one_way2 and extended and resync.m == 0 and resync.n_out == 0
-    if plain or ext:
+    plain = membership is None and isinstance(resync, Resynchronizer) and resync.m == 0
+    ext = membership is None and extended and resync.m == 0 and resync.n_out == 0
+    table = plain or ext
+    if table:
         # the search's gamma table admits exactly the partners gamma relates
         check = lambda sigma, sigma_p: ResyncWitness(())
     state = {"pruned": False, "cex": None}
     pairs = []
+    tally = None
 
     def visit(u, res1):
         state["pruned"] = state["pruned"] or res1.pruned
-        graphs = sorted(res1.graphs, key=lambda g: g.sort_key())
-        if plain or ext:
+        if tally is not None:
+            tally["inputs"] += 1
+        if not res1.graphs:
+            return True
+        graphs = sorted(res1.graphs, key=OriginGraph.sort_key)
+        groups = None
+        if not one_way2:
+            groups = _partner_groups(t2, u, graphs, same, caps.max_steps)
+            if tally is not None and not same:
+                tally["t2_runs"] += 1
+        if table:
             cache, fill = _gamma_table(resync, u)
         for sigma_p in graphs:
+            if tally is not None:
+                tally["graphs"] += 1
             v = sigma_p.output
-            if not (plain or ext):
-                matched = _first_accepted(idx, partners, sigma_p, check)
+            if not table:
+                matched = _first_accepted(idx, groups, sigma_p, check)
             elif plain or _ext_precheck_m0(resync, sigma_p):
-                allowed = (cache, tuple(zip(v, sigma_p.orig)), fill)
-                matched = (_first_accepted(idx, partners, sigma_p, check, allowed) if record
-                           else idx.search(u, v, allowed) or None)
+                keys = tuple(zip(v, sigma_p.orig))
+                if not one_way2:
+                    g = next((g for g in groups.get(v, ())
+                              if _table_admits(cache, fill, g.orig, keys)), None)
+                    matched = g and (g, ResyncWitness(()))
+                elif record:
+                    matched = _first_accepted(idx, None, sigma_p, check, (cache, keys, fill))
+                else:
+                    matched = idx.search(u, v, (cache, keys, fill)) or None
             else:
                 matched = None
             if not matched:
-                has_partner = idx.search(u, v) if one_way2 else bool(partners(u, v))
+                has_partner = idx.search(u, v) if one_way2 else v in groups
                 reason = "no-accepted-partner" if has_partner else "no-partner"
                 state["cex"] = Counterexample(sigma_p, reason)
                 return False
@@ -276,7 +308,11 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
              if plain and not record else None)
     layers, saturated = [], None
     if front is None:
+        if stats is not None:
+            tally = {"inputs": 0, "graphs": 0, "t2_runs": 0}
         sweep_origin_graphs(t1, max_input_len, caps, visit)
+        if tally is not None:
+            stats.update(tally)
     else:
         u, layers, saturated = front.run(max_input_len)
         if u is not None and visit(u, run_origin_graphs(t1, u, caps)):
@@ -334,9 +370,12 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
     that no cap can bind, t1's runs there count their steps and output,
     and ``approximate`` comes from t1's sweep alone, as in
     ``contains_upto``.  Otherwise inputs are swept one by one: a one-way
-    t2's partners are listed by ``MatchIndex.search``, a two-way t2's by
-    ``_partners_2nt``.  A dict passed as ``stats`` receives the route taken
-    and, on the frontier, the macro-states each length's end check reads.
+    t2's partners are listed by ``MatchIndex.search``, a two-way t2's from
+    its ``_partner_groups`` on the input (t1's own graphs when t2 equals
+    t1, else one run of t2).  A dict passed as ``stats`` receives the
+    route taken and, on the frontier, the macro-states each length's end
+    check reads; on the sweep, the counters of ``contains_upto``: inputs
+    visited, t1 graphs assessed and two-way t2 runs.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
@@ -358,16 +397,28 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
             stats.update(route="frontier", layers=layers)
         return TraversalProfile(values, state["pruned"], max_input_len)
     values = {n: 0 for n in range(1, max_input_len + 1)}
-    partners = None if one_way2 else _partners_2nt(t2, caps.max_steps)
+    same = not one_way2 and t2 == t1
+    tally = None if stats is None else {"inputs": 0, "graphs": 0, "t2_runs": 0}
 
     def assess(u, res1):
         n = len(u)
         best = values[n]
         if res1.pruned:
             state["pruned"] = True
-        for sigma_p in sorted(res1.graphs, key=lambda g: g.sort_key()):
+        if tally is not None:
+            tally["inputs"] += 1
+        if not res1.graphs or best is math.inf:
+            return True
+        graphs = sorted(res1.graphs, key=OriginGraph.sort_key)
+        if not one_way2:
+            groups = _partner_groups(t2, u, graphs, same, caps.max_steps)
+            if tally is not None and not same:
+                tally["t2_runs"] += 1
+        for sigma_p in graphs:
             if best is math.inf:
                 break
+            if tally is not None:
+                tally["graphs"] += 1
             v = sigma_p.output
             if one_way2:
                 least = [math.inf]
@@ -379,7 +430,8 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
                 idx.search(u, v, each=each)
                 val = least[0]
             else:
-                val = min((max_traversal(g, sigma_p) for g in partners(u, v)), default=math.inf)
+                val = min((max_traversal(g, sigma_p) for g in groups.get(v, ())),
+                          default=math.inf)
             if val > best:
                 best = val
         values[n] = best
@@ -387,7 +439,7 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
 
     sweep_origin_graphs(t1, max_input_len, caps, assess)
     if stats is not None:
-        stats.update(route="sweep", layers=[])
+        stats.update(route="sweep", layers=[], **tally)
     return TraversalProfile(values, state["pruned"], max_input_len)
 
 

@@ -15,7 +15,6 @@ tell exhaustive sweeps from sampled ones.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 EPS = None          # input component of an epsilon transition
@@ -287,44 +286,56 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
 
 
 def _run_2nt(t: TwoWayTransducer, u, caps):
-    n = len(u)
+    """The origin graphs of two-way t on u within caps, breadth first.
 
-    def tape(pos):
-        if pos == 0:
-            return LMARK
-        if pos == n + 1:
-            return RMARK
-        return u[pos - 1]
-
-    by_state = {}
-    for tr in t.transitions:
-        by_state.setdefault((tr[0], tr[1]), []).append(tr)
-    graphs = set()
+    A configuration is (state, head, output, origins).  Configurations are
+    expanded layer by layer, first in, first out, so each one is first
+    reached, and expanded once, at its least step count: marking it seen
+    never cuts off a run that fits the caps, and ``pruned`` does not
+    depend on the transition order.  The output only grows along a run,
+    so a run to a configuration that has written c letters passes only
+    through configurations with at most c letters; those, and their least
+    step counts, are the same under every output cap of at least c.  So
+    the graphs with output v are the same under every output cap of at
+    least |v|.
+    """
+    tape = (LMARK,) + u + (RMARK,)
+    moves = {}
+    for (p, a, v, d, q) in t.transitions:
+        moves.setdefault((p, a), []).append((v, 1 if d == RIGHT else -1, q))
+    max_out, max_steps = caps.max_output_len, caps.max_steps
+    final = t.final
+    found = set()
     pruned = False
-    # first in, first out: a configuration is first reached at its least
-    # step count, so marking it seen never cuts off a run that fits the caps
-    queue = deque((q, 0, (), (), 0) for q in sorted(t.initial, key=repr))
-    seen = set()
-    while queue:
-        q, pos, out, org, steps = queue.popleft()
-        key = (q, pos, out, org)
-        if key in seen:
-            continue
-        seen.add(key)
-        if q in t.final:
-            graphs.add(OriginGraph(u, out, org))
-        if steps >= caps.max_steps:
-            if by_state.get((q, tape(pos))):
-                pruned = True
-            continue
-        for (_p, _a, v, d, r) in by_state.get((q, tape(pos)), ()):
-            if len(out) + len(v) > caps.max_output_len:
+    layer = [(q, 0, (), ()) for q in sorted(t.initial, key=repr)]
+    seen = set(layer)
+    steps = 0
+    while layer:
+        nxt = []
+        for (q, pos, out, org) in layer:
+            if q in final:
+                found.add((out, org))
+            batch = moves.get((q, tape[pos]))
+            if not batch:
+                continue
+            if steps >= max_steps:
                 pruned = True
                 continue
-            # endmarker transitions point inward, so npos stays in 0..n+1
-            npos = pos + 1 if d == RIGHT else pos - 1
-            queue.append((r, npos, out + v, org + (pos,) * len(v), steps + 1))
-    return RunResult(frozenset(graphs), pruned)
+            for (v, d, r) in batch:
+                if v:
+                    if len(out) + len(v) > max_out:
+                        pruned = True
+                        continue
+                    # endmarker transitions point inward, so the head stays in 0..n+1
+                    key = (r, pos + d, out + v, org + (pos,) * len(v))
+                else:
+                    key = (r, pos + d, out, org)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+        layer = nxt
+        steps += 1
+    return RunResult(frozenset(OriginGraph(u, out, org) for (out, org) in found), pruned)
 
 
 def words_upto(alphabet, max_len, min_len=1):

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from origami import corpus
 from origami.mso import First, parse_formula
-from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
-                                 run_origin_graphs, words_upto)
+from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, TwoWayTransducer,
+                                 EPS, run_origin_graphs, words_upto)
 from origami.traversal import max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
                             make_shift, make_param_example, compose, pair_in_resync,
-                            check_witness, make_first_to_last)
+                            check_witness, make_first_to_last, make_first, make_block)
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, rk_membership_via_traversal, report_json)
 
@@ -122,13 +122,30 @@ def identity_oracle(t1, t2, max_len, caps):
     return "holds-on-sweep", None
 
 
-@given(two_way_pairs(), st.integers(3, 9))
-def test_two_way_partners_match_every_path_oracle(pair, steps):
+def rebuilt(t):
+    """An equal copy of two-way t, built separately."""
+    return TwoWayTransducer(set(t.states), set(t.input_alphabet), set(t.output_alphabet),
+                            list(t.transitions), set(t.initial), set(t.final), name=t.name)
+
+
+@given(two_way_pairs(), st.integers(3, 9), st.sampled_from(("drawn", "same", "copy")))
+def test_two_way_partners_match_every_path_oracle(pair, steps, t2_is):
+    # t2 as drawn, t1 itself, or an equal copy of t1: the last two read
+    # t1's own graphs as partners and run t2 on no input
     t1, t2 = pair
+    t2 = {"drawn": t2, "same": t1, "copy": rebuilt(t1)}[t2_is]
     caps = RunCaps(3, steps)
-    verdict = contains_upto(t1, t2, make_identity(("a", "b")), 3, caps)
+    stats, profile_stats = {}, {}
+    verdict = contains_upto(t1, t2, make_identity(("a", "b")), 3, caps, stats=stats)
     assert (verdict.status, verdict.counterexample) == identity_oracle(t1, t2, 3, caps)
-    assert traversal_profile(t1, t2, 3, caps).values == profile_oracle(t1, t2, 3, caps)
+    profile = traversal_profile(t1, t2, 3, caps, stats=profile_stats)
+    assert profile.values == profile_oracle(t1, t2, 3, caps)
+    if t2 == t1:
+        assert verdict.holds
+        assert stats["t2_runs"] == profile_stats["t2_runs"] == 0
+    for got in (stats, profile_stats):
+        assert got["route"] == "sweep" and got["inputs"] <= len(list(words_upto("ab", 3)))
+        assert got["t2_runs"] <= got["inputs"] and got["t2_runs"] <= got["graphs"]
 
 
 def t_skip_then_pad():
@@ -361,6 +378,31 @@ def test_gamma_table_search_matches_candidate_membership(pair, k):
                                membership=lambda s, sp: pair_in_resync(r, s, sp))
     assert report_json(table) == report_json(candidates)
     assert table.counterexample == candidates.counterexample
+
+
+@settings(max_examples=40)
+@given(two_way_pairs(), st.sampled_from(("shift(0)", "shift(1)", "shift(2)", "first", "block")),
+       st.booleans())
+def test_two_way_gamma_table_matches_candidate_membership(pair, name, reflexive):
+    # a two-way t2's listed partners checked against the gamma table, and
+    # one by one by pair_in_resync, give the same verdicts and pairs
+    t1, t2 = pair
+    if reflexive:
+        t2 = t1
+    base = ("a", "b")
+    r = {"shift(0)": make_shift(0, base), "shift(1)": make_shift(1, base),
+         "shift(2)": make_shift(2, base), "first": make_first(base),
+         "block": make_block(base)}[name]
+    membership = lambda s, sp: pair_in_resync(r, s, sp)
+    caps = RunCaps(3, 8)
+    table = contains_upto(t1, t2, r, 3, caps)
+    candidates = contains_upto(t1, t2, r, 3, caps, membership=membership)
+    assert report_json(table) == report_json(candidates)
+    assert table.counterexample == candidates.counterexample
+    recorded = contains_upto(t1, t2, r, 3, caps, record=True)
+    assert recorded.pairs == contains_upto(t1, t2, r, 3, caps, record=True,
+                                           membership=membership).pairs
+    assert report_json(recorded) == report_json(table)
 
 
 @settings(max_examples=60)

@@ -270,7 +270,15 @@ def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
             assert stats.out == plain.out and plain.err == ""
             assert stats.err.splitlines()[0] == f"route: {route}"
             assert re.fullmatch(r"gamma compile: \d+\.\d{4} s", stats.err.splitlines()[2])
-    assert _without_seconds(stats.err) == "route: sweep\ngamma DFA states: 3\n"
+    # the sweep's counters: a two-way t2 equal to t1 reads t1's own graphs
+    assert _without_seconds(stats.err) == ("route: sweep\ngamma DFA states: 3\n"
+                                           "inputs visited: 3\nt1 graphs checked: 3\n"
+                                           "t2 runs: 0\n")
+    assert main(["contains", data("id.2nt"), data("rev.2nt"), data("identity.rsync"),
+                 "--max-len", "3", "--stats"]) == 1
+    assert _without_seconds(capsys.readouterr().err) == (
+        "route: sweep\ngamma DFA states: 3\n"
+        "inputs visited: 2\nt1 graphs checked: 2\nt2 runs: 2\n")
     main(["contains", *runs[0][0], "--stats"])
     assert _without_seconds(capsys.readouterr().err) == (
         "route: frontier\n"
@@ -290,7 +298,8 @@ def test_cli_traversal_profile_stats_go_to_stderr_only(tmp_path, capsys):
     runs = [([str(tmp_path / "tdown.1nt"), str(tmp_path / "tup.1nt"), "--max-len", "8",
               "--max-output", "34", "--max-steps", "110"],
              "route: frontier\nmacro-states per layer: 1 2 3 3 4 4 4 4\n"),
-            ([data("id.2nt"), data("rev.2nt"), "--max-len", "4"], "route: sweep\n")]
+            ([data("id.2nt"), data("rev.2nt"), "--max-len", "4"],
+             "route: sweep\ninputs visited: 4\nt1 graphs checked: 4\nt2 runs: 4\n")]
     for args, err in runs:
         for fmt in ("text", "json"):
             assert main(["traversal-profile", *args, "--format", fmt]) == 0

@@ -265,6 +265,22 @@ def test_2nt_graphs_match_every_path_oracle(machines, max_out, steps):
         assert run_origin_graphs(t, u, caps).graphs == every_run_graphs(t, u, caps), u
 
 
+@given(two_way_machines(), st.integers(1, 4), st.integers(3, 12))
+def test_2nt_graphs_with_an_output_are_the_same_under_every_larger_output_cap(
+        machines, max_out, steps):
+    # a run that writes v never has more than |v| letters, and each
+    # configuration is expanded at its least step count whatever the cap
+    caps = RunCaps(max_out, steps)
+    t = machines[1]
+    for u in words_upto({"a", "b"}, 3):
+        graphs = run_origin_graphs(t, u, caps).graphs
+        for v in {g.output for g in graphs}:
+            want = {g for g in graphs if g.output == v}
+            small = RunCaps(max(1, len(v)), steps)
+            assert {g for g in run_origin_graphs(t, u, small).graphs if g.output == v} == want
+            assert {g for g in every_run_graphs(t, u, small) if g.output == v} == want
+
+
 @given(one_way_machines())
 def test_partner_enumeration_matches_run_enumeration(t):
     # every output word up to length 2, written or not
