@@ -9,8 +9,10 @@ names and sizes, origin graphs by their words and origins; keyword
 arguments left at None are omitted) and its result: the ``to_json()`` of
 a verdict, search or profile, a witness's parameter bits, or null.  A
 verdict's line also carries its ``saturated_at``, which the JSON leaves
-out.  Calls
-made inside another logged call are not logged, and
+out, and a ``contains_upto`` or ``traversal_profile`` line the call's
+``stats`` without the seconds (route, macro-states per layer, gamma DFA
+sizes, sweep counters), from a dict of the logger's own when the caller
+passed none.  Calls made inside another logged call are not logged, and
 a line already written by this process is not written again, so a
 benchmark's repeated passes log as one.  The log goes to the file named
 by ``ORIGAMI_VERDICT_LOG``, appended to.
@@ -29,6 +31,7 @@ Run both trees with the same ``PYTHONHASHSEED`` and compare the logs.
 """
 
 import functools
+import inspect
 import json
 import os
 import runpy
@@ -38,6 +41,7 @@ ENV = "ORIGAMI_VERDICT_LOG"
 LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
           "rational": ("contains_upto_rational",),
           "resync": ("pair_in_resync",)}
+WITH_STATS = ("contains_upto", "traversal_profile")
 
 
 def describe(arg):
@@ -74,11 +78,20 @@ def install(path):
     written = set()
 
     def wrap(name, fn):
+        sig = inspect.signature(fn)
+
         @functools.wraps(fn)
         def logged(*args, **kwargs):
+            pos, kw, stats = args, kwargs, None
+            if name in WITH_STATS and depth[0] == 0:
+                bound = sig.bind(*args, **kwargs)
+                stats = bound.arguments.get("stats")
+                if stats is None:
+                    stats = bound.arguments["stats"] = {}
+                pos, kw = bound.args, bound.kwargs
             depth[0] += 1
             try:
-                result = fn(*args, **kwargs)
+                result = fn(*pos, **kw)
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
@@ -89,6 +102,8 @@ def install(path):
                         "result": outcome(result)}
                 if hasattr(result, "saturated_at"):
                     line["saturated_at"] = result.saturated_at
+                if stats is not None:
+                    line["stats"] = {k: v for k, v in stats.items() if not k.endswith("_s")}
                 text = json.dumps(line, sort_keys=True, default=str)
                 if text not in written:
                     written.add(text)

@@ -126,10 +126,16 @@ def cmd_resync_bounded(args):
     return 1
 
 
-def _print_sweep_counts(stats):
-    print(f"inputs visited: {stats['inputs']}", file=sys.stderr)
-    print(f"t1 graphs checked: {stats['graphs']}", file=sys.stderr)
-    print(f"t2 runs: {stats['t2_runs']}", file=sys.stderr)
+def _print_stats(stats, lines=()):
+    """The route taken, then lines, then the frontier's macro-states per
+    layer or the sweep's counters, on stderr."""
+    lines = [f"route: {stats['route']}", *lines]
+    if stats["route"] == "frontier":
+        lines.append("macro-states per layer: " + " ".join(map(str, stats["layers"])))
+    else:
+        lines += [f"inputs visited: {stats['inputs']}", f"t1 graphs checked: {stats['graphs']}",
+                  f"t2 runs: {stats['t2_runs']}"]
+    print("\n".join(lines), file=sys.stderr)
 
 
 def cmd_contains(args):
@@ -139,14 +145,8 @@ def cmd_contains(args):
     stats = {} if args.stats else None
     verdict = contains_upto(t1, t2, r, args.max_len, _caps(args), stats=stats)
     if stats is not None:
-        print(f"route: {stats['route']}", file=sys.stderr)
-        print("gamma DFA states: " + " ".join(map(str, stats["gamma_states"])), file=sys.stderr)
-        print(f"gamma compile: {stats['gamma_compile_s']:.4f} s", file=sys.stderr)
-        if stats["route"] == "frontier":
-            print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
-                  file=sys.stderr)
-        else:
-            _print_sweep_counts(stats)
+        _print_stats(stats, ["gamma DFA states: " + " ".join(map(str, stats["gamma_states"])),
+                             f"gamma compile: {stats['gamma_compile_s']:.4f} s"])
         if verdict.saturated_at is not None:
             print(f"saturated at layer {verdict.saturated_at}: holds for every input length",
                   file=sys.stderr)
@@ -182,12 +182,7 @@ def cmd_traversal_profile(args):
     stats = {} if args.stats else None
     profile = traversal_profile(t1, t2, args.max_len, _caps(args), stats=stats)
     if stats is not None:
-        print(f"route: {stats['route']}", file=sys.stderr)
-        if stats["route"] == "frontier":
-            print("macro-states per layer: " + " ".join(map(str, stats["layers"])),
-                  file=sys.stderr)
-        else:
-            _print_sweep_counts(stats)
+        _print_stats(stats)
     if args.format == "json":
         print(report_json(profile))
     else:
@@ -319,7 +314,7 @@ def build_parser():
     sp.add_argument("--max-len", type=_at_least(1), default=4)
     sp.add_argument("--stats", action="store_true",
                     help="print the route taken, the gamma DFA size and compile time and "
-                         "the frontier's layer sizes on stderr")
+                         "the frontier's layer sizes or the sweep's counters on stderr")
     common(sp)
     sp.set_defaults(func=cmd_contains)
 
@@ -336,7 +331,8 @@ def build_parser():
     sp.add_argument("t2")
     sp.add_argument("--max-len", type=_at_least(1), default=6)
     sp.add_argument("--stats", action="store_true",
-                    help="print the route taken and the frontier's layer sizes on stderr")
+                    help="print the route taken and the frontier's layer sizes or the "
+                         "sweep's counters on stderr")
     common(sp)
     sp.set_defaults(func=cmd_traversal_profile)
 

@@ -82,8 +82,9 @@ class _Product:
     """What the containment and the profile frontiers share: t1's moves
     per key and letter, and t2's moves followed letter by letter.
 
-    A t1 key is t1's state or, when caps may bind, (state, steps, output
-    length) at the run's least step count.  t2's moves at one position
+    A t1 key is t1's state or, unless ``_t1_fits_caps`` shows that no cap
+    can bind, (state, steps, output length) at the run's least step count;
+    ``caps`` is then the caps, else None.  t2's moves at one position
     (eps moves, then the read, then at the input's end eps moves again)
     are followed through item sets of (state, read yet, rest of a move's
     output), shared by every word written; an item that has not read and
@@ -93,10 +94,11 @@ class _Product:
     eps-writes every output letter.
     """
 
-    def __init__(self, t1, index, letters, outputs, caps):
-        self.letters = letters
+    def __init__(self, t1, index, caps, max_input_len):
+        self.letters = tuple(sorted(t1.input_alphabet))
+        outputs = t1.output_alphabet      # t2's too
         self.outputs = tuple(sorted(outputs))
-        self.caps = caps
+        self.caps = None if _t1_fits_caps(t1, max_input_len, caps) else caps
         self.by_key1 = transition_index(t1)
         self.index = index
         pred1, pred2 = {}, {}
@@ -288,10 +290,10 @@ class _Frontier(_Product):
     letter fails the end check of its prefix's macro-state.
     """
 
-    def __init__(self, t1, index, resync, letters, outputs, caps):
-        super().__init__(t1, index, letters, outputs, caps)
+    def __init__(self, t1, index, caps, max_input_len, resync):
+        super().__init__(t1, index, caps, max_input_len)
         dfa, self.delta = resync.gamma_dfa()
-        delta = self.delta
+        delta, letters = self.delta, self.letters
         init = next(iter(dfa.initial))
         self.g_final = dfa.final
         zsucc, zpred, xpred = {}, {}, {}
@@ -314,7 +316,7 @@ class _Frontier(_Product):
         self.end2 = {}
         self.shared = {}
         self.start = (init, frozenset(
-            (q1 if caps is None else (q1, 0, 0),
+            (q1 if self.caps is None else (q1, 0, 0),
              frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
             for q1 in t1.initial if q1 in self.live1))
 
@@ -515,16 +517,15 @@ class _ProfileFrontier(_Product):
     over S; math.inf when no configuration can finish.
     """
 
-    def __init__(self, t1, index, letters, outputs, caps, max_output_len, max_input_len):
-        super().__init__(t1, index, letters, outputs, caps)
+    def __init__(self, t1, index, caps, max_input_len):
+        super().__init__(t1, index, caps, max_input_len)
         self.cont2 = self.live2 & self.readers
-        self.room = _output_room(t1, max_output_len, max_input_len)
-        self.max_output_len = max_output_len
+        self.room = _output_room(t1, caps.max_output_len, max_input_len)
         self.next2, self.values = {}, {}
         start = self.settle({(None, False, (), 0) if q2 in self.free_states else (q2, False, (), 0)
                              for q2 in index.initial if q2 in self.cont2})
         self.start = frozenset(
-            (q1 if caps is None else (q1, 0, 0), start)
+            (q1 if self.caps is None else (q1, 0, 0), start)
             for q1 in t1.initial if q1 in self.live1 and start is not None)
 
     def settle(self, configs):
@@ -626,7 +627,7 @@ class _ProfileFrontier(_Product):
                 if self.caps is None:
                     most = room.get(r1, -1)
                 else:
-                    most = min(room.get(r1[0], -1), self.max_output_len - r1[2])
+                    most = min(room.get(r1[0], -1), self.caps.max_output_len - r1[2])
                 if most < 0:
                     continue
                 nxt = self.settle(set().union(*(self.t2_next(c, w, a, most) for c in configs)))

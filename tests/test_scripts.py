@@ -28,7 +28,7 @@ def test_growth_profiles_runs():
 
 CALLS = """
 from origami import corpus
-from origami.containment import contains_upto, resync_search
+from origami.containment import contains_upto, resync_search, traversal_profile
 from origami.resync import make_param_example, make_shift, pair_in_resync
 from origami.transducers import OriginGraph, RunCaps
 
@@ -43,6 +43,10 @@ def test_calls():
     pair_in_resync(make_param_example(base=("a",)), g, g_p)
     one_two = corpus.t_one_two()
     contains_upto(one_two, one_two, make_shift(0, base=("a",)), 3, RunCaps(6, 30))
+    # the caller's own stats dict still receives the stats
+    stats = {}
+    traversal_profile(fast, slow, 3, RunCaps(6, 30), stats=stats)
+    assert stats["route"] == "frontier"
 
 if __name__ == "__main__":
     test_calls()
@@ -70,19 +74,26 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     # contains_upto make not at all
     assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
                                                 "contains_upto", "pair_in_resync",
-                                                "contains_upto"]
+                                                "contains_upto", "traversal_profile"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
     assert lines[0]["result"]["counterexample"]["input"] == "aa"
     assert lines[0]["saturated_at"] is None
+    # containment and profile lines carry the stats, seconds left out
+    assert lines[0]["stats"] == {"route": "frontier", "layers": [1], "gamma_states": [4]}
     assert lines[1]["result"]["k"] == 1 and "saturated_at" not in lines[1]
+    assert "stats" not in lines[1] and "stats" not in lines[3]
     assert lines[2]["result"]["status"] == "holds-on-sweep"
     assert lines[2]["saturated_at"] is None
+    assert lines[2]["stats"] == {"route": "sweep", "layers": [], "gamma_states": [7],
+                                 "inputs": 2, "graphs": 14, "t2_runs": 0}
     assert lines[3]["args"] == [["Resynchronizer", "param-example"],
                                 ["OriginGraph", ["a", "a"], ["b"], [1]],
                                 ["OriginGraph", ["a", "a"], ["b"], [2]]]
     assert lines[3]["result"] == [[1, 0]]
     # saturated_at is not in the verdict's JSON, so the line carries it
     assert lines[4]["saturated_at"] == 2
+    assert lines[4]["stats"]["layers"] == [1, 0]
+    assert lines[5]["stats"] == {"route": "frontier", "layers": [1, 1, 1]}
     assert plugin.read_text() == wrapped.read_text()
