@@ -5,10 +5,15 @@ t1 and t2, that merge every input prefix reaching the same macro-state.
 resynchronizer under which t2 never writes ahead of t1 (``_t2_may_lead``
 tells), layer by layer; ``_ProfileFrontier`` computes the traversal
 profile.  Both read t1's moves per key and letter and t2's moves through
-item sets from ``_Product``.  Unless ``_t1_fits_caps`` shows that no cap
-can bind, t1's runs are keyed with their step count and output length,
-so that the caps cut the runs the sweep cuts.  The drivers that choose
-between a frontier and the per-input sweep are in ``containment``.
+item sets from ``_Product``, which keeps the states that finish in each
+item set once.  ``_Frontier`` reads gamma through one table built up
+front, the successors of each gamma state on each letter under the four
+(x, y) marks, and keeps one object per distinct pending suffix, settled
+set, t2 configuration and set of them.  Unless ``_t1_fits_caps`` shows
+that no cap can bind, t1's runs are keyed with their step count and
+output length, so that the caps cut the runs the sweep cuts.  The
+drivers that choose between a frontier and the per-input sweep are in
+``containment``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .automata import _closure, _scc
 from .transducers import EPS, transition_index, _eps_close, _read
 
 _ZERO = (0, 0)
+_MARKS = (_ZERO, (0, 1), (1, 0), (1, 1))     # (x, y), in the order of _Frontier.marks
 _EMPTY = (None, frozenset())       # the macro-state with no run left to check
 
 
@@ -125,6 +131,7 @@ class _Product:
         self.closed1 = {}
         self.moves1 = {}
         self.fronts2 = {}
+        self.done = {}
         self.covers = {}
 
     def t1_moves(self, k1, a):
@@ -198,26 +205,41 @@ class _Product:
             got = self.fronts2[key] = self.t2_close({(q2, False, ())}, a, end)
         return got
 
+    def finished(self, front):
+        """The states of front's items that have read and written all."""
+        got = self.done.get(front)
+        if got is None:
+            got = self.done[front] = tuple([q for (q, read, rest) in front if read and not rest])
+        return got
+
+    def t2_fronts(self, q2, target, a):
+        """(k, items): t2's configuration q2 at one position, eps moves then
+        the read of a, once it has written target[:k], for each k up to
+        the first with no item."""
+        front = self.t2_start(q2, a, False)
+        yield 0, front
+        for k, c in enumerate(target, 1):
+            front = self.t2_step(front, c, a, False)
+            if not front:
+                return
+            yield k, front
+
     def t2_writes(self, q2, target, a, more):
         """(r, k, e): t2's moves from q2 at one position, eps moves then the
         read of a, writing target[:k], or all of target and then e, at most
         more letters."""
         got = []
-        front = self.t2_start(q2, a, False)
-        for k in range(len(target) + 1):
-            if k:
-                front = self.t2_step(front, target[k - 1], a, False)
-                if not front:
-                    return got
-            got.extend((q, k, ()) for (q, read, rest) in front if read and not rest)
-        stack = [(front, ())] if more else []
+        for k, front in self.t2_fronts(q2, target, a):
+            got.extend((q, k, ()) for q in self.finished(front))
+        if k < len(target) or not more:
+            return got
+        stack = [(front, ())]
         while stack:
             front, e = stack.pop()
             for c in self.outputs:
                 nxt = self.t2_step(front, c, a, False)
                 if nxt:
-                    got.extend((q, len(target), e + (c,))
-                               for (q, read, rest) in nxt if read and not rest)
+                    got.extend((q, len(target), e + (c,)) for q in self.finished(nxt))
                     if len(e) + 1 < more:
                         stack.append((nxt, e + (c,)))
         return got
@@ -288,30 +310,37 @@ class _Frontier(_Product):
     so each layer keeps the macro-states first reached at its length, each
     with its least prefix; an input of length n + 1 fails when its last
     letter fails the end check of its prefix's macro-state.
+
+    Gamma is read through ``marks[a][s]``, the successors of the gamma
+    state s on the letter a under the marks (x, y) = 00, 01, 10, 11, built
+    once from the DFA; ``pair[s][b]`` is the one pending entry (b, s).
+    ``shared`` holds one object per distinct pending suffix, settled set,
+    configuration and set of configurations that ``t2_next`` builds.
     """
 
     def __init__(self, t1, index, caps, max_input_len, resync):
         super().__init__(t1, index, caps, max_input_len)
-        dfa, self.delta = resync.gamma_dfa()
-        delta, letters = self.delta, self.letters
+        dfa, delta = resync.gamma_dfa()
         init = next(iter(dfa.initial))
         self.g_final = dfa.final
+        self.marks = {a: {s: tuple(delta[(s, (a, bits))] for bits in _MARKS) for s in dfa.states}
+                      for a in self.letters}
         zsucc, zpred, xpred = {}, {}, {}
-        for s in dfa.states:
-            for a in letters:
-                t = delta[(s, (a, _ZERO))]
+        for row in self.marks.values():
+            for s, (t, _t01, tx, _t11) in row.items():
                 zsucc.setdefault(s, set()).add(t)
                 zpred.setdefault(t, set()).add(s)
-                xpred.setdefault(delta[(s, (a, (1, 0)))], set()).add(s)
+                xpred.setdefault(tx, set()).add(s)
         # co0: can still accept with no mark to come; co1: with x to come;
         # safe: accepts whatever follows with no mark
         self.co0 = _closure(dfa.final, zpred)
         self.co1 = _closure({s for t in self.co0 for s in xpred.get(t, ())}, zpred)
         self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
-        identity_safe = all(delta[(s, (a, (1, 1)))] in self.safe
-                            for s in _closure({init}, zsucc) for a in letters)
+        identity_safe = all(row[s][3] in self.safe
+                            for s in _closure({init}, zsucc) for row in self.marks.values())
         self.free = frozenset((q, (), frozenset()) for q in self.free_states
                               if identity_safe)
+        self.pair = {s: {b: (b, s) for b in self.outputs} for s in dfa.states}
         self.next2 = {}
         self.end2 = {}
         self.shared = {}
@@ -322,40 +351,62 @@ class _Frontier(_Product):
 
     def t2_next(self, c, w, a, z):
         """The configurations t2's configuration c can reach at this position,
-        where t1 writes w and the input letter is a."""
+        where t1 writes w and the input letter is a.  The pending entries
+        after this position are built once, as one tuple of ``pair``
+        entries, and a successor that has written k of them keeps the
+        slice from k on.  Suffixes, settled sets, configurations and the
+        result are interned in ``shared``: the caches hold many equal
+        ones."""
         key = (c, w, a, z)
         got = self.next2.get(key)
         if got is not None:
             return got
         q2, pending, settled = c
-        delta, co0, co1, safe = self.delta, self.co0, self.co1, self.safe
-        entries = pending + tuple((b, z) for b in w)
-        written = tuple(b for (b, _g) in entries)
-        # each entry's gamma state if t2 writes it here, and if not yet
-        ys = [0] * len(pending) + [1] * len(w)
-        now = [delta[(g, (a, (1, y)))] for (_b, g), y in zip(entries, ys)]
-        later = [delta[(g, (a, (0, y)))] for (_b, g), y in zip(entries, ys)]
+        marks, co0, co1 = self.marks[a], self.co0, self.co1
+        # each entry's gamma state if t2 writes it here, and if not yet;
+        # t1's letters here all have the gamma state z, y marked
+        now, later = [], []
+        for (_b, g) in pending:
+            row = marks[g]
+            now.append(row[2])
+            later.append(row[0])
+        if w:
+            row = marks[z]
+            now += [row[3]] * len(w)
+            later += [row[1]] * len(w)
+        written = tuple([b for (b, _g) in pending]) + w
         # t2 may write entries up to the first that could no longer accept,
         # and must write those after the last that could not wait
         most = next((i for i, s in enumerate(now) if s not in co0), len(now))
         least = next((i + 1 for i in range(len(later) - 1, -1, -1) if later[i] not in co1), 0)
-        kept = [delta[(g, (a, _ZERO))] for g in settled]
+        kept = [marks[g][0] for g in settled]
         if least > most or any(s not in co0 for s in kept):
             got = self.next2[key] = frozenset()
             return got
-        kept = frozenset(s for s in kept if s not in safe)
-        found = set()
-        # one object per distinct value: the caches hold many equal ones
-        shared = self.shared
-
-        def share(x):
-            return shared.setdefault(x, x)
-
-        for (r, k, _e) in self.t2_writes(q2, written[:most], a, 0):
-            if k >= least and r in self.live2:
-                rest = share(tuple(share(e) for e in zip(written[k:], later[k:])))
-                found.add(share((r, rest, share(kept.union(s for s in now[:k] if s not in safe)))))
-        got = self.next2[key] = share(frozenset(found))
+        safe, pair, live2, shared = self.safe, self.pair, self.live2, self.shared
+        done = frozenset(s for s in kept if s not in safe)
+        done, upto = shared.setdefault(done, done), 0
+        entries = tuple([pair[s][b] for b, s in zip(written, later)])
+        found = []
+        for k, front in self.t2_fronts(q2, written[:most], a):
+            if k < least:
+                continue
+            tail = None
+            for r in self.finished(front):
+                if r in live2:
+                    if tail is None:
+                        # the suffix and the settled set depend on k alone:
+                        # done grows with k by the entries written here
+                        grown = [s for s in now[upto:k] if s not in safe and s not in done]
+                        if grown:
+                            done = done.union(grown)
+                            done = shared.setdefault(done, done)
+                        rest, upto = entries[k:], k
+                        tail = (shared.setdefault(rest, rest), done)
+                    nc = (r,) + tail
+                    found.append(shared.setdefault(nc, nc))
+        got = frozenset(found)
+        got = self.next2[key] = shared.setdefault(got, got)
         return got
 
     def t2_ends(self, c, a):
@@ -366,10 +417,10 @@ class _Frontier(_Product):
         got = self.end2.get(key)
         if got is None:
             q2, pending, settled = c
-            delta, final = self.delta, self.g_final
+            marks, final = self.marks[a], self.g_final
             got = frozenset()
-            if (all(delta[(g, (a, (1, 0)))] in final for (_b, g) in pending)
-                    and all(delta[(g, (a, _ZERO))] in final for g in settled)):
+            if (all(marks[g][2] in final for (_b, g) in pending)
+                    and all(marks[g][0] in final for g in settled)):
                 got = self.t2_after(q2, tuple(b for (b, _g) in pending), a)
             self.end2[key] = got
         return got
@@ -386,7 +437,7 @@ class _Frontier(_Product):
         out = _antichains(minimal)
         if not out:
             return _EMPTY
-        return (self.delta[(z, (a, _ZERO))], frozenset(out))
+        return (self.marks[a][z][0], frozenset(out))
 
     def fails(self, state, a):
         """Does some t1 run ending with the letter a lack every partner?"""
@@ -394,7 +445,7 @@ class _Frontier(_Product):
         if not pairs:
             return False
         # t1's letters here all have the gamma state z, y marked
-        writes = self.delta[(z, (a, (1, 1)))] in self.g_final
+        writes = self.marks[a][z][3] in self.g_final
         for (q1, configs) in pairs:
             words = self.t1_moves(q1, a)[1]
             if not words:

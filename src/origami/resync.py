@@ -347,44 +347,51 @@ def bounded_by(resync: Resynchronizer, k: int, max_len: int):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    dfa, delta = resync.gamma_dfa()
+    dfa = resync.gamma_dfa()[0]
     xi = resync.m
-    step0 = {}
-    step1 = {}
-    for (p, (a, bits), q) in dfa.transitions:
-        row = bits[:xi] + bits[xi + 1:]
-        if bits[xi] == 0:
-            step0[(p, (a, row))] = q
-        else:
-            step1[(p, (a, row))] = q
+    # gamma states numbered in repr order, so that a multiset sorted as
+    # ints is sorted by repr; step0[i][s] and step1[i][s] read the i-th
+    # letter from the state numbered s, without and with the x bit
+    num = {s: i for i, s in enumerate(sorted(dfa.states, key=repr))}
     letters = sorted({(a, bits[:xi] + bits[xi + 1:]) for (_p, (a, bits), _q) in dfa.transitions})
-    init = next(iter(dfa.initial))
-    start = (init, ())
+    at = {ltr: i for i, ltr in enumerate(letters)}
+    step0 = [{} for _ in letters]
+    step1 = [{} for _ in letters]
+    for (p, (a, bits), q) in dfa.transitions:
+        (step1 if bits[xi] else step0)[at[(a, bits[:xi] + bits[xi + 1:])]][num[p]] = num[q]
+    final = {num[s] for s in dfa.final}
+    start = (num[next(iter(dfa.initial))], ())
     seen = {start}
-    frontier = [(start, ())]
+    # each node links to its parent: (letter, link) back to the start's None
+    frontier = [(start, None)]
     for _depth in range(max_len):
         nxt = []
-        for ((d0, placed), path) in frontier:
-            for ltr in letters:
-                nd0 = step0[(d0, ltr)]
-                nplaced = tuple(sorted((step0[(s, ltr)] for s in placed), key=repr))
-                cands = [((nd0, nplaced), path + (ltr, False))]
+        for ((d0, placed), link) in frontier:
+            for i, ltr in enumerate(letters):
+                z0 = step0[i]
+                nd0 = z0[d0]
+                nplaced = tuple(sorted([z0[s] for s in placed]))
+                chain = (ltr, link)
+                cands = [(nd0, nplaced)]
                 if len(placed) <= k:
-                    extra = tuple(sorted(nplaced + (step1[(d0, ltr)],), key=repr))
-                    cands.append(((nd0, extra), path + (ltr, True)))
-                for (state, npath) in cands:
+                    cands.append((nd0, tuple(sorted(nplaced + (step1[i][d0],)))))
+                for state in cands:
                     if state in seen:
                         continue
                     seen.add(state)
-                    if len(state[1]) == k + 1 and all(s in dfa.final for s in state[1]):
-                        return _violation_from_path(resync, npath, dfa, delta)
-                    nxt.append((state, npath))
+                    if len(state[1]) == k + 1 and all(s in final for s in state[1]):
+                        return _violation_from_path(resync, chain)
+                    nxt.append((state, chain))
         frontier = nxt
     return None
 
 
-def _violation_from_path(resync, path, dfa, delta):
-    letters = path[0::2]
+def _violation_from_path(resync, link):
+    letters = []
+    while link is not None:
+        ltr, link = link
+        letters.append(ltr)
+    letters.reverse()
     u = tuple(a for (a, _row) in letters)
     rows = [row for (_a, row) in letters]
     params = tuple(tuple(row[i] for row in rows) for i in range(resync.m))

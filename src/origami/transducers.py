@@ -58,7 +58,8 @@ class OriginGraph:
     orig: tuple   # 1-based input position per output position
 
     def __post_init__(self):
-        # sweeps build these by the million from tuples already
+        # convert only what is not a tuple yet; the enumerators skip all
+        # of this through _graph
         if type(self.input) is not tuple:
             object.__setattr__(self, "input", word(self.input))
         if type(self.output) is not tuple:
@@ -76,6 +77,14 @@ class OriginGraph:
 
     def sort_key(self):
         return (self.input, self.output, self.orig)
+
+
+def _graph(u, out, org):
+    """An OriginGraph on tuples its caller has already checked: u is not
+    empty and org gives one position of u per letter of out."""
+    g = object.__new__(OriginGraph)
+    g.__dict__.update(input=u, output=out, orig=org)
+    return g
 
 
 @dataclass(frozen=True)
@@ -273,8 +282,7 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
         i = len(u)
         pruned = _eps_close(by_key, entries, i + 1 if i < n else n, room) or pruned
         if i == n:
-            graphs = frozenset(OriginGraph(u, out, org)
-                               for (q, out, org) in entries if q in final)
+            graphs = frozenset(_graph(u, out, org) for (q, out, org) in entries if q in final)
             return visit(u, RunResult(graphs, pruned)) is not False
         for a in choices[i]:
             nxt, cut = _read(by_key, entries, a, i + 1, room)
@@ -335,7 +343,7 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
                     nxt.append(key)
         layer = nxt
         steps += 1
-    return RunResult(frozenset(OriginGraph(u, out, org) for (out, org) in found), pruned)
+    return RunResult(frozenset(_graph(u, out, org) for (out, org) in found), pruned)
 
 
 def words_upto(alphabet, max_len, min_len=1):
@@ -429,15 +437,17 @@ class MatchIndex:
     def __init__(self, t: OneWayTransducer):
         self.final = t.final
         self.initial = tuple(sorted(t.initial, key=repr))
-        self.exact = {}
-        self.lens = {}
-        for (p, a, out, q) in sorted(t.transitions, key=repr):
-            self.exact.setdefault((p, a, out), []).append(q)
-            lens = self.lens.setdefault((p, a), [])
-            if len(out) not in lens:
-                lens.append(len(out))
-        for lens in self.lens.values():
-            lens.sort()
+        self.exact = exact = {}
+        for (p, a, out, q) in t.transitions:
+            exact.setdefault((p, a, out), []).append(q)
+        lens = {}
+        for (p, a, out), targets in exact.items():
+            lens.setdefault((p, a), set()).add(len(out))
+            # targets in the repr order of their transitions, whatever the
+            # transition order
+            if len(targets) > 1:
+                targets.sort(key=lambda q: repr((p, a, out, q)))
+        self.lens = {key: sorted(got) for key, got in lens.items()}
         # accepting states able to pad any tail of single eps-emitted
         # letters from a set; lets the search finish long paddings in one scan
         self.pad = {}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -281,6 +282,88 @@ def test_binding_caps_stay_on_the_frontier(h2_tiles):
     verdict = contains_upto(tdown, tup, shift_on(tdown, 5), 3, RunCaps(6, 90), stats=stats)
     assert stats["route"] == "frontier"
     assert (verdict.status, verdict.pruned, verdict.saturated_at) == ("holds-on-sweep", True, None)
+
+
+# contains_upto(T_down, T_up, shift(k), n, caps) on the frontier: (status,
+# counterexample as (input, output, origins, reason), pruned, saturated_at,
+# new macro-states per layer), recorded before the frontier read gamma
+# through one mark table and interned by suffix.  GROW runs each shift(k)
+# up to its least failing length.
+FRONTIER_PINS = [
+    ("halt2", 1, 4, (18, 60),
+     ("fails", (("t6", "t1", "t1"), ("q0", "#", "q0", "B", "#", "B", "B"), (1, 1, 1, 1, 1, 2, 3),
+                "no-accepted-partner"), False, None, [12, 6])),
+    ("halt2", 3, 4, (18, 60), ("holds-on-sweep", None, False, None, [12, 13, 12, 12])),
+    ("halt2", 4, 4, (18, 60), ("holds-on-sweep", None, False, None, [12, 13, 12, 12])),
+    ("halt2", 5, 4, (18, 60), ("holds-on-sweep", None, False, None, [12, 13, 12, 12])),
+    ("halt2", 5, 6, (26, 90), ("holds-on-sweep", None, False, None, [12, 13, 12, 12, 12, 12])),
+    ("grow", 0, 2, (10, 30),
+     ("fails", (("t1", "t1"), ("q0", "#", "B", "B"), (1, 1, 1, 2), "no-accepted-partner"), False,
+      None, [1])),
+    ("grow", 1, 3, (14, 45),
+     ("fails", (("t5", "t1", "t1"), ("q0", "#", "q0", "B", "#", "B", "B"), (1, 1, 1, 1, 1, 2, 3),
+                "no-accepted-partner"), False, None, [5, 2])),
+    ("grow", 2, 5, (22, 75),
+     ("fails", (("t5", "t4", "t3", "t1", "t1"),
+                ("q0", "#", "q0", "B", "#", "a", "q0", "#", "B", "B"),
+                (1, 1, 1, 1, 1, 2, 2, 3, 4, 5), "no-accepted-partner"), False, None, [5, 6, 5, 2])),
+    ("grow", 3, 11, (46, 165),
+     ("fails", (("t5", "t4", "t3", "t2", "t5", "t2", "t4", "t3", "t2", "t1", "t1"),
+                ("q0", "#", "q0", "B", "#", "a", "q0", "#", "a", "q0", "B", "#", "a", "a", "q0",
+                 "#", "a", "B", "B"),
+                (1, 1, 1, 1, 1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 7, 8, 9, 10, 11),
+                "no-accepted-partner"), False, None, [5, 6, 5, 5, 5, 5, 5, 5, 5, 2])),
+]
+
+
+@pytest.fixture(scope="module")
+def grow_tiles():
+    return build_tiles(grow())
+
+
+@pytest.mark.parametrize("machine, k, n, caps, want", FRONTIER_PINS)
+def test_reduction_frontier_pinned(h2_tiles, grow_tiles, machine, k, n, caps, want):
+    tiles = h2_tiles if machine == "halt2" else grow_tiles
+    tdown, tup = build_Tdown(tiles), build_Tup(tiles)
+    stats = {}
+    verdict = contains_upto(tdown, tup, shift_on(tdown, k), n, RunCaps(*caps), stats=stats)
+    cex = verdict.counterexample
+    if cex is not None:
+        g = cex.sigma_p
+        cex = (g.input, g.output, g.orig, cex.reason)
+    assert stats["route"] == "frontier"
+    assert (verdict.status, cex, verdict.pruned, verdict.saturated_at, stats["layers"]) == want
+
+
+# T_up's partners for T_down graphs, in MatchIndex.search's order, recorded
+# before the index stopped sorting all transitions: (input, output, the
+# origin tuples, or their count and the sha256 of their repr)
+MATCH_PINS = [
+    (("t5", "t4", "t3"), ("q0", "#", "a", "q1", "#", "b"),
+     [(1, 1, 3, 3, 3, 3), (1, 1, 2, 3, 3, 3), (1, 1, 2, 2, 3, 3), (1, 1, 2, 2, 2, 3),
+      (1, 1, 2, 2, 2, 2)]),
+    (("t6", "t7", "t1"), ("q0", "#", "q0", "B", "#", "q1", "B", "#", "B"),
+     [(1, 1, 2, 3, 3, 3, 3, 3, 3), (1, 1, 2, 2, 3, 3, 3, 3, 3)]),
+    (("t6", "t10", "t1"), ("q0", "#", "q0", "B", "#", "q2", "a", "b", "B"),
+     [(1, 1, 2, 3, 3, 3, 3, 3, 3), (1, 1, 2, 2, 3, 3, 3, 3, 3), (1, 1, 2, 2, 2, 3, 3, 3, 3)]),
+    (("t10", "t12", "t12"), ("q0", "#", "q2", "a", "b", "#", "q2", "B", "b", "#", "q2", "B", "b"),
+     (36, "0214d4d2e9ba4affd66bbd556c32c1ccad050ec01d6aef566db8ef26e99b5c67")),
+    (("t12", "t12", "t12"),
+     ("q0", "#", "#", "q2", "B", "b", "#", "q2", "B", "b", "#", "q2", "B", "b"),
+     (39, "c370f264b077b5fe3afefe76ce80a85a7ee48d7d805f0844377db46c1e6f1701")),
+]
+
+
+def test_halt2_partner_order_pinned(h2_tiles):
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    index = MatchIndex(tup)
+    for u, v, want in MATCH_PINS:
+        assert next(g for g in run_origin_graphs(tdown, u, RunCaps(14, 45)).graphs
+                    if g.output == v)
+        got = list(enumerate_matching_graphs(tup, u, v, index))
+        if isinstance(want, tuple):
+            got = (len(got), hashlib.sha256(repr(got).encode()).hexdigest())
+        assert got == want, u
 
 
 def test_tdown_prime_union_semantics(h2_tiles):

@@ -11,7 +11,8 @@ from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             pair_in_resync, check_witness,
-                            is_bounded, bounded_by, compose, simplify_extended,
+                            is_bounded, bounded_by, BoundViolation, compose,
+                            simplify_extended,
                             extended_pair_in_resync, ExtendedResynchronizer,
                             make_identity, make_universal, make_pm1, make_shift,
                             make_first, make_param_example, make_block, make_Rk,
@@ -276,6 +277,48 @@ def test_is_bounded_agrees_with_sweeps():
     # unbounded side: a violation exists at every small k
     for k in range(0, 4):
         assert bounded_by(make_universal(), k, k + 2) is not None
+
+
+# bounded_by on every builder the mso-resync benchmark bounds: (the result
+# at k = 2|Q| + 1 on words up to length 6, or 5 when m > 1; the results at
+# k = 0..3 on words up to length k + 2), a violation as (word, params,
+# target, sources).  Recorded from the breadth-first search that sorted
+# each placed multiset by repr and copied its path at every node.
+BOUNDED_BY_PINS = {
+    'identity': (None, [('a', (), 1, (1,)), None, None, None]),
+    'universal': (None, [('a', (), 1, (1,)), ('aa', (), 2, (1, 2)), ('aaa', (), 3, (1, 2, 3)),
+                         ('aaaa', (), 4, (1, 2, 3, 4))]),
+    'pm1': (None, [('aa', (), 2, (1,)), ('aaa', (), 2, (1, 3)), None, None]),
+    'shift(3)': (None, [('a', (), 1, (1,)), ('aa', (), 1, (1, 2)), ('aaa', (), 1, (1, 2, 3)),
+                        ('aaaa', (), 1, (1, 2, 3, 4))]),
+    'R_2': (None, [('a', ((0,), (0,), (0,), (0,)), 1, (1,)),
+                   ('aa', ((0, 0), (0, 0), (0, 0), (0, 1)), 1, (1, 2)),
+                   ('aaa', ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0)), 1, (1, 2, 3)),
+                   ('aaaa', ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), 2,
+                    (1, 2, 3, 4))]),
+    'param-example': (None, [('a', ((0,),), 1, (1,)), ('aa', ((0, 1),), 1, (1, 2)), None, None]),
+    'first-to-last': (None, [('a', (), 1, (1,)), None, None, None]),
+    'block': (None, [('a', (), 1, (1,)), None, None, None]),
+    'first': (None, [('a', (), 1, (1,)), None, None, None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_BY_PINS))
+def test_bounded_by_pinned_results(name):
+    ab = ("a", "b")
+    r = {"identity": make_identity, "universal": make_universal, "pm1": make_pm1,
+         "shift(3)": lambda base: make_shift(3, base), "R_2": lambda base: make_Rk(2, base=base),
+         "param-example": make_param_example,
+         "first-to-last": lambda base: simplify_extended(make_first_to_last()),
+         "block": make_block, "first": make_first}[name](ab)
+    d, _ = r.gamma_dfa()
+
+    def pinned(v):
+        return None if v is None else BoundViolation(tuple(v[0]), *v[1:])
+
+    big, small = BOUNDED_BY_PINS[name]
+    assert bounded_by(r, 2 * len(d.states) + 1, 6 if r.m <= 1 else 5) == pinned(big)
+    assert [bounded_by(r, k, k + 2) for k in range(4)] == [pinned(v) for v in small]
 
 
 # -- composition -----------------------------------------------------------------

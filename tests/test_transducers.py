@@ -8,7 +8,7 @@ from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, Or
                                  MatchIndex, EmptyInputError, EPS, LMARK, RMARK, LEFT, RIGHT)
 
 from random_one_way import (LETTERS, SIX_STATES, fifo_run_graphs, one_way_machines, partners,
-                            stale_step_repro)
+                            stale_step_repro, variants)
 from random_two_way import every_run_graphs, two_way_machines
 
 
@@ -279,6 +279,30 @@ def test_2nt_graphs_with_an_output_are_the_same_under_every_larger_output_cap(
             small = RunCaps(max(1, len(v)), steps)
             assert {g for g in run_origin_graphs(t, u, small).graphs if g.output == v} == want
             assert {g for g in every_run_graphs(t, u, small) if g.output == v} == want
+
+
+@given(st.data(), one_way_machines())
+def test_partner_order_independent_of_transition_order(data, t):
+    # the search meets targets in the repr order of their transitions, so
+    # reversing or shuffling the transitions keeps the sequence; renaming
+    # the states keeps the set
+    twins = data.draw(variants(t))
+    for u in words_upto(LETTERS, 2):
+        for v in [()] + list(words_upto(LETTERS, 2)):
+            got = [list(enumerate_matching_graphs(twin, u, v)) for twin in twins]
+            assert got[1] == got[0] and got[2] == got[0], (u, v)
+            assert set(got[3]) == set(got[0]), (u, v)
+
+
+def test_partner_order_follows_the_repr_of_transitions():
+    # two eps moves out of p write nothing: the search tries q, whose run
+    # writes on the a, before r, whose run writes on the b, in either order
+    trans = (("p", EPS, (), "r"), ("p", EPS, (), "q"), ("q", "a", ("a",), "q1"),
+             ("q1", "b", (), "f"), ("r", "a", (), "r1"), ("r1", "b", ("a",), "f"))
+    for order in (trans, trans[::-1]):
+        t = OneWayTransducer({"p", "q", "q1", "r", "r1", "f"}, {"a", "b"}, {"a"}, order,
+                             {"p"}, {"f"})
+        assert list(enumerate_matching_graphs(t, "ab", "a")) == [(1,), (2,)]
 
 
 @given(one_way_machines())
