@@ -363,8 +363,9 @@ class _Frontier(_Product):
             return got
         q2, pending, settled = c
         marks, co0, co1 = self.marks[a], self.co0, self.co1
-        # each entry's gamma state if t2 writes it here, and if not yet;
-        # t1's letters here all have the gamma state z, y marked
+        # each entry's gamma state if t2 writes it here (x marked, row[2 + y])
+        # and if not yet (row[y]); pending letters have y = 0, and t1's
+        # letters here y = 1 and the gamma state z
         now, later = [], []
         for (_b, g) in pending:
             row = marks[g]
