@@ -131,7 +131,7 @@ class _Product:
         self.closed1 = {}
         self.moves1 = {}
         self.fronts2 = {}
-        self.done = {}
+        self.finished2 = {}
         self.covers = {}
 
     def t1_moves(self, k1, a):
@@ -207,9 +207,9 @@ class _Product:
 
     def finished(self, front):
         """The states of front's items that have read and written all."""
-        got = self.done.get(front)
+        got = self.finished2.get(front)
         if got is None:
-            got = self.done[front] = tuple([q for (q, read, rest) in front if read and not rest])
+            got = self.finished2[front] = tuple([q for (q, read, rest) in front if read and not rest])
         return got
 
     def t2_fronts(self, q2, target, a):

@@ -286,9 +286,8 @@ def test_binding_caps_stay_on_the_frontier(h2_tiles):
 
 # contains_upto(T_down, T_up, shift(k), n, caps) on the frontier: (status,
 # counterexample as (input, output, origins, reason), pruned, saturated_at,
-# new macro-states per layer), recorded before the frontier read gamma
-# through one mark table and interned by suffix.  GROW runs each shift(k)
-# up to its least failing length.
+# new macro-states per layer), recorded from an earlier implementation of
+# the frontier.  GROW runs each shift(k) up to its least failing length.
 FRONTIER_PINS = [
     ("halt2", 1, 4, (18, 60),
      ("fails", (("t6", "t1", "t1"), ("q0", "#", "q0", "B", "#", "B", "B"), (1, 1, 1, 1, 1, 2, 3),
@@ -336,8 +335,8 @@ def test_reduction_frontier_pinned(h2_tiles, grow_tiles, machine, k, n, caps, wa
 
 
 # T_up's partners for T_down graphs, in MatchIndex.search's order, recorded
-# before the index stopped sorting all transitions: (input, output, the
-# origin tuples, or their count and the sha256 of their repr)
+# from an earlier implementation of the index: (input, output, the origin
+# tuples, or their count and the sha256 of their repr)
 MATCH_PINS = [
     (("t5", "t4", "t3"), ("q0", "#", "a", "q1", "#", "b"),
      [(1, 1, 3, 3, 3, 3), (1, 1, 2, 3, 3, 3), (1, 1, 2, 2, 3, 3), (1, 1, 2, 2, 2, 3),

@@ -282,8 +282,7 @@ def test_is_bounded_agrees_with_sweeps():
 # bounded_by on every builder the mso-resync benchmark bounds: (the result
 # at k = 2|Q| + 1 on words up to length 6, or 5 when m > 1; the results at
 # k = 0..3 on words up to length k + 2), a violation as (word, params,
-# target, sources).  Recorded from the breadth-first search that sorted
-# each placed multiset by repr and copied its path at every node.
+# target, sources), recorded from an earlier implementation of the search.
 BOUNDED_BY_PINS = {
     'identity': (None, [('a', (), 1, (1,)), None, None, None]),
     'universal': (None, [('a', (), 1, (1,)), ('aa', (), 2, (1, 2)), ('aaa', (), 3, (1, 2, 3)),
