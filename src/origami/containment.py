@@ -27,7 +27,9 @@ never puts t2's origin before t1's does not enumerate inputs.
 ``frontier._Frontier`` runs one forward t1 x t2 product over the input
 tree, merging the prefixes that reach the same macro-state, finds the
 least failing input layer by layer, and ``_sweep`` turns that one input
-into the counterexample.  Unless no cap can bind (``_t1_fits_caps``),
+into the counterexample.  What does not read gamma is built once per
+pair of transducer objects and shared by the calls on it
+(``frontier._product``).  Unless no cap can bind (``_t1_fits_caps``),
 each t1 run carries its step count and output length, so that the caps
 cut the runs the sweep cuts; ``pruned`` then comes from t1's sweep alone
 (``_t1_pruned``).  When no cap can bind, a layer with no new macro-state
@@ -51,7 +53,7 @@ from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, Resy
                      pair_in_resync, extended_pair_in_resync)
 from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex, _NO_TABLE,
                           TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
-from .frontier import _Frontier, _ProfileFrontier, _t2_may_lead
+from .frontier import _Frontier, _ProfileFrontier, _product, _t2_may_lead
 from .traversal import max_traversal
 
 
@@ -274,15 +276,21 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     every input length: ``saturated_at`` gives that layer.  Otherwise t1's
     runs on the frontier count their steps and output, ``saturated_at`` is
     None, and ``pruned`` is the sweep's, from t1's runs alone on the
-    inputs the sweep would visit (``_t1_pruned``).  A dict passed as
-    ``stats`` receives the route taken, the new macro-states per layer
-    and, without a membership callback, the state count of each gamma DFA
-    (one per output type for an extended resynchronizer) with the seconds
-    taken to compile them, which then happens before the sweep.  On the
-    sweep it also receives the counters of ``_sweep``: ``inputs``
-    visited, t1 ``graphs`` checked and ``t2_runs``.  Without a membership
-    callback, base alphabets that miss one of t1's letters raise
-    ``ResyncError`` before any input is swept.
+    inputs the sweep would visit (``_t1_pruned``).  The frontier's product,
+    t2's ``MatchIndex`` and every table that does not read gamma, is shared
+    by the calls on the same t1 and t2 objects, with ``traversal_profile``'s
+    too (``frontier._product``); the gamma tables and the macro-states are
+    the call's own.  Only the last pair's product is kept, keyed by
+    identity, so that transducers built again start afresh and one pair's
+    tables at most stay alive between calls.  A dict passed as ``stats``
+    receives the route taken, the new macro-states per layer and, without a
+    membership callback, the state count of each gamma DFA (one per output
+    type for an extended resynchronizer) with the seconds taken to compile
+    them, which then happens before the sweep.  On the sweep it also
+    receives the counters of ``_sweep``: ``inputs`` visited, t1 ``graphs``
+    checked and ``t2_runs``.  Without a membership callback, base alphabets
+    that miss one of t1's letters raise ``ResyncError`` before any input
+    is swept.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
@@ -297,7 +305,6 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         gammas = [resync._gamma_resync(t) for t in resync.types()] if extended else [resync]
         stats["gamma_states"] = tuple(len(g.gamma_dfa()[0].states) for g in gammas)
         stats["gamma_compile_s"] = time.perf_counter() - start
-    index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
     check = membership or _default_membership(resync)
     plain = membership is None and isinstance(resync, Resynchronizer) and resync.m == 0
     ext = membership is None and extended and resync.m == 0 and resync.n_out == 0
@@ -332,20 +339,22 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
         return True
 
     front = None
-    if plain and not record and index is not None and isinstance(t1, OneWayTransducer):
+    one_way = isinstance(t1, OneWayTransducer) and isinstance(t2, OneWayTransducer)
+    if plain and not record and one_way:
         if not _t2_may_lead(*resync.gamma_dfa(), tuple(sorted(t1.input_alphabet))):
-            front = _Frontier(t1, index, caps, max_input_len, resync)
+            front = _Frontier(_product(t1, t2, max_input_len, caps), resync)
     if front is None:
+        index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
         layers, saturated = [], None
         pruned = _sweep(t1, t2, index, max_input_len, caps, judge, stats)
     else:
         u, layers, saturated = front.run(max_input_len)
         if u is not None:
-            _sweep(t1, t2, index, max_input_len, caps, judge, None, inputs=(u,))
+            _sweep(t1, t2, front.product.index, max_input_len, caps, judge, None, inputs=(u,))
             if cex is None:
                 raise AssertionError(f"frontier failure on {u} has no failing graph")
         pruned = False
-        if front.caps is not None:
+        if front.product.caps is not None:
             saturated = None
             pruned = _t1_pruned(t1, max_input_len, caps, u)
     if stats is not None:
@@ -390,23 +399,28 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
     the input tree (``_ProfileFrontier``).  Unless ``_t1_fits_caps`` shows
     that no cap can bind, t1's runs there count their steps and output,
     and ``approximate`` comes from t1's sweep alone (``_t1_pruned``), as
-    in ``contains_upto``.  Otherwise inputs are swept one by one
-    (``_sweep``), and an input whose length already has the value
-    math.inf is not searched.  A dict passed as ``stats`` receives the
+    in ``contains_upto``.  Its t1 and t2 moves come from the product that
+    the calls on the same t1 and t2 objects share with ``contains_upto``'s
+    (``frontier._product``); the output room per state and the values are
+    the call's own.  Only the last pair's product is kept, keyed by
+    identity, so that transducers built again start afresh and one pair's
+    tables at most stay alive between calls.  Otherwise inputs are swept
+    one by one (``_sweep``), and an input whose length already has the
+    value math.inf is not searched.  A dict passed as ``stats`` receives the
     route taken and, on the frontier, the macro-states each length's end
     check reads; on the sweep, the counters of ``_sweep``: inputs visited,
     t1 graphs assessed and two-way t2 runs.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
-    index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
-    if index is not None and isinstance(t1, OneWayTransducer):
-        front = _ProfileFrontier(t1, index, caps, max_input_len)
+    if isinstance(t1, OneWayTransducer) and isinstance(t2, OneWayTransducer):
+        front = _ProfileFrontier(_product(t1, t2, max_input_len, caps), caps, max_input_len)
         values, layers = front.run(max_input_len)
-        pruned = front.caps is not None and _t1_pruned(t1, max_input_len, caps)
+        pruned = front.product.caps is not None and _t1_pruned(t1, max_input_len, caps)
         if stats is not None:
             stats.update(route="frontier", layers=layers)
         return TraversalProfile(values, pruned, max_input_len)
+    index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
     values = {n: 0 for n in range(1, max_input_len + 1)}
 
     def judge(u, graphs, partners):

@@ -4,16 +4,22 @@ t1 and t2, that merge every input prefix reaching the same macro-state.
 ``_Frontier`` decides plain containment up to a parameterless
 resynchronizer under which t2 never writes ahead of t1 (``_t2_may_lead``
 tells), layer by layer; ``_ProfileFrontier`` computes the traversal
-profile.  Both read t1's moves per key and letter and t2's moves through
-item sets from ``_Product``, which keeps the states that finish in each
-item set once.  ``_Frontier`` reads gamma through one table built up
-front, the successors of each gamma state on each letter under the four
-(x, y) marks, and keeps one object per distinct pending suffix, settled
-set, t2 configuration and set of them.  Unless ``_t1_fits_caps`` shows
-that no cap can bind, t1's runs are keyed with their step count and
-output length, so that the caps cut the runs the sweep cuts.  The
-drivers that choose between a frontier and the per-input sweep are in
-``containment``.
+profile.  Both hold a ``_Product``: everything that does not depend on the
+resynchronizer, which is t2's ``MatchIndex``, t1's moves per key and
+letter, t2's moves through item sets, t2's walks over each written prefix,
+and the memo tables of all of these.  ``_product`` keeps one product
+between calls, keyed by the identity of the last pair of transducer
+objects asked about: the calls on one pair share it, equal transducers
+built again start afresh, and no more than one pair's tables stay alive.
+The state of a call, the gamma tables and the configurations it interns,
+stays with the frontier it builds.  ``_Frontier`` reads gamma through one
+table built up front, the successors of each gamma state on each letter
+under the four (x, y) marks, and keeps one object per distinct pending
+suffix, settled set, t2 configuration and set of them.  Unless
+``_t1_fits_caps`` shows that no cap can bind, t1's runs are keyed with
+their step count and output length, so that the caps cut the runs the
+sweep cuts.  ``containment`` chooses between a frontier and the per-input
+sweep.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ import math
 from bisect import bisect_right
 
 from .automata import _closure, _scc
-from .transducers import EPS, transition_index, _eps_close, _read
+from .transducers import EPS, MatchIndex, transition_index, _eps_close, _read
 
 _ZERO = (0, 0)
 _MARKS = (_ZERO, (0, 1), (1, 0), (1, 1))     # (x, y), in the order of _Frontier.marks
 _EMPTY = (None, frozenset())       # the macro-state with no run left to check
+_last = None                       # the product of the last pair asked about (_product)
 
 
 def _t1_fits_caps(t1, max_input_len, caps):
@@ -84,29 +91,71 @@ def _t1_fits_caps(t1, max_input_len, caps):
     return True
 
 
-class _Product:
-    """What the containment and the profile frontiers share: t1's moves
-    per key and letter, and t2's moves followed letter by letter.
+def _product(t1, t2, max_input_len, caps):
+    """The product of one-way t1 and t2 for a call with these bounds.
 
-    A t1 key is t1's state or, unless ``_t1_fits_caps`` shows that no cap
-    can bind, (state, steps, output length) at the run's least step count;
-    ``caps`` is then the caps, else None.  t2's moves at one position
-    (eps moves, then the read, then at the input's end eps moves again)
-    are followed through item sets of (state, read yet, rest of a move's
-    output), shared by every word written; an item that has not read and
-    cannot read any more is dropped.  t1's end words on a letter, sorted,
-    are walked as a trie, so that each shared prefix is followed once.  A
-    free state of t2 is final, reads every letter silently in place and
-    eps-writes every output letter.
+    The product of the last call is kept in one slot and returned again
+    when it was built for the same t1 and t2 objects and the same counted
+    caps (the caps when one can bind, else None), so the calls made on
+    one pair, whatever their resynchronizers, share its tables.  Anything
+    else replaces it: the old product is dropped before the new one is
+    built, and only t2's ``MatchIndex`` and the answers of
+    ``_t1_fits_caps`` carry over when the objects are the same.
+
+    The slot is keyed by identity, not by value: equal transducers that a
+    caller builds again start from an empty product, so the tables of
+    one batch of calls never carry over into the next.  It holds one
+    entry, in this module and not on the transducers: at most one pair's
+    tables outlive a call, and the next call on another pair frees them
+    before it builds its own.
+    """
+    global _last
+    last = _last
+    if last is None or last.t1 is not t1 or last.t2 is not t2:
+        _last = last = None
+    fits = {} if last is None else last.fits
+    key = (max_input_len, caps)
+    if key not in fits:
+        fits[key] = _t1_fits_caps(t1, max_input_len, caps)
+    counted = None if fits[key] else caps
+    if last is not None and last.caps == counted:
+        return last
+    index = None if last is None else last.index
+    _last = last = None
+    _last = _Product(t1, t2, counted, index or MatchIndex(t2), fits)
+    return _last
+
+
+class _Product:
+    """What the containment and the profile frontiers share, for one pair
+    of one-way transducers: t1's moves per key and letter, and t2's moves
+    followed letter by letter, with the memo tables of both.  Nothing here
+    reads a resynchronizer, so every call on the pair may share it
+    (``_product``); it keeps growing over the calls, by the keys they
+    meet.
+
+    A t1 key is t1's state or, when ``caps`` is not None, (state, steps,
+    output length) at the run's least step count; ``caps`` is the caps
+    when ``_t1_fits_caps`` could not show that no cap binds, and ``fits``
+    keeps that function's answers per (max_input_len, caps).  t2's moves
+    at one position (eps moves, then the read, then at the input's end
+    eps moves again) are followed through item sets of (state, read yet,
+    rest of a move's output), shared by every word written; an item that
+    has not read and cannot read any more is dropped.  ``walks`` keeps,
+    per t2 state, written prefix and letter, the live states that finish
+    after each prefix of it (``t2_walk``), one object per distinct answer
+    (``walked``).  t1's end words on a letter, sorted, are walked as a
+    trie, so that each shared prefix is followed once.  A free state of t2
+    is final, reads every letter silently in place and eps-writes every
+    output letter.
     """
 
-    def __init__(self, t1, index, caps, max_input_len):
+    def __init__(self, t1, t2, caps, index, fits):
+        self.t1, self.t2, self.caps, self.index, self.fits = t1, t2, caps, index, fits
         self.letters = tuple(sorted(t1.input_alphabet))
         outputs = t1.output_alphabet      # t2's too
         self.outputs = tuple(sorted(outputs))
-        self.caps = None if _t1_fits_caps(t1, max_input_len, caps) else caps
         self.by_key1 = transition_index(t1)
-        self.index = index
         pred1, pred2 = {}, {}
         for (p, _a, _out, q) in t1.transitions:
             pred1.setdefault(q, set()).add(p)
@@ -133,6 +182,7 @@ class _Product:
         self.fronts2 = {}
         self.finished2 = {}
         self.covers = {}
+        self.walks, self.walked = {}, {}
 
     def t1_moves(self, k1, a):
         """From t1's key k1 on the letter a: the (k1', w) that eps moves and
@@ -224,6 +274,24 @@ class _Product:
                 return
             yield k, front
 
+    def t2_walk(self, q2, target, a):
+        """((k, states), ...): for each k, in order, at which t2's
+        configuration q2 at one position, eps moves then the read of a,
+        can finish in a live state once it has written target[:k], those
+        states."""
+        key = (q2, target, a)
+        got = self.walks.get(key)
+        if got is None:
+            live2, found = self.live2, []
+            for k, front in self.t2_fronts(q2, target, a):
+                states = tuple([r for r in self.finished(front) if r in live2])
+                if states:
+                    found.append((k, states))
+            got = tuple(found)
+            # a handful of distinct walks serve thousands of keys
+            got = self.walks[key] = self.walked.setdefault(got, got)
+        return got
+
     def t2_writes(self, q2, target, a, more):
         """(r, k, e): t2's moves from q2 at one position, eps moves then the
         read of a, writing target[:k], or all of target and then e, at most
@@ -286,7 +354,7 @@ class _Product:
         return front
 
 
-class _Frontier(_Product):
+class _Frontier:
     """Plain one-way containment over macro-states, for every input length.
 
     After a prefix u the frontier holds one macro-state (z, E): z is the
@@ -316,12 +384,16 @@ class _Frontier(_Product):
     once from the DFA; ``pair[s][b]`` is the one pending entry (b, s).
     ``shared`` holds one object per distinct pending suffix, settled set,
     configuration and set of configurations that ``t2_next`` builds.
+    These, and the caches ``next2`` and ``end2``, read gamma and stay with
+    the frontier; t1's and t2's moves come from the ``product``, shared
+    with the other calls on the pair.
     """
 
-    def __init__(self, t1, index, caps, max_input_len, resync):
-        super().__init__(t1, index, caps, max_input_len)
+    def __init__(self, product, resync):
+        self.product = product
         dfa, delta = resync.gamma_dfa()
         init = next(iter(dfa.initial))
+        self.letters = product.letters
         self.g_final = dfa.final
         self.marks = {a: {s: tuple(delta[(s, (a, bits))] for bits in _MARKS) for s in dfa.states}
                       for a in self.letters}
@@ -338,20 +410,22 @@ class _Frontier(_Product):
         self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
         identity_safe = all(row[s][3] in self.safe
                             for s in _closure({init}, zsucc) for row in self.marks.values())
-        self.free = frozenset((q, (), frozenset()) for q in self.free_states
+        self.free = frozenset((q, (), frozenset()) for q in product.free_states
                               if identity_safe)
-        self.pair = {s: {b: (b, s) for b in self.outputs} for s in dfa.states}
+        self.pair = {s: {b: (b, s) for b in product.outputs} for s in dfa.states}
         self.next2 = {}
         self.end2 = {}
         self.shared = {}
         self.start = (init, frozenset(
-            (q1 if self.caps is None else (q1, 0, 0),
-             frozenset((q2, (), frozenset()) for q2 in index.initial if q2 in self.live2))
-            for q1 in t1.initial if q1 in self.live1))
+            (q1 if product.caps is None else (q1, 0, 0),
+             frozenset((q2, (), frozenset()) for q2 in product.index.initial
+                       if q2 in product.live2))
+            for q1 in product.t1.initial if q1 in product.live1))
 
     def t2_next(self, c, w, a, z):
         """The configurations t2's configuration c can reach at this position,
-        where t1 writes w and the input letter is a.  The pending entries
+        where t1 writes w and the input letter is a, from t2's walk over
+        what is pending (``_Product.t2_walk``).  The pending entries
         after this position are built once, as one tuple of ``pair``
         entries, and a successor that has written k of them keeps the
         slice from k on.  Suffixes, settled sets, configurations and the
@@ -384,28 +458,25 @@ class _Frontier(_Product):
         if least > most or any(s not in co0 for s in kept):
             got = self.next2[key] = frozenset()
             return got
-        safe, pair, live2, shared = self.safe, self.pair, self.live2, self.shared
+        safe, pair, shared = self.safe, self.pair, self.shared
         done = frozenset(s for s in kept if s not in safe)
         done, upto = shared.setdefault(done, done), 0
         entries = tuple([pair[s][b] for b, s in zip(written, later)])
         found = []
-        for k, front in self.t2_fronts(q2, written[:most], a):
+        for k, states in self.product.t2_walk(q2, written[:most], a):
             if k < least:
                 continue
-            tail = None
-            for r in self.finished(front):
-                if r in live2:
-                    if tail is None:
-                        # the suffix and the settled set depend on k alone:
-                        # done grows with k by the entries written here
-                        grown = [s for s in now[upto:k] if s not in safe and s not in done]
-                        if grown:
-                            done = done.union(grown)
-                            done = shared.setdefault(done, done)
-                        rest, upto = entries[k:], k
-                        tail = (shared.setdefault(rest, rest), done)
-                    nc = (r,) + tail
-                    found.append(shared.setdefault(nc, nc))
+            # the suffix and the settled set depend on k alone: done grows
+            # with k by the entries written here
+            grown = [s for s in now[upto:k] if s not in safe and s not in done]
+            if grown:
+                done = done.union(grown)
+                done = shared.setdefault(done, done)
+            rest, upto = entries[k:], k
+            tail = (shared.setdefault(rest, rest), done)
+            for r in states:
+                nc = (r,) + tail
+                found.append(shared.setdefault(nc, nc))
         got = frozenset(found)
         got = self.next2[key] = shared.setdefault(got, got)
         return got
@@ -422,16 +493,16 @@ class _Frontier(_Product):
             got = frozenset()
             if (all(marks[g][2] in final for (_b, g) in pending)
                     and all(marks[g][0] in final for g in settled)):
-                got = self.t2_after(q2, tuple(b for (b, _g) in pending), a)
+                got = self.product.t2_after(q2, tuple(b for (b, _g) in pending), a)
             self.end2[key] = got
         return got
 
     def step(self, state, a):
         """The macro-state after one more letter a."""
         z, pairs = state
-        minimal = {}
+        minimal, t1_moves = {}, self.product.t1_moves
         for (q1, configs) in pairs:
-            for (r1, w) in self.t1_moves(q1, a)[0]:
+            for (r1, w) in t1_moves(q1, a)[0]:
                 nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
                 if nxt.isdisjoint(self.free):
                     minimal.setdefault(r1, set()).add(nxt)
@@ -447,14 +518,15 @@ class _Frontier(_Product):
             return False
         # t1's letters here all have the gamma state z, y marked
         writes = self.marks[a][z][3] in self.g_final
+        product = self.product
         for (q1, configs) in pairs:
-            words = self.t1_moves(q1, a)[1]
+            words = product.t1_moves(q1, a)[1]
             if not words:
                 continue
             if not writes and words[-1]:
                 return True
             front = frozenset().union(*(self.t2_ends(c, a) for c in configs))
-            if not self.t2_covers(front, words, a):
+            if not product.t2_covers(front, words, a):
                 return True
         return False
 
@@ -531,7 +603,7 @@ def _output_room(t1, cap, max_input_len):
     return room
 
 
-class _ProfileFrontier(_Product):
+class _ProfileFrontier:
     """traversal_profile for one-way t1 and t2 over macro-states, for every
     input length.
 
@@ -567,18 +639,24 @@ class _ProfileFrontier(_Product):
     profile(n) is the largest value, over every macro-state after n - 1
     letters, every last letter and every end word of t1, of the least value
     over S; math.inf when no configuration can finish.
+
+    t1's and t2's moves come from the ``product``, shared with the other
+    calls on the pair; ``room``, the caches ``next2`` and ``values`` stay
+    with the frontier.
     """
 
-    def __init__(self, t1, index, caps, max_input_len):
-        super().__init__(t1, index, caps, max_input_len)
-        self.cont2 = self.live2 & self.readers
-        self.room = _output_room(t1, caps.max_output_len, max_input_len)
+    def __init__(self, product, caps, max_input_len):
+        self.product = product
+        self.letters = product.letters
+        self.free_states = product.free_states
+        self.cont2 = product.live2 & product.readers
+        self.room = _output_room(product.t1, caps.max_output_len, max_input_len)
         self.next2, self.values = {}, {}
         start = self.settle({(None, False, (), 0) if q2 in self.free_states else (q2, False, (), 0)
-                             for q2 in index.initial if q2 in self.cont2})
+                             for q2 in product.index.initial if q2 in self.cont2})
         self.start = frozenset(
-            (q1 if self.caps is None else (q1, 0, 0), start)
-            for q1 in t1.initial if q1 in self.live1 and start is not None)
+            (q1 if product.caps is None else (q1, 0, 0), start)
+            for q1 in product.t1.initial if q1 in product.live1 and start is not None)
 
     def settle(self, configs):
         """configs without the dominated ones, or None when a collapsed
@@ -639,14 +717,15 @@ class _ProfileFrontier(_Product):
                 more = room - sum(map(len, left))
                 if more < 0:
                     return
-                moves = [(q2, 0, ())] if q2 in free else self.t2_writes(q2, (), a, more)
+                moves = [(q2, 0, ())] if q2 in free else self.product.t2_writes(q2, (), a, more)
                 for (r, _k, e) in moves:
                     if r in self.cont2:
                         nb = left + (e,) if e else left
                         yield (r, True, nb, max(mx, len(nb)))
                 return
         target = tuple(x for (b, _n) in old for x in b) + w
-        moves = [(q2, len(target), ())] if q2 in free else self.t2_writes(q2, target, a, room)
+        moves = ([(q2, len(target), ())] if q2 in free
+                 else self.product.t2_writes(q2, target, a, room))
         for (r, k, e) in moves:
             if r not in self.cont2:
                 continue
@@ -674,12 +753,13 @@ class _ProfileFrontier(_Product):
         """The macro-state after one more letter a, with at most left
         letters to come."""
         room, minimal = self.room[left], {}
+        caps, t1_moves = self.product.caps, self.product.t1_moves
         for (k1, configs) in pairs:
-            for (r1, w) in self.t1_moves(k1, a)[0]:
-                if self.caps is None:
+            for (r1, w) in t1_moves(k1, a)[0]:
+                if caps is None:
                     most = room.get(r1, -1)
                 else:
-                    most = min(room.get(r1[0], -1), self.caps.max_output_len - r1[2])
+                    most = min(room.get(r1[0], -1), caps.max_output_len - r1[2])
                 if most < 0:
                     continue
                 nxt = self.settle(set().union(*(self.t2_next(c, w, a, most) for c in configs)))
@@ -694,7 +774,7 @@ class _ProfileFrontier(_Product):
         key = (k1, configs, a)
         got = self.values.get(key)
         if got is None:
-            words = self.t1_moves(k1, a)[1]
+            words = self.product.t1_moves(k1, a)[1]
             got = self.values[key] = self._value(configs, words, a) if words else 0
         return got
 
@@ -707,7 +787,7 @@ class _ProfileFrontier(_Product):
                 # t1's end word starts with the owed letters
                 starts.append((mx, frozenset({(q2, False, tuple(x for b in blocks for x in b))})))
             else:
-                front = self.t2_after(q2, tuple(x for (b, _n) in blocks for x in b), a)
+                front = self.product.t2_after(q2, tuple(x for (b, _n) in blocks for x in b), a)
                 if front:
                     starts.append((max([mx] + [n + 1 for (_b, n) in blocks]), front))
         # the least v at which the configurations of value at most v
@@ -718,7 +798,8 @@ class _ProfileFrontier(_Product):
             if items is None:
                 return v
             front |= items
-            if (i + 1 == len(starts) or starts[i + 1][0] > v) and self.t2_covers(front, words, a):
+            if ((i + 1 == len(starts) or starts[i + 1][0] > v)
+                    and self.product.t2_covers(front, words, a)):
                 return v
         return math.inf
 

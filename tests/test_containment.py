@@ -1,12 +1,14 @@
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from origami import corpus
 from origami.mso import First, parse_formula
-from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, TwoWayTransducer,
+from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer,
                                  EPS, run_origin_graphs, words_upto)
 from origami.traversal import GreedyLabelError, greedy_label, max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
@@ -149,9 +151,9 @@ def identity_oracle(t1, t2, max_len, caps):
 
 
 def rebuilt(t):
-    """An equal copy of two-way t, built separately."""
-    return TwoWayTransducer(set(t.states), set(t.input_alphabet), set(t.output_alphabet),
-                            list(t.transitions), set(t.initial), set(t.final), name=t.name)
+    """An equal copy of t, built separately."""
+    return type(t)(set(t.states), set(t.input_alphabet), set(t.output_alphabet),
+                   list(t.transitions), set(t.initial), set(t.final), name=t.name)
 
 
 def sweep_counts(t1, t2, max_len, caps, cex):
@@ -702,3 +704,56 @@ def test_profile_frontier_matches_bruteforce_oracle(case):
     assert profile.approximate == any(run_origin_graphs(t1, u, caps).pruned
                                       for u in words_upto(t1.input_alphabet, n))
 
+
+
+# FRONTIER_CAPS cannot bind on a frontier_t1; the small caps often do
+PAIR_CALLS = ("identity", "shift(0)", "shift(1)", "shift(2)", "first", "profile")
+PAIR_CAPS = (FRONTIER_CAPS, RunCaps(2, 4))
+
+
+def pair_call(t1, t2, kind, n, caps):
+    """report_json, counterexample and stats of one call, without the
+    seconds a gamma compile took."""
+    stats = {}
+    if kind == "profile":
+        got = traversal_profile(t1, t2, n, caps, stats=stats)
+        cex = None
+    else:
+        r = make_first(LETTERS) if kind == "first" else frontier_resync(
+            "identity" if kind == "identity" else int(kind[6]))
+        got = contains_upto(t1, t2, r, n, caps, stats=stats)
+        cex = (got.counterexample, got.saturated_at)
+    stats.pop("gamma_compile_s", None)
+    return report_json(got), cex, stats
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), machine_pairs(), st.booleans(), st.integers(1, 3))
+def test_calls_on_one_pair_match_calls_on_rebuilt_copies(data, pair, same, n):
+    # the calls on one pair of objects share one product; each call on
+    # copies rebuilt for it starts from an empty one
+    t1 = frontier_t1(pair[0])
+    t2 = t1 if same else pair[1]
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(PAIR_CALLS), st.sampled_from(PAIR_CAPS)),
+                               min_size=2, max_size=6))
+    got = [pair_call(t1, t2, kind, n, caps) for (kind, caps) in calls]
+    want = []
+    for (kind, caps) in calls:
+        c1 = rebuilt(t1)
+        want.append(pair_call(c1, c1 if same else rebuilt(t2), kind, n, caps))
+    assert got == want
+
+
+def test_calls_keep_the_product_of_one_pair_only():
+    t1, t2 = early_and_late()
+    held = weakref.ref(t1)
+    r = make_shift(1, base=LETTERS)
+    stats = {}
+    contains_upto(t1, t2, r, 3, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    del t1, t2
+    other = reads_a_only()
+    contains_upto(other, other, r, 3, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    gc.collect()
+    assert held() is None

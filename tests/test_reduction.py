@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -320,10 +321,7 @@ def grow_tiles():
     return build_tiles(grow())
 
 
-@pytest.mark.parametrize("machine, k, n, caps, want", FRONTIER_PINS)
-def test_reduction_frontier_pinned(h2_tiles, grow_tiles, machine, k, n, caps, want):
-    tiles = h2_tiles if machine == "halt2" else grow_tiles
-    tdown, tup = build_Tdown(tiles), build_Tup(tiles)
+def check_frontier_pin(tdown, tup, k, n, caps, want):
     stats = {}
     verdict = contains_upto(tdown, tup, shift_on(tdown, k), n, RunCaps(*caps), stats=stats)
     cex = verdict.counterexample
@@ -332,6 +330,34 @@ def test_reduction_frontier_pinned(h2_tiles, grow_tiles, machine, k, n, caps, wa
         cex = (g.input, g.output, g.orig, cex.reason)
     assert stats["route"] == "frontier"
     assert (verdict.status, cex, verdict.pruned, verdict.saturated_at, stats["layers"]) == want
+
+
+@pytest.mark.parametrize("machine, k, n, caps, want", FRONTIER_PINS)
+def test_reduction_frontier_pinned(h2_tiles, grow_tiles, machine, k, n, caps, want):
+    tiles = h2_tiles if machine == "halt2" else grow_tiles
+    check_frontier_pin(build_Tdown(tiles), build_Tup(tiles), k, n, caps, want)
+
+
+def test_reduction_frontier_pins_in_any_call_order(h2_tiles, grow_tiles):
+    # the calls on one pair of transducer objects share its product: the
+    # pinned answers must not depend on which calls came before
+    tiles = {"halt2": h2_tiles, "grow": grow_tiles}
+    pairs = {m: (build_Tdown(t), build_Tup(t)) for m, t in tiles.items()}
+    shuffled = list(FRONTIER_PINS)
+    random.Random(16).shuffle(shuffled)
+    for order in (FRONTIER_PINS[::-1], shuffled):
+        for (machine, k, n, caps, want) in order:
+            check_frontier_pin(*pairs[machine], k, n, caps, want)
+    for (machine, k, n, caps, want) in shuffled:
+        tdown, tup = pairs[machine]
+        # a profile under the pin's caps, against one on objects never used
+        fresh = (build_Tdown(tiles[machine]), build_Tup(tiles[machine]))
+        want_profile = traversal_profile(*fresh, 3, RunCaps(*caps)).values
+        assert traversal_profile(tdown, tup, 3, RunCaps(*caps)).values == want_profile
+        check_frontier_pin(tdown, tup, k, n, caps, want)
+        other = pairs["grow" if machine == "halt2" else "halt2"]
+        contains_upto(*other, shift_on(other[0], 1), 2, reduction_caps(2))
+        check_frontier_pin(tdown, tup, k, n, caps, want)
 
 
 # T_up's partners for T_down graphs, in MatchIndex.search's order, recorded
