@@ -583,8 +583,13 @@ class GuardedNfa:
             self.rows + [self.dd.map_leaves(r, fn, memo) for r in other.rows])
 
     def intersect(self, other: "GuardedNfa") -> "GuardedNfa":
-        """Product on the pairs reachable from the initial pairs, trimmed;
-        parallel edges collapse."""
+        """``product(other)``, trimmed."""
+        return self.product(other).trim()
+
+    def product(self, other: "GuardedNfa") -> "GuardedNfa":
+        """Product on the pairs reachable from the initial pairs, untrimmed;
+        parallel edges collapse.  Meant to be minimized next, which makes
+        a trim beforehand wasted work; ``intersect`` is the trimmed one."""
         pairs = [(p, q) for p in sorted(self.initial) for q in sorted(other.initial)]
         ids = {pq: i for i, pq in enumerate(pairs)}
         initial = range(len(pairs))
@@ -607,7 +612,7 @@ class GuardedNfa:
         return self._relabel(
             [(self.names[p], other.names[q]) for p, q in pairs], initial,
             (i for i, (p, q) in enumerate(pairs) if p in self.final and q in other.final),
-            rows).trim()
+            rows)
 
     def determinize(self) -> "GuardedNfa":
         """Subset construction, breadth-first from the initial set, letters

@@ -11,6 +11,14 @@ Atom automata use weak semantics (constraints over every marked position)
 that coincide with the real semantics on words whose first-order tracks
 are singletons; the singleton automata are conjoined when a first-order
 variable is projected away and once more at the top level.
+
+A conjunction, ``Not(Or(Not(a), Not(b)))`` as ``f_and`` and the parser's
+``&`` write it, compiles as one product of a and b followed by one
+minimization, as MONA does (Klarlund, Moller, Schwartzbach, "MONA
+implementation secrets", IJFCS 2002), instead of three complements and a
+union.  The language is the same, a minimal complete DFA is unique, and
+``minimize`` numbers its blocks canonically, so the automaton built is
+the same, state for state and transition for transition.
 """
 
 from __future__ import annotations
@@ -149,6 +157,8 @@ class Exists(Formula):
 # -- derived constructors --------------------------------------------------
 
 def f_and(*fs):
+    """a & b & ..., written ``Not(Or(Not(a), Not(b)))`` and nested to the
+    left; the compiler takes that shape as a product (see ``_comp``)."""
     fs = list(fs)
     out = Not(Or(Not(fs[0]), Not(fs[1]))) if len(fs) >= 2 else fs[0]
     for f in fs[2:]:
@@ -370,6 +380,15 @@ def _comp(formula, sig, dd):
     where automata meet: both sides of an ``Or``, and a quantified
     variable's track at ``Exists`` (so a vacuous ``exists z. true`` still
     needs one position for z).
+
+    ``Not(Or(Not(a), Not(b)))``, a conjunction, compiles as the product of
+    a and b, minimized and trimmed: the same language as complementing
+    the union of the two complements, so the same minimal DFA with the
+    same block numbers, for at most one determinization and one
+    minimization in place of three or four of each.  Any other ``Not`` is
+    complemented; an ``Or`` with a side that is not negated keeps that
+    route too, since complementing that side costs a determinization of
+    its own.
     """
     alpha = StructuredAlphabet(dd.base, tuple(v for v in sig if v in formula.free_vars()))
     if isinstance(formula, Top):
@@ -393,7 +412,12 @@ def _comp(formula, sig, dd):
         right = _comp(formula.right, sig, dd).extend_tracks(alpha.tracks)
         return _compact(left.union(right))
     if isinstance(formula, Not):
-        return _comp(formula.body, sig, dd).complement().minimize().trim()
+        body = formula.body
+        if isinstance(body, Or) and isinstance(body.left, Not) and isinstance(body.right, Not):
+            left = _comp(body.left.body, sig, dd).extend_tracks(alpha.tracks)
+            right = _comp(body.right.body, sig, dd).extend_tracks(alpha.tracks)
+            return left.product(right).minimize().trim()
+        return _comp(body, sig, dd).complement().minimize().trim()
     if isinstance(formula, Exists):
         v = formula.var
         if v in sig:

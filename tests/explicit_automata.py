@@ -145,6 +145,25 @@ def intersect(n1, n2):
     return StructuredNfa(n1.alphabet, states, init, final, tuple(trans)).trim()
 
 
+def product(n1, n2):
+    """The pairs reachable from the initial pairs, co-accessible or not;
+    parallel edges collapse."""
+    d1, d2 = n1.delta(), n2.delta()
+    init = {(p, q) for p in n1.initial for q in n2.initial}
+    states, trans = set(init), set()
+    queue = deque(init)
+    while queue:
+        p, q = queue.popleft()
+        for a in n1.alphabet.letters():
+            for t in itertools.product(d1.get((p, a), ()), d2.get((q, a), ())):
+                trans.add(((p, q), a, t))
+                if t not in states:
+                    states.add(t)
+                    queue.append(t)
+    final = {(p, q) for (p, q) in states if p in n1.final and q in n2.final}
+    return StructuredNfa(n1.alphabet, states, init, final, tuple(trans))
+
+
 def union(n1, n2):
     s1 = {p: (0, p) for p in n1.states}
     s2 = {p: (1, p) for p in n2.states}

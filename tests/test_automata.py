@@ -4,9 +4,10 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from origami.automata import (StructuredAlphabet, StructuredNfa, intersect, union,
-                              ambiguity_class, ambiguity_report, language_equal_upto,
-                              AlphabetMismatchError, UnknownTrackError, FINITE, POLY, EXP)
+from origami.automata import (Diagrams, GuardedNfa, StructuredAlphabet, StructuredNfa,
+                              intersect, union, ambiguity_class, ambiguity_report,
+                              language_equal_upto, AlphabetMismatchError, UnknownTrackError,
+                              FINITE, POLY, EXP)
 
 import explicit_automata as ref
 from explicit_automata import same_automaton
@@ -291,6 +292,9 @@ def assert_operations_match_reference(n, m):
     # the minimized DFA's transitions come in the explicit construction's order
     assert n.minimize().transitions == ref.minimize(n).transitions
     assert same_automaton(intersect(n, m), ref.intersect(n, m))
+    dd = Diagrams(n.alphabet.base)
+    product = GuardedNfa.from_nfa(n, dd).product(GuardedNfa.from_nfa(m, dd)).to_nfa()
+    assert same_automaton(product, ref.product(n, m))
     assert same_automaton(union(n, m), ref.union(n, m))
     for t in n.alphabet.tracks:
         assert same_automaton(n.project_track(t), ref.project_track(n, t))

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from origami.mso import (parse_formula, mso_compile, compile_dfa, evaluate_extended,
                          is_second_order, MsoSyntaxError, UnboundVariableError,
-                         Top, Letter, Leq, Lt, InSet, Succ, First, Last, Or, Not, Exists)
+                         Top, Letter, Leq, Lt, InSet, Succ, First, Last, Or, Not, Exists,
+                         bottom, f_and, forall)
 
 
 def ext_letters(base, k):
@@ -112,11 +113,13 @@ VARS = ("X", "x", "y")
 
 
 @st.composite
-def formula_cases(draw):
-    """A formula with a signature holding its free variables (and maybe
-    more, in any order).  Variables bound in the formula are left out of
-    the signature and never bound twice on one path, as the compiler
-    requires; a quantifier may bind a variable its body does not use."""
+def formula_cases(draw, count=1):
+    """``count`` formulas, then a signature holding their free variables
+    (and maybe more, in any order).  Variables bound in the formulas are
+    left out of the signature and never bound twice on one path, as the
+    compiler requires; a quantifier may bind a variable its body does not
+    use.  Conjunctions come through ``f_and`` and universal quantifiers
+    through ``forall``, the shapes the parser builds."""
     bound = set(draw(st.sampled_from(
         [c for r in range(4) for c in itertools.combinations(VARS, r)])))
     sig = tuple(draw(st.permutations([v for v in VARS if v not in bound])))
@@ -131,9 +134,9 @@ def formula_cases(draw):
         if fo and so:
             kinds.append("in")
         if depth:
-            kinds += ["or", "not"]
+            kinds += ["or", "and", "not"]
             if bound - set(scope):
-                kinds.append("exists")
+                kinds += ["exists", "forall"]
         kind = draw(st.sampled_from(kinds))
         if kind == "top":
             return Top()
@@ -151,12 +154,15 @@ def formula_cases(draw):
             return InSet(draw(st.sampled_from(fo)), draw(st.sampled_from(so)))
         if kind == "or":
             return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "and":
+            return f_and(gen(depth - 1, scope), gen(depth - 1, scope))
         if kind == "not":
             return Not(gen(depth - 1, scope))
         v = draw(st.sampled_from(sorted(bound - set(scope))))
-        return Exists(v, gen(depth - 1, scope + (v,)))
+        body = gen(depth - 1, scope + (v,))
+        return Exists(v, body) if kind == "exists" else forall(v, body)
 
-    return gen(4, ()), sig
+    return *(gen(4, ()) for _ in range(count)), sig
 
 
 @settings(max_examples=150)
@@ -175,6 +181,17 @@ def test_generated_formulas_match_evaluator(case):
 def test_compile_dfa_is_the_minimized_compile(case):
     formula, sig = case
     assert compile_dfa(formula, sig, "ab") == mso_compile(formula, sig, "ab").minimize()
+
+
+@settings(max_examples=100)
+@given(formula_cases(count=2))
+def test_conjunction_product_route_equals_de_morgan_route(case):
+    a, b, sig = case
+    # the same language as f_and(a, b), but its top Or is not Not(_) | Not(_),
+    # so the compiler complements it instead of taking the product
+    de_morgan = Not(Or(Not(a), Or(Not(b), bottom())))
+    assert mso_compile(f_and(a, b), sig, "ab") == mso_compile(de_morgan, sig, "ab")
+    assert compile_dfa(f_and(a, b), sig, "ab") == compile_dfa(de_morgan, sig, "ab")
 
 
 def outputs_under_hash_seeds(args, seeds):
