@@ -129,11 +129,20 @@ class StructuredNfa:
     @cached_property
     def _delta(self):
         # a plain dict, so an automaton that has built it still pickles;
-        # tuples, because the map lives as long as the automaton
+        # tuples, because the map lives as long as the automaton; a set
+        # only for a key with several targets, filled in transition order
         d = {}
+        many = {}
         for (p, a, q) in self.transitions:
-            d.setdefault((p, a), set()).add(q)
-        return {k: tuple(v) for k, v in d.items()}
+            key = (p, a)
+            t = d.get(key)
+            if t is None:
+                d[key] = (q,)
+            else:
+                many.setdefault(key, set(t)).add(q)
+        for key, v in many.items():
+            d[key] = tuple(v)
+        return d
 
     def trim(self) -> "StructuredNfa":
         """Restrict to accessible and co-accessible states."""

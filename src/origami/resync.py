@@ -45,6 +45,23 @@ class ResyncWitness:
         return tuple(frozenset(i + 1 for i, b in enumerate(vec) if b) for vec in self.params)
 
 
+@dataclass(frozen=True)
+class _LetterClasses:
+    """Gamma's minimized DFA with the x bit taken out of its letters.
+
+    States are numbered in ``repr`` order: state i is ``states[i]``, so
+    tuples of numbers sort as the states' reprs do.  Letters that act
+    alike on every state, both with x = 0 and with x = 1, form one class;
+    ``classes`` holds (least letter, step0, step1) per class, in order of
+    least letter, where step0[i] and step1[i] number the states that the
+    letter leads to from state i without and with the x bit.
+    """
+    states: tuple
+    init: int
+    final: frozenset
+    classes: tuple
+
+
 class Resynchronizer:
     """Simplified regular resynchronizer: m input parameters plus gamma.
 
@@ -79,6 +96,7 @@ class Resynchronizer:
         self._delta = None
         self._live = None    # co-accessible gamma-DFA states
         self._moves = {}     # row_moves answers
+        self._classes = None  # _LetterClasses of gamma for boundedness
 
     @property
     def m(self):
@@ -120,6 +138,28 @@ class Resynchronizer:
                    for row in itertools.product((0, 1), repeat=self.m))
             self._moves[key] = tuple(t if t in self._live else None for t in nxt)
         return self._moves[key]
+
+    def _letter_classes(self):
+        """The gamma DFA as the boundedness searches read it; built once."""
+        if self._classes is None:
+            dfa = self.gamma_dfa()[0]
+            xi = self.m
+            states = tuple(sorted(dfa.states, key=repr))
+            num = {s: i for i, s in enumerate(states)}
+            steps = {}     # letter without x -> (step0, step1)
+            for (p, (a, bits), q) in dfa.transitions:
+                ltr = (a, bits[:xi] + bits[xi + 1:])
+                if ltr not in steps:
+                    steps[ltr] = ([None] * len(states), [None] * len(states))
+                steps[ltr][bits[xi]][num[p]] = num[q]
+            classes = {}   # filled in letter order, so each class keys its least letter
+            for ltr in sorted(steps):
+                z0, z1 = steps[ltr]
+                classes.setdefault((tuple(z0), tuple(z1)), ltr)
+            self._classes = _LetterClasses(
+                states, num[next(iter(dfa.initial))], frozenset(num[s] for s in dfa.final),
+                tuple((ltr, z0, z1) for ((z0, z1), ltr) in classes.items()))
+        return self._classes
 
     def gamma_holds(self, u, param_bits, xhat, yhat) -> bool:
         """Does (u, params, x=xhat, y=yhat) satisfy gamma?
@@ -232,70 +272,43 @@ def _place_once_unbounded(resync):
     the unplaced and placed halves are deterministic.  Equivalently, the
     graph over triples (a, b, t in D + {unplaced}) with extra restart edges
     (a, b, b) -> (a, b, unplaced) has a cycle through an eligible restart
-    edge.  Polynomial in |D|^3; returns a pump description or None.
+    edge.  Polynomial in |D|^3; reads one letter per class of
+    ``Resynchronizer._letter_classes``, whose numbering also orders the
+    search, and returns a pump description or None.
     """
-    dfa, delta = resync.gamma_dfa()
-    xi = resync.m
-    letters0 = {}
-    jump = {}
-    for (p, (a, bits), q) in dfa.transitions:
-        row = bits[:xi] + bits[xi + 1:]
-        if bits[xi] == 0:
-            letters0.setdefault((a, row), {})[p] = q
-        else:
-            jump.setdefault((a, row), {})[p] = q
-    # dedupe letters acting identically (joint x=0 / x=1 behavior)
-    classes = {}
-    for ltr in letters0:
-        sig = (tuple(sorted(letters0[ltr].items(), key=repr)),
-               tuple(sorted(jump.get(ltr, {}).items(), key=repr)))
-        classes.setdefault(sig, ltr)
-    letters = list(classes.values())
-
-    init = next(iter(dfa.initial))
+    tab = resync._letter_classes()
     fwd = {}
     bwd = {}
-    for ltr in letters:
-        for p, q in letters0[ltr].items():
+    for (_ltr, z0, _z1) in tab.classes:
+        for p, q in enumerate(z0):
             fwd.setdefault(p, set()).add(q)
             bwd.setdefault(q, set()).add(p)
-    acc = _closure({init}, fwd)
-    coacc = _closure(dfa.final, bwd)
+    acc = _closure({tab.init}, fwd)
+    coacc = _closure(tab.final, bwd)
 
-    # seeds and successors in repr order, so that the pump reported does
-    # not depend on set iteration order
-    U = "unplaced"
-    seeds = deque()
-    seen = set()
-    for a in sorted(acc, key=repr):
-        for b in sorted(coacc, key=repr):
-            node = (a, b, U)
-            seeds.append(node)
-            seen.add(node)
+    # seeds and successors in number order, so that the pump reported does
+    # not depend on set iteration order; that is the triples' repr order,
+    # since a minimized DFA's states are ints and unplaced is numbered -1
+    U = -1
+    queue = deque((a, b, U) for a in sorted(acc) for b in sorted(coacc))
+    seen = set(queue)
     edges = {}
     order = []
-    queue = seeds
     while queue:
         node = queue.popleft()
         order.append(node)
         a, b, t = node
         outs = set()
-        for ltr in letters:
-            la = letters0[ltr]
-            if a not in la or b not in la:
-                continue
-            na, nb = la[a], la[b]
-            if t is U:
+        for (_ltr, z0, z1) in tab.classes:
+            na, nb = z0[a], z0[b]
+            if t == U:
                 outs.add((na, nb, U))
-                j = jump.get(ltr, {}).get(a)
-                if j is not None:
-                    outs.add((na, nb, j))
+                outs.add((na, nb, z1[a]))
             else:
-                if t in la:
-                    outs.add((na, nb, la[t]))
-        if a in acc and b in coacc and t == b:
+                outs.add((na, nb, z0[t]))
+        if t == b and a in acc and b in coacc:
             outs.add((a, b, U))   # restart edge: a pump cycle may recombine here
-        edges[node] = outs = sorted(outs, key=repr)
+        edges[node] = outs = sorted(outs)
         for nxt in outs:
             if nxt not in seen:
                 seen.add(nxt)
@@ -303,10 +316,8 @@ def _place_once_unbounded(resync):
     comp = _scc(order, edges)
     for node in order:
         a, b, t = node
-        if t == b and t is not U and a in acc and b in coacc:
-            restart = (a, b, U)
-            if restart in comp and comp[restart] == comp.get(node):
-                return (a, b)
+        if t == b and a in acc and b in coacc and comp[(a, b, U)] == comp[node]:
+            return (tab.states[a], tab.states[b])
     return None
 
 
@@ -319,7 +330,10 @@ def is_bounded(resync: Resynchronizer) -> BoundednessResult:
     ambiguity of that NFA; the test suite builds it as an oracle.  The NFA
     is not built here: its place-once structure admits only one
     infinite-ambiguity pattern, which ``_place_once_unbounded`` looks for
-    by a polynomial cycle search on the minimized gamma DFA.
+    by a polynomial cycle search on the minimized gamma DFA.  The search
+    reads the letter classes ``bounded_by`` reads, built once per
+    resynchronizer, and orders its nodes by state number, so the pump
+    reported is the first in a fixed breadth-first order.
     """
     hit = _place_once_unbounded(resync)
     if hit is None:
@@ -342,39 +356,40 @@ def bounded_by(resync: Resynchronizer, k: int, max_len: int):
 
     Explores the (k+1)-fold product of the source-guessing NFA with
     pairwise-distinct placements; unplaced copies share one gamma state, so
-    a product state is (shared state, multiset of placed states).  Returns
-    None when the bound holds on the sweep, else a BoundViolation.
+    a product state is (shared state, multiset of placed states).  The
+    search is breadth-first, so the violation found has the least length.
+    It reads one letter per class of ``Resynchronizer._letter_classes``,
+    the least: a later letter of the class reaches the same states.  Each
+    letter places at most one source, so a state whose placements and
+    remaining letters together fall short of k + 1 is dropped unexpanded;
+    every ancestor of a state that can still become a violation can too.
+    Returns None when the bound holds on the sweep, else a BoundViolation.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    dfa = resync.gamma_dfa()[0]
-    xi = resync.m
-    # gamma states numbered in repr order, so that a multiset sorted as
-    # ints is sorted by repr; step0[i][s] and step1[i][s] read the i-th
-    # letter from the state numbered s, without and with the x bit
-    num = {s: i for i, s in enumerate(sorted(dfa.states, key=repr))}
-    letters = sorted({(a, bits[:xi] + bits[xi + 1:]) for (_p, (a, bits), _q) in dfa.transitions})
-    at = {ltr: i for i, ltr in enumerate(letters)}
-    step0 = [{} for _ in letters]
-    step1 = [{} for _ in letters]
-    for (p, (a, bits), q) in dfa.transitions:
-        (step1 if bits[xi] else step0)[at[(a, bits[:xi] + bits[xi + 1:])]][num[p]] = num[q]
-    final = {num[s] for s in dfa.final}
-    start = (num[next(iter(dfa.initial))], ())
+    if max_len <= k:
+        return None    # no word that short has k + 1 sources
+    tab = resync._letter_classes()
+    final = tab.final
+    start = (tab.init, ())
     seen = {start}
     # each node links to its parent: (letter, link) back to the start's None
     frontier = [(start, None)]
-    for _depth in range(max_len):
+    for depth in range(max_len):
+        # a child has max_len - depth - 1 letters left, so with fewer
+        # placements than this it can no longer reach k + 1
+        need = k + 2 + depth - max_len
         nxt = []
         for ((d0, placed), link) in frontier:
-            for i, ltr in enumerate(letters):
-                z0 = step0[i]
+            keep = len(placed) >= need
+            place = len(placed) <= k
+            for (ltr, z0, z1) in tab.classes:
                 nd0 = z0[d0]
                 nplaced = tuple(sorted([z0[s] for s in placed]))
                 chain = (ltr, link)
-                cands = [(nd0, nplaced)]
-                if len(placed) <= k:
-                    cands.append((nd0, tuple(sorted(nplaced + (step1[i][d0],)))))
+                cands = [(nd0, nplaced)] if keep else []
+                if place:
+                    cands.append((nd0, tuple(sorted(nplaced + (z1[d0],)))))
                 for state in cands:
                     if state in seen:
                         continue

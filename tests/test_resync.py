@@ -1,13 +1,17 @@
+import functools
 import itertools
+import os
 import random
+from collections import deque
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from origami.automata import (StructuredNfa, ambiguity_report, language_equal_upto,
-                              FINITE)
+from origami.automata import (StructuredNfa, ambiguity_report,
+                              language_equal_upto, FINITE, _closure, _scc)
+from origami.formats import parse_resynchronizer
 from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not, Exists,
-                         parse_formula, is_second_order)
+                         f_and, parse_formula, is_second_order)
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             pair_in_resync, check_witness,
@@ -16,7 +20,8 @@ from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             extended_pair_in_resync, ExtendedResynchronizer,
                             make_identity, make_universal, make_pm1, make_shift,
                             make_first, make_param_example, make_block, make_Rk,
-                            make_first_to_last)
+                            make_first_to_last, _violation_from_path)
+from test_mso import formula_cases
 
 
 A6B6 = ("aaaaaa", "bbbbbb")
@@ -318,6 +323,188 @@ def test_bounded_by_pinned_results(name):
     big, small = BOUNDED_BY_PINS[name]
     assert bounded_by(r, 2 * len(d.states) + 1, 6 if r.m <= 1 else 5) == pinned(big)
     assert [bounded_by(r, k, k + 2) for k in range(4)] == [pinned(v) for v in small]
+
+
+def bounded_by_reference(resync, k, max_len):
+    """bounded_by as it was before letter classes and the length cut: every
+    letter from every product state, each state expanded up to max_len."""
+    dfa = resync.gamma_dfa()[0]
+    xi = resync.m
+    num = {s: i for i, s in enumerate(sorted(dfa.states, key=repr))}
+    letters = sorted({(a, bits[:xi] + bits[xi + 1:]) for (_p, (a, bits), _q) in dfa.transitions})
+    at = {ltr: i for i, ltr in enumerate(letters)}
+    step0 = [{} for _ in letters]
+    step1 = [{} for _ in letters]
+    for (p, (a, bits), q) in dfa.transitions:
+        (step1 if bits[xi] else step0)[at[(a, bits[:xi] + bits[xi + 1:])]][num[p]] = num[q]
+    final = {num[s] for s in dfa.final}
+    start = (num[next(iter(dfa.initial))], ())
+    seen = {start}
+    frontier = [(start, None)]
+    for _depth in range(max_len):
+        nxt = []
+        for ((d0, placed), link) in frontier:
+            for i, ltr in enumerate(letters):
+                z0 = step0[i]
+                nplaced = tuple(sorted([z0[s] for s in placed]))
+                cands = [(z0[d0], nplaced)]
+                if len(placed) <= k:
+                    cands.append((z0[d0], tuple(sorted(nplaced + (step1[i][d0],)))))
+                for state in cands:
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                    if len(state[1]) == k + 1 and all(s in final for s in state[1]):
+                        return _violation_from_path(resync, (ltr, link))
+                    nxt.append((state, (ltr, link)))
+        frontier = nxt
+    return None
+
+
+def place_once_reference(resync):
+    """The pump search of is_bounded as it was before letter classes were
+    shared: letters read from the transitions, nodes sorted by repr."""
+    dfa, _delta = resync.gamma_dfa()
+    xi = resync.m
+    letters0, jump = {}, {}
+    for (p, (a, bits), q) in dfa.transitions:
+        (jump if bits[xi] else letters0).setdefault((a, bits[:xi] + bits[xi + 1:]), {})[p] = q
+    fwd, bwd = {}, {}
+    for la in letters0.values():
+        for p, q in la.items():
+            fwd.setdefault(p, set()).add(q)
+            bwd.setdefault(q, set()).add(p)
+    acc = _closure(set(dfa.initial), fwd)
+    coacc = _closure(dfa.final, bwd)
+    U = "unplaced"
+    queue = deque((a, b, U) for a in sorted(acc, key=repr) for b in sorted(coacc, key=repr))
+    seen = set(queue)
+    edges, order = {}, []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        a, b, t = node
+        outs = set()
+        for ltr, la in letters0.items():
+            if t is U:
+                outs.add((la[a], la[b], U))
+                outs.add((la[a], la[b], jump[ltr][a]))
+            else:
+                outs.add((la[a], la[b], la[t]))
+        if a in acc and b in coacc and t == b:
+            outs.add((a, b, U))
+        edges[node] = outs = sorted(outs, key=repr)
+        for nxt in outs:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    comp = _scc(order, edges)
+    for (a, b, t) in order:
+        if t == b and a in acc and b in coacc and comp[(a, b, U)] == comp[(a, b, t)]:
+            return (a, b)
+    return None
+
+
+def generated_resync(case):
+    """A resynchronizer whose gamma is formula_cases' formula; the
+    signature's second-order variable, if any, is its one parameter."""
+    formula, sig = case
+    return Resynchronizer(tuple(v for v in sig if is_second_order(v)), formula, base="ab")
+
+
+# formula_cases' formulas with x and y free in the signature: gammas with
+# zero or one parameter
+generated_gammas = formula_cases().filter(lambda case: {"x", "y"} <= set(case[-1]))
+
+
+def most_sources(resync, max_len):
+    """most[n]: the most sources x that gamma accepts, by the naive
+    evaluator, for one word of length n, valuation and target y."""
+    most = [0]
+    for n in range(1, max_len + 1):
+        top = 0
+        for u in itertools.product("ab", repeat=n):
+            for params in itertools.product(itertools.product((0, 1), repeat=n),
+                                            repeat=resync.m):
+                for y in range(1, n + 1):
+                    top = max(top, sum(resync.gamma_holds(u, params, x, y)
+                                       for x in range(1, n + 1)))
+        most.append(top)
+    return most
+
+
+@settings(max_examples=100)
+@given(generated_gammas)
+@example((Top(), ("x", "y")))
+@example((Or(Succ("x", "y", 1), Succ("y", "x", 1)), ("y", "X", "x")))
+@example((InSet("x", "X"), ("X", "x", "y")))
+def test_bounded_by_matches_source_counts(case):
+    r = generated_resync(case)
+    most = most_sources(r, 4)
+    for k in range(3):
+        least = next((n for n in range(5) if most[n] > k), None)
+        for max_len in range(5):
+            got = bounded_by(r, k, max_len)
+            assert got == bounded_by_reference(r, k, max_len)
+            if least is None or least > max_len:
+                assert got is None
+                continue
+            assert got is not None and len(got.word) == least
+            assert len(got.sources) > k
+            assert got.sources == tuple(x for x in range(1, least + 1)
+                                        if r.gamma_holds(got.word, got.params, x, got.target))
+
+
+@settings(max_examples=100)
+@given(generated_gammas)
+@example((Top(), ("x", "y")))
+@example((InSet("x", "X"), ("X", "x", "y")))
+# pumps at states 11 and 12, and 29 and 30: numbers whose reprs sort apart
+@example((f_and(Leq("y", "x"), Exists("z", Succ("y", "z", 9))), ("x", "y")))
+@example((Or(Exists("z", Succ("y", "z", 10)), Succ("x", "y", 10)), ("x", "y")))
+def test_is_bounded_matches_source_guessing_ambiguity_on_generated_gammas(case):
+    r = generated_resync(case)
+    res = is_bounded(r)
+    assert res.bounded == (ambiguity_report(source_guessing_nfa(r)).kind == FINITE)
+    hit = place_once_reference(r)
+    assert res.bounded == (hit is None)
+    assert (None if res.report is None else res.report.states) == hit
+
+
+UNIVERSAL_DETAIL = "pump cycle at gamma states (0, 2): one loop admits placements that keep accepting"
+
+
+def load_univ_rsync():
+    with open(os.path.join(os.path.dirname(__file__), "..", "data", "univ.rsync")) as fh:
+        return parse_resynchronizer(fh.read())
+
+
+@pytest.mark.parametrize("load", [make_universal, load_univ_rsync])
+def test_universal_pump_pinned(load):
+    res = is_bounded(load())
+    assert (res.report.states, res.detail) == ((0, 2), UNIVERSAL_DETAIL)
+
+
+ORDER_BUILDERS = BOUNDED_BUILDERS + [make_universal, lambda: make_Rk(1)]
+
+
+def run_boundedness(r, call):
+    return is_bounded(r) if call is None else bounded_by(r, *call)
+
+
+@functools.lru_cache(maxsize=None)
+def on_fresh_copy(builder, call):
+    return run_boundedness(ORDER_BUILDERS[builder](), call)
+
+
+@given(st.integers(0, len(ORDER_BUILDERS) - 1),
+       st.lists(st.none() | st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                min_size=1, max_size=8))
+def test_boundedness_calls_in_any_order_match_fresh_copies(builder, calls):
+    # one resynchronizer keeps its letter classes across calls; each answer
+    # must be the one a resynchronizer never asked before gives
+    r = ORDER_BUILDERS[builder]()
+    assert [run_boundedness(r, c) for c in calls] == [on_fresh_copy(builder, c) for c in calls]
 
 
 # -- composition -----------------------------------------------------------------
