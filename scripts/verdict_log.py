@@ -3,19 +3,21 @@
 line per call, so that two trees can be compared with one ``diff``.
 
 Every outermost call of ``contains_upto``, ``contains_upto_rational``,
-``resync_search``, ``traversal_profile`` and ``pair_in_resync`` is logged
-with a description of its arguments (machines and resynchronizers by
-names and sizes, origin graphs by their words and origins; keyword
-arguments left at None are omitted) and its result: the ``to_json()`` of
-a verdict, search or profile, a witness's parameter bits, or null.  A
-verdict's line also carries its ``saturated_at``, which the JSON leaves
-out, and a ``contains_upto`` or ``traversal_profile`` line the call's
-``stats`` without the seconds (route, macro-states per layer, gamma DFA
-sizes, sweep counters), from a dict of the logger's own when the caller
-passed none.  Calls made inside another logged call are not logged, and
-a line already written by this process is not written again, so a
-benchmark's repeated passes log as one.  The log goes to the file named
-by ``ORIGAMI_VERDICT_LOG``, appended to.
+``resync_search``, ``traversal_profile``, ``pair_in_resync``,
+``is_bounded`` and ``bounded_by`` is logged with a description of its
+arguments (machines and resynchronizers by names and sizes, origin graphs
+by their words and origins; keyword arguments left at None are omitted)
+and its result: the ``to_json()`` of a verdict, search or profile, a
+witness's parameter bits, a boundedness result or violation field by
+field, or null.  A verdict's line also carries its ``saturated_at``,
+which the JSON leaves out, and a ``contains_upto`` or
+``traversal_profile`` line the call's ``stats`` without the seconds
+(route, macro-states per layer, gamma DFA sizes, sweep counters), from a
+dict of the logger's own when the caller passed none.  Calls made inside
+another logged call are not logged, and a line already written by this
+process is not written again, so a benchmark's repeated passes log as
+one.  The log goes to the file named by ``ORIGAMI_VERDICT_LOG``,
+appended to.
 
 As a pytest plugin, with ``scripts`` on the path:
 
@@ -30,6 +32,7 @@ As a wrapper around a script, for instance a benchmark pass:
 Run both trees with the same ``PYTHONHASHSEED`` and compare the logs.
 """
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -40,7 +43,7 @@ import sys
 ENV = "ORIGAMI_VERDICT_LOG"
 LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
           "rational": ("contains_upto_rational",),
-          "resync": ("pair_in_resync",)}
+          "resync": ("pair_in_resync", "is_bounded", "bounded_by")}
 WITH_STATS = ("contains_upto", "traversal_profile")
 
 
@@ -60,12 +63,16 @@ def describe(arg):
     return [type(arg).__name__, getattr(arg, "name", "")]
 
 
-def outcome(result):
-    """A logged call's result: its ``to_json()``, or for ``pair_in_resync``
-    the witness's parameter bits (null when the pair is not related)."""
+def outcome(name, result):
+    """A logged call's result: its ``to_json()``; for ``pair_in_resync`` the
+    witness's parameter bits (null when the pair is not related); for
+    ``is_bounded`` and ``bounded_by`` the dataclass's fields, nested ones
+    too (null when the bound holds)."""
     if hasattr(result, "to_json"):
         return result.to_json()
-    return None if result is None else result.params
+    if result is None:
+        return None
+    return result.params if name == "pair_in_resync" else dataclasses.asdict(result)
 
 
 def install(path):
@@ -99,7 +106,7 @@ def install(path):
                         "args": [describe(a) for a in args],
                         "kwargs": {k: describe(v) for k, v in sorted(kwargs.items())
                                    if v is not None},
-                        "result": outcome(result)}
+                        "result": outcome(name, result)}
                 if hasattr(result, "saturated_at"):
                     line["saturated_at"] = result.saturated_at
                 if stats is not None:

@@ -907,7 +907,8 @@ def ambiguity_class(nfa: StructuredNfa) -> str:
 
 
 def _scc(vertices, edges):
-    """Tarjan, iterative; returns vertex -> component id."""
+    """Tarjan, iterative; returns vertex -> component id, each id above
+    those of the components it reaches, whatever the order of ``edges``."""
     index = {}
     low = {}
     onstack = set()
@@ -918,7 +919,7 @@ def _scc(vertices, edges):
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter(sorted(edges.get(root, ()), key=repr)))]
+        work = [(root, iter(edges.get(root, ())))]
         index[root] = low[root] = next(counter)
         stack.append(root)
         onstack.add(root)
@@ -930,7 +931,7 @@ def _scc(vertices, edges):
                     index[w] = low[w] = next(counter)
                     stack.append(w)
                     onstack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ()), key=repr))))
+                    work.append((w, iter(edges.get(w, ()))))
                     advanced = True
                     break
                 elif w in onstack:

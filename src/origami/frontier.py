@@ -12,14 +12,14 @@ between calls, keyed by the identity of the last pair of transducer
 objects asked about: the calls on one pair share it, equal transducers
 built again start afresh, and no more than one pair's tables stay alive.
 The state of a call, the gamma tables and the configurations it interns,
-stays with the frontier it builds.  ``_Frontier`` reads gamma through one
-table built up front, the successors of each gamma state on each letter
-under the four (x, y) marks, and keeps one object per distinct pending
-suffix, settled set, t2 configuration and set of them.  Unless
-``_t1_fits_caps`` shows that no cap can bind, t1's runs are keyed with
-their step count and output length, so that the caps cut the runs the
-sweep cuts.  ``containment`` chooses between a frontier and the per-input
-sweep.
+stays with the frontier it builds.  ``_Frontier`` reads gamma through
+the resynchronizer's step table (``Resynchronizer.gamma_dfa``), the
+successors of each gamma state on each letter under the four (x, y)
+marks, and keeps one object per distinct pending suffix, settled set, t2
+configuration and set of them.  Unless ``_t1_fits_caps`` shows that no
+cap can bind, t1's runs are keyed with their step count and output
+length, so that the caps cut the runs the sweep cuts.  ``containment``
+chooses between a frontier and the per-input sweep.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from bisect import bisect_right
 from .automata import _closure, _scc
 from .transducers import EPS, MatchIndex, transition_index, _eps_close, _read
 
-_ZERO = (0, 0)
-_MARKS = (_ZERO, (0, 1), (1, 0), (1, 1))     # (x, y), in the order of _Frontier.marks
 _EMPTY = (None, frozenset())       # the macro-state with no run left to check
 _last = None                       # the product of the last pair asked about (_product)
 
@@ -379,9 +377,10 @@ class _Frontier:
     with its least prefix; an input of length n + 1 fails when its last
     letter fails the end check of its prefix's macro-state.
 
-    Gamma is read through ``marks[a][s]``, the successors of the gamma
-    state s on the letter a under the marks (x, y) = 00, 01, 10, 11, built
-    once from the DFA; ``pair[s][b]`` is the one pending entry (b, s).
+    Gamma is read through ``steps[a][s]``, the resynchronizer's step table
+    on t1's letters; gamma has no parameters, so it holds the successors of
+    the gamma state s on the letter a under the marks (x, y) = 00, 01, 10,
+    11; ``pair[s][b]`` is the one pending entry (b, s).
     ``shared`` holds one object per distinct pending suffix, settled set,
     configuration and set of configurations that ``t2_next`` builds.
     These, and the caches ``next2`` and ``end2``, read gamma and stay with
@@ -391,15 +390,14 @@ class _Frontier:
 
     def __init__(self, product, resync):
         self.product = product
-        dfa, delta = resync.gamma_dfa()
+        dfa, steps = resync.gamma_dfa()
         init = next(iter(dfa.initial))
         self.letters = product.letters
         self.g_final = dfa.final
-        self.marks = {a: {s: tuple(delta[(s, (a, bits))] for bits in _MARKS) for s in dfa.states}
-                      for a in self.letters}
+        self.steps = {a: steps[a] for a in self.letters}
         zsucc, zpred, xpred = {}, {}, {}
-        for row in self.marks.values():
-            for s, (t, _t01, tx, _t11) in row.items():
+        for table in self.steps.values():
+            for s, (t, _t01, tx, _t11) in enumerate(table):
                 zsucc.setdefault(s, set()).add(t)
                 zpred.setdefault(t, set()).add(s)
                 xpred.setdefault(tx, set()).add(s)
@@ -408,8 +406,8 @@ class _Frontier:
         self.co0 = _closure(dfa.final, zpred)
         self.co1 = _closure({s for t in self.co0 for s in xpred.get(t, ())}, zpred)
         self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
-        identity_safe = all(row[s][3] in self.safe
-                            for s in _closure({init}, zsucc) for row in self.marks.values())
+        identity_safe = all(table[s][3] in self.safe
+                            for s in _closure({init}, zsucc) for table in self.steps.values())
         self.free = frozenset((q, (), frozenset()) for q in product.free_states
                               if identity_safe)
         self.pair = {s: {b: (b, s) for b in product.outputs} for s in dfa.states}
@@ -436,17 +434,17 @@ class _Frontier:
         if got is not None:
             return got
         q2, pending, settled = c
-        marks, co0, co1 = self.marks[a], self.co0, self.co1
+        steps, co0, co1 = self.steps[a], self.co0, self.co1
         # each entry's gamma state if t2 writes it here (x marked, row[2 + y])
         # and if not yet (row[y]); pending letters have y = 0, and t1's
         # letters here y = 1 and the gamma state z
         now, later = [], []
         for (_b, g) in pending:
-            row = marks[g]
+            row = steps[g]
             now.append(row[2])
             later.append(row[0])
         if w:
-            row = marks[z]
+            row = steps[z]
             now += [row[3]] * len(w)
             later += [row[1]] * len(w)
         written = tuple([b for (b, _g) in pending]) + w
@@ -454,7 +452,7 @@ class _Frontier:
         # and must write those after the last that could not wait
         most = next((i for i, s in enumerate(now) if s not in co0), len(now))
         least = next((i + 1 for i in range(len(later) - 1, -1, -1) if later[i] not in co1), 0)
-        kept = [marks[g][0] for g in settled]
+        kept = [steps[g][0] for g in settled]
         if least > most or any(s not in co0 for s in kept):
             got = self.next2[key] = frozenset()
             return got
@@ -489,10 +487,10 @@ class _Frontier:
         got = self.end2.get(key)
         if got is None:
             q2, pending, settled = c
-            marks, final = self.marks[a], self.g_final
+            steps, final = self.steps[a], self.g_final
             got = frozenset()
-            if (all(marks[g][2] in final for (_b, g) in pending)
-                    and all(marks[g][0] in final for g in settled)):
+            if (all(steps[g][2] in final for (_b, g) in pending)
+                    and all(steps[g][0] in final for g in settled)):
                 got = self.product.t2_after(q2, tuple(b for (b, _g) in pending), a)
             self.end2[key] = got
         return got
@@ -509,7 +507,7 @@ class _Frontier:
         out = _antichains(minimal)
         if not out:
             return _EMPTY
-        return (self.marks[a][z][0], frozenset(out))
+        return (self.steps[a][z][0], frozenset(out))
 
     def fails(self, state, a):
         """Does some t1 run ending with the letter a lack every partner?"""
@@ -517,7 +515,7 @@ class _Frontier:
         if not pairs:
             return False
         # t1's letters here all have the gamma state z, y marked
-        writes = self.marks[a][z][3] in self.g_final
+        writes = self.steps[a][z][3] in self.g_final
         product = self.product
         for (q1, configs) in pairs:
             words = product.t1_moves(q1, a)[1]
@@ -818,19 +816,20 @@ class _ProfileFrontier:
         return values, sizes
 
 
-def _t2_may_lead(dfa, delta, letters):
-    """Does gamma accept a word with x strictly before y, each marked once?"""
-    # phase 0: no mark yet; 1: x marked; 2: y marked after x
-    moves = {0: ((_ZERO, 0), ((1, 0), 1)), 1: ((_ZERO, 1), ((0, 1), 2)), 2: ((_ZERO, 2),)}
+def _t2_may_lead(dfa, steps, letters):
+    """Does the parameterless gamma with the step table steps accept a word
+    with x strictly before y, each marked once?"""
+    # phase 0: no mark yet; 1: x marked; 2: y marked after x; moves (2x + y, phase)
+    moves = {0: ((0, 0), (2, 1)), 1: ((0, 1), (1, 2)), 2: ((0, 2),)}
     start = (next(iter(dfa.initial)), 0)
     seen, stack = {start}, [start]
     while stack:
         s, phase = stack.pop()
         if phase == 2 and s in dfa.final:
             return True
-        for (bits, nphase) in moves[phase]:
+        for (i, nphase) in moves[phase]:
             for a in letters:
-                item = (delta[(s, (a, bits))], nphase)
+                item = (steps[a][s][i], nphase)
                 if item not in seen:
                     seen.add(item)
                     stack.append(item)

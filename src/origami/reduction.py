@@ -153,6 +153,39 @@ def _encode(tape, head, state):
     return tuple(tape[:head]) + (state,) + tuple(tape[head:]) + (SEP,)
 
 
+def _run(machine: TuringMachine):
+    """The machine's run from the empty tape, one change at a time.
+
+    Yields (tape, head, state, moved) after each change: moved is False
+    for an expansion (a blank appended when the head sits past the
+    written tape) and True for a machine step, which inserts a blank at
+    the left edge when it moves the head off it.  Ends when the machine
+    halts; a machine with nothing to do on the blank halts before the
+    expansion.  The tape is one list, changed in place.
+    """
+    delta = machine.delta()
+    tape, head, state = [], 0, machine.initial
+    while True:
+        if head == len(tape):
+            if (state, machine.blank) not in delta:
+                return
+            tape.append(machine.blank)
+            yield tape, head, state, False
+            continue
+        rule = delta.get((state, tape[head]))
+        if rule is None:
+            return
+        state, b, d = rule
+        tape[head] = b
+        if d == "R":
+            head += 1
+        elif head == 0:
+            tape.insert(0, machine.blank)
+        else:
+            head -= 1
+        yield tape, head, state, True
+
+
 def history(machine: TuringMachine, max_configs: int, max_cells: int):
     """Prefix of the computation history from the empty tape.
 
@@ -163,40 +196,17 @@ def history(machine: TuringMachine, max_configs: int, max_cells: int):
     """
     if max_configs <= 0 or max_cells <= 0:
         raise MachineError("caps must be positive")
-    delta = machine.delta()
-    tape = []
-    head = 0
-    state = machine.initial
-    configs = [_encode(tape, head, state)]
+    configs = [_encode((), 0, machine.initial)]
     status = "still-running"
-    while len(configs) < max_configs:
-        if head == len(tape):
-            # a machine with nothing to do on the blank halts before the
-            # expansion configuration is materialized
-            if delta.get((state, machine.blank)) is None:
-                status = "halted"
-                break
-            if len(tape) + 1 > max_cells:
-                status = "cell-cap-hit"
-                break
-            tape.append(machine.blank)
-            configs.append(_encode(tape, head, state))
-            continue
-        rule = delta.get((state, tape[head]))
-        if rule is None:
-            status = "halted"
+    # each change read adds one configuration or ends the history
+    for tape, head, state, moved in itertools.islice(_run(machine), max_configs - 1):
+        if not moved and len(tape) > max_cells:
+            status = "cell-cap-hit"
             break
-        q, b, d = rule
-        tape[head] = b
-        state = q
-        if d == "R":
-            head += 1
-        else:
-            if head == 0:
-                tape.insert(0, machine.blank)
-            else:
-                head -= 1
         configs.append(_encode(tape, head, state))
+    else:
+        if len(configs) < max_configs:
+            status = "halted"
     word = tuple(itertools.chain.from_iterable(configs))
     return word, tuple(configs), status
 
@@ -208,33 +218,12 @@ def tape_probe(machine: TuringMachine, max_steps: int) -> int:
     """
     if max_steps <= 0:
         raise MachineError("caps must be positive")
-    delta = machine.delta()
-    tape = []
-    head = 0
-    state = machine.initial
-    best = len(_encode(tape, head, state)) - 1
-    steps = 0
-    while steps < max_steps:
-        if head == len(tape):
-            if delta.get((state, machine.blank)) is None:
-                break
-            tape.append(machine.blank)
-            best = max(best, len(_encode(tape, head, state)) - 1)
-            continue
-        rule = delta.get((state, tape[head]))
-        if rule is None:
+    best, steps = 1, 0      # the empty tape's encoding is q0#
+    for tape, _head, _state, moved in _run(machine):
+        if steps == max_steps:
             break
-        q, b, d = rule
-        tape[head] = b
-        state = q
-        if d == "R":
-            head += 1
-        elif head == 0:
-            tape.insert(0, machine.blank)
-        else:
-            head -= 1
-        steps += 1
-        best = max(best, len(_encode(tape, head, state)) - 1)
+        steps += moved
+        best = max(best, len(tape) + 1)
     return best
 
 

@@ -93,7 +93,7 @@ class Resynchronizer:
                 raise ResyncError(f"parameter names must be second-order (uppercase): {p!r}")
         self._nfa = gamma_automaton
         self._dfa = None
-        self._delta = None
+        self._steps = None
         self._live = None    # co-accessible gamma-DFA states
         self._moves = {}     # row_moves answers
         self._classes = None  # _LetterClasses of gamma for boundedness
@@ -112,15 +112,22 @@ class Resynchronizer:
         return self._nfa
 
     def gamma_dfa(self):
-        """Determinized and minimized gamma with its transition dict."""
+        """The minimized gamma, complete on states 0 .. n - 1, and the step
+        table every reader of its moves reads: ``steps[a][s]`` lists the
+        successors of s on the base letter a by bits over params + (x, y) in
+        ``itertools.product`` order, entry ``4 * r + 2 * x + y`` for row r."""
         if self._dfa is None:
             if self.gamma_formula is not None:
                 d = mso.compile_dfa(self.gamma_formula, self.signature, self.base)
             else:
                 d = self._nfa.minimize()
+            at = {bits: i for i, bits in enumerate(itertools.product((0, 1), repeat=self.m + 2))}
+            steps = {a: [[None] * len(at) for _ in d.states] for a in d.alphabet.base}
+            for (p, (a, bits), q) in d.transitions:
+                steps[a][p][at[bits]] = q
             self._dfa = d
-            self._delta = {(p, a): q for (p, a, q) in d.transitions}
-        return self._dfa, self._delta
+            self._steps = {a: tuple(map(tuple, rows)) for a, rows in steps.items()}
+        return self._dfa, self._steps
 
     def row_moves(self, state, letter, marks):
         """The gamma-DFA successors of state on letter with the (x, y) marks,
@@ -128,34 +135,35 @@ class Resynchronizer:
         stands for a successor from which no word is accepted."""
         key = (state, letter, marks)
         if key not in self._moves:
-            dfa, delta = self.gamma_dfa()
+            dfa, steps = self.gamma_dfa()
             if self._live is None:
                 back = {}
-                for (p, _a, q) in dfa.transitions:
-                    back.setdefault(q, set()).add(p)
+                for table in steps.values():
+                    for p, succ in enumerate(table):
+                        for q in succ:
+                            back.setdefault(q, set()).add(p)
                 self._live = _closure(dfa.final, back)
-            nxt = (delta[(state, (letter, row + marks))]
-                   for row in itertools.product((0, 1), repeat=self.m))
-            self._moves[key] = tuple(t if t in self._live else None for t in nxt)
+            x, y = marks
+            self._moves[key] = tuple(t if t in self._live else None
+                                     for t in steps[letter][state][2 * x + y::4])
         return self._moves[key]
 
     def _letter_classes(self):
-        """The gamma DFA as the boundedness searches read it; built once."""
+        """The gamma DFA as the boundedness searches read it; built once from
+        the step table, where the letter (a, row + (y,)) without the x bit
+        takes entry ``4 * r + 2 * x + y``, r the number of the row."""
         if self._classes is None:
-            dfa = self.gamma_dfa()[0]
-            xi = self.m
+            dfa, steps = self.gamma_dfa()
             states = tuple(sorted(dfa.states, key=repr))
             num = {s: i for i, s in enumerate(states)}
-            steps = {}     # letter without x -> (step0, step1)
-            for (p, (a, bits), q) in dfa.transitions:
-                ltr = (a, bits[:xi] + bits[xi + 1:])
-                if ltr not in steps:
-                    steps[ltr] = ([None] * len(states), [None] * len(states))
-                steps[ltr][bits[xi]][num[p]] = num[q]
             classes = {}   # filled in letter order, so each class keys its least letter
-            for ltr in sorted(steps):
-                z0, z1 = steps[ltr]
-                classes.setdefault((tuple(z0), tuple(z1)), ltr)
+            for a in sorted(steps):
+                table = [steps[a][s] for s in states]
+                for r, row in enumerate(itertools.product((0, 1), repeat=self.m)):
+                    for y in (0, 1):
+                        z0 = tuple(num[succ[4 * r + y]] for succ in table)
+                        z1 = tuple(num[succ[4 * r + 2 + y]] for succ in table)
+                        classes.setdefault((z0, z1), (a, row + (y,)))
             self._classes = _LetterClasses(
                 states, num[next(iter(dfa.initial))], frozenset(num[s] for s in dfa.final),
                 tuple((ltr, z0, z1) for ((z0, z1), ltr) in classes.items()))
@@ -176,12 +184,13 @@ class Resynchronizer:
 
     def gamma_holds_dfa(self, u, param_bits, xhat, yhat) -> bool:
         """Same question answered by the compiled automaton."""
-        dfa, delta = self.gamma_dfa()
+        dfa, steps = self.gamma_dfa()
         state = next(iter(dfa.initial))
         for p, a in enumerate(u, start=1):
-            bits = tuple(vec[p - 1] for vec in param_bits) + \
-                   (1 if p == xhat else 0, 1 if p == yhat else 0)
-            state = delta[(state, (a, bits))]
+            row = 0
+            for vec in param_bits:
+                row = 2 * row + vec[p - 1]
+            state = steps[a][state][4 * row + 2 * (p == xhat) + (p == yhat)]
         return state in dfa.final
 
 
@@ -227,7 +236,7 @@ def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGr
         return None
     if not pairs:
         return ResyncWitness(((0,) * n,) * resync.m)
-    dfa, _delta = resync.gamma_dfa()
+    dfa = resync.gamma_dfa()[0]
     rows = tuple(itertools.product((0, 1), repeat=resync.m))
 
     def choices(p, states):   # (row, next state tuple) at position p + 1, rows in order

@@ -8,6 +8,7 @@ transition functions became decision diagrams.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -161,9 +162,13 @@ COMPILE_DIGESTS = {
 
 @pytest.mark.parametrize("name,r", list(gamma_cases()), ids=lambda v: v if isinstance(v, str) else "")
 def test_gamma_dfa_digest(name, r):
-    dfa, delta = r.gamma_dfa()
+    dfa, steps = r.gamma_dfa()
     assert automaton_digest(dfa) == GAMMA_DIGESTS[name]
-    assert delta == {(p, a): q for (p, a, q) in dfa.transitions}
+    # the step table lists exactly the DFA's transitions, rows in product order
+    rows = list(itertools.product((0, 1), repeat=len(dfa.alphabet.tracks)))
+    listed = [(p, (a, bits), q) for a, table in steps.items()
+              for p, succ in enumerate(table) for bits, q in zip(rows, succ, strict=True)]
+    assert sorted(listed) == sorted(dfa.transitions)
 
 
 @pytest.mark.parametrize("name,formula,sig,base", list(compile_cases()),

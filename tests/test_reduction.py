@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from origami.reduction import (TuringMachine, TileSet, MachineError, build_tiles, history,
                                tape_probe, check_domino_lemma, check_domino_sweep,
                                build_Tdown, build_Tup, build_Tup_prime, build_Tdown_prime,
-                               halt2, grow, SEP)
+                               halt2, grow, SEP, _encode)
 from origami.transducers import (RunCaps, MatchIndex, run_origin_graphs, enumerate_matching_graphs,
                                  OriginGraph)
 from origami.traversal import traversal_report
@@ -96,6 +97,89 @@ def test_tape_probe_values(h2):
     assert tape_probe(TuringMachine({"q0", "qf"}, {"B"}, "B", (), "q0", "qf"), 5) == 1
     assert tape_probe(h2, 2) == 3
     assert tape_probe(grow(), 10) == 11
+
+
+def history_reference(machine, max_configs, max_cells):
+    """history as it was with a stepping loop of its own."""
+    delta = machine.delta()
+    tape, head, state = [], 0, machine.initial
+    configs = [_encode(tape, head, state)]
+    status = "still-running"
+    while len(configs) < max_configs:
+        if head == len(tape):
+            if delta.get((state, machine.blank)) is None:
+                status = "halted"
+                break
+            if len(tape) + 1 > max_cells:
+                status = "cell-cap-hit"
+                break
+            tape.append(machine.blank)
+            configs.append(_encode(tape, head, state))
+            continue
+        rule = delta.get((state, tape[head]))
+        if rule is None:
+            status = "halted"
+            break
+        q, b, d = rule
+        tape[head] = b
+        state = q
+        if d == "R":
+            head += 1
+        elif head == 0:
+            tape.insert(0, machine.blank)
+        else:
+            head -= 1
+        configs.append(_encode(tape, head, state))
+    return tuple(itertools.chain.from_iterable(configs)), tuple(configs), status
+
+
+def tape_probe_reference(machine, max_steps):
+    """tape_probe as it was with a stepping loop of its own."""
+    delta = machine.delta()
+    tape, head, state = [], 0, machine.initial
+    best = len(_encode(tape, head, state)) - 1
+    steps = 0
+    while steps < max_steps:
+        if head == len(tape):
+            if delta.get((state, machine.blank)) is None:
+                break
+            tape.append(machine.blank)
+            best = max(best, len(_encode(tape, head, state)) - 1)
+            continue
+        rule = delta.get((state, tape[head]))
+        if rule is None:
+            break
+        q, b, d = rule
+        tape[head] = b
+        state = q
+        if d == "R":
+            head += 1
+        elif head == 0:
+            tape.insert(0, machine.blank)
+        else:
+            head -= 1
+        steps += 1
+        best = max(best, len(_encode(tape, head, state)) - 1)
+    return best
+
+
+@st.composite
+def small_machines(draw):
+    """Machines on up to three states and letters, each rule present or not."""
+    states = ("q0", "q1", "q2")[:draw(st.integers(1, 3))]
+    letters = ("B", "a", "b")[:draw(st.integers(1, 3))]
+    rules = tuple(((p, a), (draw(st.sampled_from(states)), draw(st.sampled_from(letters)),
+                            draw(st.sampled_from("LR"))))
+                  for p in states for a in letters if draw(st.booleans()))
+    return TuringMachine(states, letters, "B", rules, "q0", states[-1])
+
+
+@settings(max_examples=200)
+@given(small_machines(), st.integers(1, 24), st.integers(1, 6), st.integers(1, 24))
+def test_simulation_matches_separate_loops(machine, max_configs, max_cells, max_steps):
+    assert history(machine, max_configs, max_cells) == \
+        history_reference(machine, max_configs, max_cells)
+    assert tape_probe(machine, max_steps) == tape_probe_reference(machine, max_steps)
 
 
 def test_domino_lemma_example_sequence(h2_tiles):

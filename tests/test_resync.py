@@ -21,6 +21,7 @@ from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             make_identity, make_universal, make_pm1, make_shift,
                             make_first, make_param_example, make_block, make_Rk,
                             make_first_to_last, _violation_from_path)
+from origami.frontier import _t2_may_lead
 from test_mso import formula_cases
 
 
@@ -505,6 +506,84 @@ def test_boundedness_calls_in_any_order_match_fresh_copies(builder, calls):
     # must be the one a resynchronizer never asked before gives
     r = ORDER_BUILDERS[builder]()
     assert [run_boundedness(r, c) for c in calls] == [on_fresh_copy(builder, c) for c in calls]
+
+
+
+# -- the step table ---------------------------------------------------------------
+
+@st.composite
+def gammas_with_params(draw):
+    """generated_gammas with zero to two parameters: the signature's
+    second-order variable, if any, and maybe a parameter Z that gamma does
+    not read, in either order."""
+    formula, sig = draw(generated_gammas)
+    params = [v for v in sig if is_second_order(v)]
+    if draw(st.booleans()):
+        params.insert(draw(st.integers(0, len(params))), "Z")
+    return Resynchronizer(tuple(params), formula, base="ab")
+
+
+@settings(max_examples=100)
+@given(gammas_with_params())
+@example(Resynchronizer(("X", "Z"), InSet("x", "X"), base="ab"))
+@example(Resynchronizer(("Z", "X"), f_and(InSet("y", "X"), Succ("x", "y", 1)), base="ab"))
+def test_gamma_holds_dfa_matches_evaluator(r):
+    # every word, valuation and (x, y) on short words: the step table's
+    # entry 4 * row + 2 * x + y against the naive evaluator
+    for n in range(1, 4 if r.m < 2 else 3):
+        for u in itertools.product("ab", repeat=n):
+            for params in itertools.product(itertools.product((0, 1), repeat=n), repeat=r.m):
+                for xh, yh in itertools.product(range(1, n + 1), repeat=2):
+                    assert r.gamma_holds_dfa(u, params, xh, yh) == r.gamma_holds(u, params, xh, yh)
+
+
+def t2_may_lead_reference(dfa, delta, letters):
+    """_t2_may_lead as it was when it read gamma through a dict
+    {(state, letter): state} of the DFA's transitions."""
+    zero = (0, 0)
+    moves = {0: ((zero, 0), ((1, 0), 1)), 1: ((zero, 1), ((0, 1), 2)), 2: ((zero, 2),)}
+    start = (next(iter(dfa.initial)), 0)
+    seen, stack = {start}, [start]
+    while stack:
+        s, phase = stack.pop()
+        if phase == 2 and s in dfa.final:
+            return True
+        for (bits, nphase) in moves[phase]:
+            for a in letters:
+                item = (delta[(s, (a, bits))], nphase)
+                if item not in seen:
+                    seen.add(item)
+                    stack.append(item)
+    return False
+
+
+def assert_t2_may_lead_matches_reference(r):
+    dfa, steps = r.gamma_dfa()
+    delta = {(p, a): q for (p, a, q) in dfa.transitions}
+    for letters in (("a",), ("b",), ("a", "b")):
+        assert _t2_may_lead(dfa, steps, letters) == t2_may_lead_reference(dfa, delta, letters)
+
+
+# every parameterless builder: the containment frontier asks _t2_may_lead
+# only about gammas without parameters
+T2_LEAD_BUILDERS = [
+    make_identity, make_universal, make_pm1, make_first, make_block, lambda: make_Rk(0),
+    lambda: simplify_extended(make_first_to_last()),
+    lambda: compose(make_shift(1), make_pm1()), lambda: compose(make_first(), make_block()),
+] + [functools.partial(make_shift, k) for k in range(4)]
+
+
+@pytest.mark.parametrize("builder", range(len(T2_LEAD_BUILDERS)))
+def test_t2_may_lead_matches_reference_on_builders(builder):
+    assert_t2_may_lead_matches_reference(T2_LEAD_BUILDERS[builder]())
+
+
+@settings(max_examples=100)
+@given(generated_gammas.filter(lambda case: not any(is_second_order(v) for v in case[-1])))
+@example((Lt("x", "y"), ("x", "y")))
+@example((Leq("y", "x"), ("y", "x")))
+def test_t2_may_lead_matches_reference_on_generated_gammas(case):
+    assert_t2_may_lead_matches_reference(generated_resync(case))
 
 
 # -- composition -----------------------------------------------------------------

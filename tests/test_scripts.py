@@ -29,7 +29,8 @@ def test_growth_profiles_runs():
 CALLS = """
 from origami import corpus
 from origami.containment import contains_upto, resync_search, traversal_profile
-from origami.resync import make_param_example, make_shift, pair_in_resync
+from origami.resync import (bounded_by, is_bounded, make_param_example, make_pm1, make_shift,
+                            make_universal, pair_in_resync)
 from origami.transducers import OriginGraph, RunCaps
 
 def test_calls():
@@ -47,6 +48,8 @@ def test_calls():
     stats = {}
     traversal_profile(fast, slow, 3, RunCaps(6, 30), stats=stats)
     assert stats["route"] == "frontier"
+    is_bounded(make_universal(base=("a",)))
+    bounded_by(make_pm1(base=("a",)), 1, 4)
 
 if __name__ == "__main__":
     test_calls()
@@ -74,7 +77,8 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     # contains_upto make not at all
     assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
                                                 "contains_upto", "pair_in_resync",
-                                                "contains_upto", "traversal_profile"]
+                                                "contains_upto", "traversal_profile",
+                                                "is_bounded", "bounded_by"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
@@ -96,4 +100,12 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert lines[4]["saturated_at"] == 2
     assert lines[4]["stats"]["layers"] == [1, 0]
     assert lines[5]["stats"] == {"route": "frontier", "layers": [1, 1, 1]}
+    # boundedness results, field by field
+    assert lines[6]["args"] == [["Resynchronizer", "universal"]]
+    assert lines[6]["result"]["bounded"] is False
+    assert lines[6]["result"]["report"] == {"kind": "infinite-polynomial", "states": [0, 2],
+                                            "pump": []}
+    assert lines[7]["args"] == [["Resynchronizer", "pm1"], 1, 4]
+    assert lines[7]["result"] == {"word": ["a", "a", "a"], "params": [], "target": 2,
+                                  "sources": [1, 3]}
     assert plugin.read_text() == wrapped.read_text()
