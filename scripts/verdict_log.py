@@ -4,20 +4,21 @@ line per call, so that two trees can be compared with one ``diff``.
 
 Every outermost call of ``contains_upto``, ``contains_upto_rational``,
 ``resync_search``, ``traversal_profile``, ``pair_in_resync``,
-``is_bounded`` and ``bounded_by`` is logged with a description of its
-arguments (machines and resynchronizers by names and sizes, origin graphs
-by their words and origins; keyword arguments left at None are omitted)
-and its result: the ``to_json()`` of a verdict, search or profile, a
-witness's parameter bits, a boundedness result or violation field by
-field, or null.  A verdict's line also carries its ``saturated_at``,
-which the JSON leaves out, and a ``contains_upto`` or
-``traversal_profile`` line the call's ``stats`` without the seconds
-(route, macro-states per layer, gamma DFA sizes, sweep counters), from a
-dict of the logger's own when the caller passed none.  Calls made inside
-another logged call are not logged, and a line already written by this
-process is not written again, so a benchmark's repeated passes log as
-one.  The log goes to the file named by ``ORIGAMI_VERDICT_LOG``,
-appended to.
+``extended_pair_in_resync``, ``is_bounded`` and ``bounded_by`` is logged
+with a description of its arguments (machines and resynchronizers by
+names and sizes, origin graphs by their words and origins; keyword
+arguments left at None are omitted) and its result: the ``to_json()`` of
+a verdict, search or profile, a witness's parameter bits (an extended
+witness's input and output parameters field by field), a boundedness
+result or violation field by field, or null.  A verdict's line also
+carries its ``saturated_at``, which the JSON leaves out, and a
+``contains_upto`` or ``traversal_profile`` line the call's ``stats``
+without the seconds (route, macro-states per layer, gamma DFA sizes,
+sweep counters), from a dict of the logger's own when the caller passed
+none.  Calls made inside another logged call are not logged, and a line
+already written by this process is not written again, so a benchmark's
+repeated passes log as one.  The log goes to the file named by
+``ORIGAMI_VERDICT_LOG``, appended to.
 
 As a pytest plugin, with ``scripts`` on the path:
 
@@ -43,7 +44,7 @@ import sys
 ENV = "ORIGAMI_VERDICT_LOG"
 LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
           "rational": ("contains_upto_rational",),
-          "resync": ("pair_in_resync", "is_bounded", "bounded_by")}
+          "resync": ("pair_in_resync", "extended_pair_in_resync", "is_bounded", "bounded_by")}
 WITH_STATS = ("contains_upto", "traversal_profile")
 
 
@@ -66,8 +67,9 @@ def describe(arg):
 def outcome(name, result):
     """A logged call's result: its ``to_json()``; for ``pair_in_resync`` the
     witness's parameter bits (null when the pair is not related); for
-    ``is_bounded`` and ``bounded_by`` the dataclass's fields, nested ones
-    too (null when the bound holds)."""
+    ``extended_pair_in_resync``, ``is_bounded`` and ``bounded_by`` the
+    dataclass's fields, nested ones too (null when the pair is not related
+    or the bound holds)."""
     if hasattr(result, "to_json"):
         return result.to_json()
     if result is None:

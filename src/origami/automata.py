@@ -840,12 +840,14 @@ class AmbiguityReport:
 
 
 def _letter_classes(nfa):
-    """Group letters acting identically on every state; keeps products small."""
+    """Group letters acting identically on every state; keeps products small.
+    Each class is named by its least letter in ``letter_key`` order, and the
+    classes come in that order."""
     sig = {}
     d = {}
     for (p, a, q) in nfa.transitions:
         d.setdefault(a, []).append((p, q))
-    for a in {t[1] for t in nfa.transitions}:
+    for a in sorted(d, key=letter_key):
         sig.setdefault(tuple(sorted(d[a], key=repr)), a)
     return list(sig.values())
 
@@ -857,11 +859,13 @@ def ambiguity_report(nfa: StructuredNfa) -> AmbiguityReport:
     one useful state) gives exponential growth; IDA (p != q with p->p,
     p->q, q->q on one word) without EDA gives polynomial growth; otherwise
     the run count is bounded.  Parallel edges count as distinct, so a
-    doubled self-loop is EDA.
+    doubled self-loop is EDA.  Letters are read in ``letter_key`` order and
+    states in ``repr`` order, so the report does not depend on hashing.
     """
     n = nfa.trim()
     if not n.states:
         return AmbiguityReport(FINITE)
+    states = sorted(n.states, key=repr)
     letters = _letter_classes(n)
     # indexed transitions so parallel edges are distinguishable
     by_letter = {}
@@ -882,7 +886,7 @@ def ambiguity_report(nfa: StructuredNfa) -> AmbiguityReport:
     comp = _scc({(p, q) for p in n.states for q in n.states}, pair_edges)
     for (u, a, v) in diverged:
         if comp[u] == comp[v]:
-            for q in n.states:
+            for q in states:
                 if comp.get((q, q)) == comp[u]:
                     pump = _pair_cycle_word((q, q), u, a, v, by_letter, letters)
                     return AmbiguityReport(EXP, (q,), pump)
@@ -892,8 +896,9 @@ def ambiguity_report(nfa: StructuredNfa) -> AmbiguityReport:
     for a in letters:
         for (p, q, _i) in by_letter.get(a, ()):
             step.setdefault((p, a), set()).add(q)
-    for p in n.states:
-        for q in n.states:
+    step = {key: sorted(succ, key=repr) for key, succ in step.items()}
+    for p in states:
+        for q in states:
             if p == q:
                 continue
             word = _triple_reach((p, p, q), (p, q, q), step, letters)

@@ -313,6 +313,9 @@ def parse_resynchronizer(text: str, base_dir=".", name=""):
             raise FormatError(f"unknown output type {tau}")
         ext.gamma_by_type[tau] = f
     for pair, f in delta_by_pair.items():
+        for tau in pair:
+            if tau not in ext.gamma_by_type:
+                raise FormatError(f"unknown output type {tau}")
         ext.delta_by_type_pair[pair] = f
     return ext
 

@@ -7,13 +7,14 @@ redirected to y.  A pair of origin graphs sharing input and output is
 related when one parameter valuation makes gamma hold at every output
 position.
 
-Membership is one depth-first search over the input positions.  It runs
-one gamma-DFA state per distinct origin pair (x, y) of the output, all
-reading the same row of parameter bits at each position, tries the rows
-in lexicographic order and abandons a state tuple as soon as one state
-can no longer reach acceptance, so the first valuation found is the
-least one, position-major.  The test suite checks it against a
-brute-force search over all parameter valuations in the same order.
+Membership is one depth-first search over the input positions, with or
+without parameters.  It runs one gamma-DFA state per distinct origin
+pair (x, y) of the output, all reading the same row of parameter bits at
+each position from gamma's step table, tries the rows in lexicographic
+order and abandons a state tuple as soon as it holds gamma's dead state,
+so the first valuation found is the least one, position-major.  The test
+suite checks it against a brute-force search over all parameter
+valuations in the same order.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ class Resynchronizer:
         self._nfa = gamma_automaton
         self._dfa = None
         self._steps = None
-        self._live = None    # co-accessible gamma-DFA states
-        self._moves = {}     # row_moves answers
+        self._dead = None    # the gamma-DFA state from which nothing is accepted
         self._classes = None  # _LetterClasses of gamma for boundedness
 
     @property
@@ -115,7 +115,12 @@ class Resynchronizer:
         """The minimized gamma, complete on states 0 .. n - 1, and the step
         table every reader of its moves reads: ``steps[a][s]`` lists the
         successors of s on the base letter a by bits over params + (x, y) in
-        ``itertools.product`` order, entry ``4 * r + 2 * x + y`` for row r."""
+        ``itertools.product`` order, entry ``4 * r + 2 * x + y`` for row r.
+
+        Laying out the table also finds the dead state, kept as ``_dead``:
+        the one state from which no word is accepted, or None when every
+        state can still accept.  In a minimized complete DFA it is the
+        non-final state whose every move leads back to itself."""
         if self._dfa is None:
             if self.gamma_formula is not None:
                 d = mso.compile_dfa(self.gamma_formula, self.signature, self.base)
@@ -127,26 +132,10 @@ class Resynchronizer:
                 steps[a][p][at[bits]] = q
             self._dfa = d
             self._steps = {a: tuple(map(tuple, rows)) for a, rows in steps.items()}
+            self._dead = next((s for s in range(len(d.states)) if s not in d.final
+                               and all(q == s for rows in steps.values() for q in rows[s])),
+                              None)
         return self._dfa, self._steps
-
-    def row_moves(self, state, letter, marks):
-        """The gamma-DFA successors of state on letter with the (x, y) marks,
-        one per row of parameter bits in ``itertools.product`` order; None
-        stands for a successor from which no word is accepted."""
-        key = (state, letter, marks)
-        if key not in self._moves:
-            dfa, steps = self.gamma_dfa()
-            if self._live is None:
-                back = {}
-                for table in steps.values():
-                    for p, succ in enumerate(table):
-                        for q in succ:
-                            back.setdefault(q, set()).add(p)
-                self._live = _closure(dfa.final, back)
-            x, y = marks
-            self._moves[key] = tuple(t if t in self._live else None
-                                     for t in steps[letter][state][2 * x + y::4])
-        return self._moves[key]
 
     def _letter_classes(self):
         """The gamma DFA as the boundedness searches read it; built once from
@@ -208,58 +197,53 @@ def check_witness(resync, sigma: OriginGraph, sigma_p: OriginGraph, witness: Res
     return all(resync.gamma_holds(sigma.input, witness.params, xh, yh) for (xh, yh) in pairs)
 
 
-def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGraph,
-                   witness: ResyncWitness | None = None):
+def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGraph):
     """Decide (sigma, sigma') in [[R]]; returns a ResyncWitness or None.
 
-    With an explicit witness, only verifies it (returning it back or None).
-    Otherwise returns the least parameter valuation position-major: its
+    The witness is the least parameter valuation position-major: its
     per-position rows of parameter bits are compared lexicographically.
     The search is depth-first over positions with one gamma-DFA state per
-    distinct origin pair; it tries the rows in lexicographic order, cuts a
-    state tuple as soon as one state cannot reach acceptance, and
-    remembers the (position, tuple) nodes that failed.  Its explicit stack
-    keeps long inputs from recursing.
+    distinct origin pair; at each position it reads the states' entries of
+    gamma's step table for their (x, y) marks, tries the rows in
+    lexicographic order, cuts a state tuple that holds gamma's dead state,
+    and remembers the (position, tuple) nodes that failed.  Without
+    parameters there is one row, the empty one.  Its explicit stack keeps
+    long inputs from recursing.
     """
     _check_graph_pair(sigma, sigma_p)
     if not set(sigma.input) <= resync.base:
         raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
-    if witness is not None:
-        return witness if check_witness(resync, sigma, sigma_p, witness) else None
     u = sigma.input
     n = len(u)
     pairs = sorted({(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))})
-    if resync.m == 0:
-        empty = ()
-        if all(resync.gamma_holds(u, empty, xh, yh) for (xh, yh) in pairs):
-            return ResyncWitness(())
-        return None
     if not pairs:
         return ResyncWitness(((0,) * n,) * resync.m)
-    dfa = resync.gamma_dfa()[0]
+    dfa, steps = resync.gamma_dfa()
+    dead = resync._dead
     rows = tuple(itertools.product((0, 1), repeat=resync.m))
 
     def choices(p, states):   # (row, next state tuple) at position p + 1, rows in order
         if p == n:
             return iter(())
-        moves = [resync.row_moves(s, u[p], (int(p + 1 == xh), int(p + 1 == yh)))
+        table = steps[u[p]]
+        moves = [table[s][2 * (p + 1 == xh) + (p + 1 == yh)::4]
                  for s, (xh, yh) in zip(states, pairs)]
         return zip(rows, zip(*moves))
 
     # depth-first over (position, state tuple); frame p + 1 holds the row read at p + 1
     start = (next(iter(dfa.initial)),) * len(pairs)
-    stack, dead = [(None, start, choices(0, start))], set()
+    stack, failed = [(None, start, choices(0, start))], set()
     while stack:
         _row, states, todo = stack[-1]
         p = len(stack) - 1
         if p == n and dfa.final.issuperset(states):
             return ResyncWitness(tuple(zip(*(row for (row, _s, _t) in stack[1:]))))
         for row, nxt in todo:
-            if None not in nxt and (p + 1, nxt) not in dead:
+            if dead not in nxt and (p + 1, nxt) not in failed:
                 stack.append((row, nxt, choices(p + 1, nxt)))
                 break
         else:
-            dead.add((p, states))
+            failed.add((p, states))
             stack.pop()
     return None
 
@@ -621,6 +605,9 @@ class ExtendedResynchronizer:
         missing = set(types) - set(gamma_by_type)
         if missing:
             raise ResyncError(f"gamma_by_type misses types {sorted(missing)}")
+        missing = set(itertools.product(types, repeat=2)) - set(delta_by_type_pair)
+        if missing:
+            raise ResyncError(f"delta_by_type_pair misses type pairs {sorted(missing)}")
         self.gamma_by_type = dict(gamma_by_type)
         self.delta_by_type_pair = dict(delta_by_type_pair)
         self._gamma_cache = {}

@@ -50,9 +50,6 @@ class TraversalReport:
     right_to_left: tuple
     max_count: int
 
-    def sources(self, z):
-        return self.left_to_right[z - 1] | self.right_to_left[z - 1]
-
     def table(self):
         lines = []
         for z in range(1, len(self.left_to_right) + 1):

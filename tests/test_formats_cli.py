@@ -8,7 +8,8 @@ from origami import cli, corpus, formats
 from origami.cli import main
 from origami.formats import (parse_automaton, format_automaton, parse_transducer,
                              format_transducer, parse_machine, format_machine,
-                             parse_origin_graph, format_origin_graph, FormatError)
+                             parse_origin_graph, format_origin_graph, parse_resynchronizer,
+                             FormatError)
 from origami.automata import language_equal_upto
 from origami.resync import Resynchronizer, ExtendedResynchronizer
 from origami.reduction import halt2
@@ -60,6 +61,21 @@ def test_parse_simple_resync():
 def test_parse_extended_resync():
     r = formats.load(data("first_to_last.rsync"))
     assert isinstance(r, ExtendedResynchronizer)
+
+
+def test_typed_lines_with_unknown_types_rejected(tmp_path, capsys):
+    head = "output-alphabet: c d\ngamma: true\n"
+    for line in ("gamma(z): true", "delta(z,c): false", "delta(c,z): false"):
+        with pytest.raises(FormatError, match="unknown output type"):
+            parse_resynchronizer(head + line + "\n")
+    bad = tmp_path / "bad.rsync"
+    bad.write_text(head + "delta(z,c): false\n")
+    assert main(["resync-check", str(bad), data("shifted_src.graph"),
+                 data("shifted_src.graph")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown output type")
+    # known types are stored under their pair
+    r = parse_resynchronizer(head + "delta(d,c): false\n")
+    assert r.delta_by_type_pair[(("d",), ("c",))] == parse_formula("false")
 
 
 def test_parse_errors():

@@ -7,7 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from origami.automata import (StructuredNfa, ambiguity_report,
+from origami.automata import (StructuredAlphabet, StructuredNfa, ambiguity_report,
                               language_equal_upto, FINITE, _closure, _scc)
 from origami.formats import parse_resynchronizer
 from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not, Exists,
@@ -140,15 +140,17 @@ def test_bruteforce_order_is_position_major():
 
 @st.composite
 def gamma_cases(draw):
-    """A gamma over one or two parameters and (x, y), drawn like
+    """A gamma over no, one or two parameters and (x, y), drawn like
     test_mso's formula_cases; an input over {a, b} of length <= 4; two
     origin tuples for <= 3 output positions."""
-    params = draw(st.sampled_from([("I",), ("I", "J")]))
+    params = draw(st.sampled_from([(), ("I",), ("I", "J")]))
 
     def gen(depth, scope):
         fo = ["x", "y"] + [v for v in scope if not is_second_order(v)]
         so = list(params) + [v for v in scope if is_second_order(v)]
-        kinds = ["top", "letter", "leq", "lt", "succ", "first", "last", "in", "in"]
+        kinds = ["top", "letter", "leq", "lt", "succ", "first", "last"]
+        if so:
+            kinds += ["in", "in"]
         if depth:
             kinds += ["or", "or", "not", "not"]
             if {"z", "Z"} - set(scope):
@@ -188,6 +190,9 @@ def gamma_cases(draw):
 @example((("I",), parse_formula("x in I"), "ab", (), ()))
 # once a position is in I no continuation accepts: the DFA has a sink
 @example((("I",), parse_formula("x = y & forall z. !(z in I)"), "ab", (1, 2), (1, 2)))
+# parameterless, with quantifiers: the a-block moves of make_block
+@example(((), make_block().gamma_formula, "aab", (1, 3), (2, 3)))
+@example(((), make_block().gamma_formula, "aab", (1, 3), (1, 2)))
 def test_generated_gammas_match_position_major_oracle(case):
     params, gamma, u, orig, orig_p = case
     r = Resynchronizer(params, gamma, base="ab")
@@ -586,6 +591,49 @@ def test_t2_may_lead_matches_reference_on_generated_gammas(case):
     assert_t2_may_lead_matches_reference(generated_resync(case))
 
 
+def assert_dead_state_cannot_accept(r):
+    # _dead is the one state outside the co-accessible closure, if any
+    dfa, steps = r.gamma_dfa()
+    back = {}
+    for table in steps.values():
+        for p, succ in enumerate(table):
+            for q in succ:
+                back.setdefault(q, set()).add(p)
+    outside = dfa.states - _closure(dfa.final, back)
+    assert outside == (set() if r._dead is None else {r._dead})
+
+
+def all_words_gamma():
+    """A one-state gamma automaton accepting every word, marks unchecked,
+    so that it has no dead state."""
+    alphabet = StructuredAlphabet(frozenset("ab"), ("x", "y"))
+    return Resynchronizer((), gamma_automaton=StructuredNfa(
+        alphabet, {0}, {0}, {0}, tuple((0, ltr, 0) for ltr in alphabet.letters())))
+
+
+DEAD_BUILDERS = T2_LEAD_BUILDERS + [
+    make_param_example, lambda: make_Rk(1), lambda: make_Rk(2),
+    lambda: compose(make_param_example(), make_pm1()),
+    lambda: Resynchronizer((), gamma_automaton=make_pm1().gamma_nfa()),
+    lambda: Resynchronizer(("I",), gamma_automaton=make_param_example().gamma_nfa()),
+    lambda: Resynchronizer((), parse_formula("false"), base="ab"),
+    all_words_gamma,
+]
+
+
+@pytest.mark.parametrize("builder", range(len(DEAD_BUILDERS)))
+def test_dead_state_on_builders(builder):
+    assert_dead_state_cannot_accept(DEAD_BUILDERS[builder]())
+
+
+@settings(max_examples=100)
+@given(generated_gammas)
+@example((Top(), ("x", "y")))
+@example((InSet("x", "X"), ("X", "x", "y")))
+def test_dead_state_on_generated_gammas(case):
+    assert_dead_state_cannot_accept(generated_resync(case))
+
+
 # -- composition -----------------------------------------------------------------
 
 def test_compose_identity_neutral():
@@ -724,6 +772,15 @@ def test_delta_constraint_rejects():
     dec = graph("aaa", "bb", (2, 1))
     assert extended_pair_in_resync(ext, s, inc) is not None
     assert extended_pair_in_resync(ext, s, dec) is None
+
+
+def test_partial_delta_map_rejected():
+    c, d = ("c",), ("d",)
+    full = {(t1, t2): Top() for t1 in (c, d) for t2 in (c, d)}
+    ExtendedResynchronizer(delta_by_type_pair=full, input_base="a", output_base="cd")
+    del full[(c, d)]
+    with pytest.raises(ResyncError, match=r"misses type pairs \[\(\('c',\), \('d',\)\)\]"):
+        ExtendedResynchronizer(delta_by_type_pair=full, input_base="a", output_base="cd")
 
 
 def test_simplify_two_types_is_union():

@@ -29,7 +29,9 @@ def test_growth_profiles_runs():
 CALLS = """
 from origami import corpus
 from origami.containment import contains_upto, resync_search, traversal_profile
-from origami.resync import (bounded_by, is_bounded, make_param_example, make_pm1, make_shift,
+from origami.mso import parse_formula
+from origami.resync import (ExtendedResynchronizer, bounded_by, extended_pair_in_resync,
+                            is_bounded, make_param_example, make_pm1, make_shift,
                             make_universal, pair_in_resync)
 from origami.transducers import OriginGraph, RunCaps
 
@@ -50,6 +52,10 @@ def test_calls():
     assert stats["route"] == "frontier"
     is_bounded(make_universal(base=("a",)))
     bounded_by(make_pm1(base=("a",)), 1, 4)
+    ext = ExtendedResynchronizer(("I",), ("O",), beta=parse_formula("exists z. z in O"),
+                                 gamma=parse_formula("x = y | x in I"),
+                                 input_base=("a",), output_base=("b",), name="moves-I")
+    extended_pair_in_resync(ext, g, g_p)
 
 if __name__ == "__main__":
     test_calls()
@@ -78,7 +84,8 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
                                                 "contains_upto", "pair_in_resync",
                                                 "contains_upto", "traversal_profile",
-                                                "is_bounded", "bounded_by"]
+                                                "is_bounded", "bounded_by",
+                                                "extended_pair_in_resync"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
@@ -108,4 +115,9 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert lines[7]["args"] == [["Resynchronizer", "pm1"], 1, 4]
     assert lines[7]["result"] == {"word": ["a", "a", "a"], "params": [], "target": 2,
                                   "sources": [1, 3]}
+    # an extended witness, input and output parameters field by field
+    assert lines[8]["args"] == [["ExtendedResynchronizer", "moves-I"],
+                                ["OriginGraph", ["a", "a"], ["b"], [1]],
+                                ["OriginGraph", ["a", "a"], ["b"], [2]]]
+    assert lines[8]["result"] == {"params": [[1, 0]], "out_params": [[1]]}
     assert plugin.read_text() == wrapped.read_text()
