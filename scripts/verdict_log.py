@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Log the answers of origami's containment and profile drivers, one JSON
-line per call, so that two trees can be compared with one ``diff``.
+"""Log the answers of origami's enumeration, equivalence, containment and
+profile drivers, one JSON line per call, so that two trees can be compared
+with one ``diff``.
 
-Every outermost call of ``contains_upto``, ``contains_upto_rational``,
-``resync_search``, ``traversal_profile``, ``pair_in_resync``,
-``extended_pair_in_resync``, ``is_bounded`` and ``bounded_by`` is logged
-with a description of its arguments (machines and resynchronizers by
-names and sizes, origin graphs by their words and origins; keyword
-arguments left at None are omitted) and its result: the ``to_json()`` of
-a verdict, search or profile, a witness's parameter bits (an extended
-witness's input and output parameters field by field), a boundedness
-result or violation field by field, or null.  A verdict's line also
-carries its ``saturated_at``, which the JSON leaves out, and a
+Every outermost call of ``run_origin_graphs``, ``origin_equivalent_upto``,
+``contains_upto``, ``contains_upto_rational``, ``resync_search``,
+``traversal_profile``, ``pair_in_resync``, ``extended_pair_in_resync``,
+``is_bounded`` and ``bounded_by`` is logged with a description of its
+arguments (machines and resynchronizers by names and sizes, origin graphs
+by their words and origins, words as lists of letters; keyword arguments
+left at None are omitted) and its result: a run's sorted (output, origins)
+pairs and ``pruned``, an equivalence's flag and its witness's ``sort_key``,
+the ``to_json()`` of a verdict, search or profile, a witness's parameter
+bits (an extended witness's input and output parameters field by field), a
+boundedness result or violation field by field, or null.  A verdict's line
+also carries its ``saturated_at``, which the JSON leaves out, and a
 ``contains_upto`` or ``traversal_profile`` line the call's ``stats``
 without the seconds (route, macro-states per layer, gamma DFA sizes,
 sweep counters), from a dict of the logger's own when the caller passed
@@ -42,7 +45,8 @@ import runpy
 import sys
 
 ENV = "ORIGAMI_VERDICT_LOG"
-LOGGED = {"containment": ("contains_upto", "resync_search", "traversal_profile"),
+LOGGED = {"transducers": ("run_origin_graphs", "origin_equivalent_upto"),
+          "containment": ("contains_upto", "resync_search", "traversal_profile"),
           "rational": ("contains_upto_rational",),
           "resync": ("pair_in_resync", "extended_pair_in_resync", "is_bounded", "bounded_by")}
 WITH_STATS = ("contains_upto", "traversal_profile")
@@ -52,6 +56,8 @@ def describe(arg):
     """A short, deterministic description of one argument."""
     if arg is None or isinstance(arg, (bool, int, str)):
         return arg
+    if isinstance(arg, (tuple, list)):
+        return [describe(a) for a in arg]
     if hasattr(arg, "transitions") and hasattr(arg, "states"):
         return [type(arg).__name__, getattr(arg, "name", ""), len(arg.states),
                 len(arg.transitions)]
@@ -65,11 +71,19 @@ def describe(arg):
 
 
 def outcome(name, result):
-    """A logged call's result: its ``to_json()``; for ``pair_in_resync`` the
-    witness's parameter bits (null when the pair is not related); for
-    ``extended_pair_in_resync``, ``is_bounded`` and ``bounded_by`` the
-    dataclass's fields, nested ones too (null when the pair is not related
-    or the bound holds)."""
+    """A logged call's result: for ``run_origin_graphs`` the sorted (output,
+    origins) pairs of its graphs and ``pruned``; for
+    ``origin_equivalent_upto`` the flag and the witness's ``sort_key``
+    (null when the machines agree); otherwise its ``to_json()``; for
+    ``pair_in_resync`` the witness's parameter bits (null when the pair is
+    not related); for ``extended_pair_in_resync``, ``is_bounded`` and
+    ``bounded_by`` the dataclass's fields, nested ones too (null when the
+    pair is not related or the bound holds)."""
+    if name == "run_origin_graphs":
+        return {"graphs": sorted((g.output, g.orig) for g in result.graphs),
+                "pruned": result.pruned}
+    if name == "origin_equivalent_upto":
+        return [result[0], None if result[1] is None else result[1].sort_key()]
     if hasattr(result, "to_json"):
         return result.to_json()
     if result is None:
@@ -80,7 +94,8 @@ def outcome(name, result):
 def install(path):
     """Wrap the logged functions everywhere they are bound in origami's
     modules; returns a function that undoes it."""
-    from origami import cli, containment, rational, resync
+    import origami
+    from origami import cli, containment, rational, resync, transducers
 
     depth = [0]
     undo = []
@@ -121,12 +136,13 @@ def install(path):
             return result
         return logged
 
-    modules = {"containment": containment, "rational": rational, "resync": resync}
+    modules = {"transducers": transducers, "containment": containment, "rational": rational,
+               "resync": resync}
     for mod_name, names in LOGGED.items():
         for name in names:
             fn = getattr(modules[mod_name], name)
             wrapper = wrap(name, fn)
-            for mod in (containment, rational, resync, cli):
+            for mod in (origami, transducers, containment, rational, resync, cli):
                 if getattr(mod, name, None) is fn:
                     undo.append((mod, name, fn))
                     setattr(mod, name, wrapper)

@@ -14,12 +14,13 @@ traversal.  It keeps ``pruned`` and the sweep counters, and every partner
 query goes through one ``search``: ``MatchIndex.search`` on a one-way
 t2's run lattice, or a ``_Listing`` of a two-way t2's graphs on the
 input, grouped by output in ``sort_key`` order (t1's own graphs when t2
-equals t1, otherwise one run of t2, made on the first query, under the
-output cap of t1's longest output there, which finds every graph with a
-shorter output too).  Parameterless resynchronizers check a table of
-gamma answers, one per input, during the search, without enumerating
-graphs; other resynchronizers, and the traversal profile, test each
-distinct partner the search finds.
+equals t1, otherwise one run of t2, asked for on the first query, under
+the output cap of t1's longest output there, which finds every graph
+with a shorter output too; ``run_origin_graphs`` keeps it on t2, so an
+earlier call on the same t2 object may have made it).  Parameterless
+resynchronizers check a table of gamma answers, one per input, during
+the search, without enumerating graphs; other resynchronizers, and the
+traversal profile, test each distinct partner the search finds.
 
 Frontier route: a plain call (one-way t1 and t2, parameterless
 ``Resynchronizer``, no membership callback, no recording) whose gamma
@@ -120,10 +121,14 @@ class _Listing:
     returns true.
 
     With t2 None (t2 equals t1) the graphs are t1's own, ``graphs``
-    (non-empty, in ``sort_key`` order).  Otherwise t2 runs on the first
-    search, once, under the output cap of t1's longest output: the graphs
-    with output v are the same under every output cap of at least |v|
-    (``transducers._run_2nt``), so one run serves every output of t1.
+    (non-empty, in ``sort_key`` order).  Otherwise the first search asks
+    ``run_origin_graphs`` for t2's run, once, under the output cap of t1's
+    longest output: the graphs with output v are the same under every
+    output cap of at least |v| (``transducers._run_2nt``), so one run
+    serves every output of t1.  The run comes from t2's memo when an
+    earlier call on the same object made it; ``t2_runs`` in the tally
+    counts the listings that asked for a run, whether or not it was made
+    anew.
     """
 
     def __init__(self, t2, graphs, max_steps, tally):
@@ -165,8 +170,8 @@ def _sweep(t1, t2, index, max_input_len, caps, judge, stats, inputs=None):
     index for a one-way t2, a ``_Listing`` for a two-way one.  Returns
     ``pruned`` over the inputs visited.  A dict stats receives the
     counters ``inputs`` visited, t1 ``graphs`` judged and ``t2_runs``, the
-    runs of a two-way t2 (none when t2 equals t1, whose own graphs are its
-    partners)."""
+    runs of a two-way t2 that the listings ask for, made or read from t2's
+    memo (none when t2 equals t1, whose own graphs are its partners)."""
     tally = None if stats is None else {"inputs": 0, "graphs": 0, "t2_runs": 0}
     same = index is None and t2 == t1
     pruned = False

@@ -581,8 +581,9 @@ class ExtendedResynchronizer:
     """The four-component variant: (alpha, beta, gamma-by-type, delta).
 
     Output types are output letters enriched with n output-parameter bits.
-    gamma_by_type and delta_by_type_pair are total maps; a single shared
-    formula may be given and is used for every type (pair).
+    gamma_by_type and delta_by_type_pair are total maps over the output
+    types, with no other keys; a single shared formula may be given and is
+    used for every type (pair).
     """
 
     def __init__(self, in_params=(), out_params=(), alpha=None, beta=None,
@@ -608,6 +609,13 @@ class ExtendedResynchronizer:
         missing = set(itertools.product(types, repeat=2)) - set(delta_by_type_pair)
         if missing:
             raise ResyncError(f"delta_by_type_pair misses type pairs {sorted(missing)}")
+        unknown = set(gamma_by_type) - set(types)
+        if unknown:
+            raise ResyncError(f"gamma_by_type names unknown types {sorted(unknown, key=repr)}")
+        unknown = set(delta_by_type_pair) - set(itertools.product(types, repeat=2))
+        if unknown:
+            raise ResyncError(f"delta_by_type_pair names unknown type pairs "
+                              f"{sorted(unknown, key=repr)}")
         self.gamma_by_type = dict(gamma_by_type)
         self.delta_by_type_pair = dict(delta_by_type_pair)
         self._gamma_cache = {}

@@ -51,7 +51,7 @@ class RunCaps:
             raise ValueError("caps must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OriginGraph:
     input: tuple
     output: tuple
@@ -79,11 +79,18 @@ class OriginGraph:
         return (self.input, self.output, self.orig)
 
 
+# the setters of OriginGraph's slots, which its frozen __setattr__ refuses
+_SET_INPUT, _SET_OUTPUT, _SET_ORIG = (OriginGraph.__dict__[f].__set__
+                                      for f in ("input", "output", "orig"))
+
+
 def _graph(u, out, org):
     """An OriginGraph on tuples its caller has already checked: u is not
     empty and org gives one position of u per letter of out."""
     g = object.__new__(OriginGraph)
-    g.__dict__.update(input=u, output=out, orig=org)
+    _SET_INPUT(g, u)
+    _SET_OUTPUT(g, out)
+    _SET_ORIG(g, org)
     return g
 
 
@@ -169,7 +176,7 @@ class TwoWayTransducer:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     graphs: frozenset
     pruned: bool
@@ -182,18 +189,37 @@ def run_origin_graphs(transducer, u, caps: RunCaps) -> RunResult:
     """Enumerate the origin graphs of accepting runs on u, capped.
 
     Returns graphs deduplicated structurally; two runs with the same
-    (input, output, origins) contribute one graph.  A one-way transducer
-    takes the steps of ``sweep_origin_graphs`` along u alone, so ``pruned``
-    reports a cap that cuts a run at its least step count.
+    (input, output, origins) contribute one graph.  A letter of u outside
+    the transducer's input alphabet raises ``TransducerAlphabetError``.  A
+    one-way transducer takes the steps of ``sweep_origin_graphs`` along u
+    alone, so ``pruned`` reports a cap that cuts a run at its least step
+    count.
+
+    A two-way transducer runs once per (u, caps): the result, which is
+    frozen, is kept in a memo on the transducer object, keyed by the input
+    tuple and the caps, and every later call with that key returns it, so
+    the enumeration, equivalence, containment and profile calls on one
+    object share their runs.  The memo is made on the object's first
+    two-way run (``_two_way_memo``), is not a field, so equality, hashing
+    and repr do not see it, and lives as long as the object: an equal
+    transducer built again starts with none.
     """
     u = word(u)
     if not u:
         raise EmptyInputError("input word must be non-empty")
+    if not transducer.input_alphabet.issuperset(u):
+        a = next(a for a in u if a not in transducer.input_alphabet)
+        raise TransducerAlphabetError(f"input letter {a!r} not in alphabet")
     if isinstance(transducer, OneWayTransducer):
         got = []
         _walk(transducer, [(a,) for a in u], caps, lambda _u, res: got.append(res))
         return got[0]
-    return _run_2nt(transducer, u, caps)
+    runs = _two_way_memo(transducer)[1]
+    key = (u, caps)
+    res = runs.get(key)
+    if res is None:
+        res = runs[key] = _run_2nt(transducer, u, caps)
+    return res
 
 
 def transition_index(t):
@@ -293,8 +319,25 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
     return rec((), {(q, (), ()): 0 for q in t.initial}, False)
 
 
+def _two_way_memo(t: TwoWayTransducer):
+    """(moves, runs) of two-way t, kept on the object from the first call:
+    moves maps (state, tape symbol) to t's moves there as (output,
+    head step, target) in transition order, and runs is
+    ``run_origin_graphs``'s memo, (input, caps) -> RunResult."""
+    memo = t.__dict__.get("_memo")
+    if memo is None:
+        moves = {}
+        for (p, a, v, d, q) in t.transitions:
+            moves.setdefault((p, a), []).append((v, 1 if d == RIGHT else -1, q))
+        memo = (moves, {})
+        object.__setattr__(t, "_memo", memo)
+    return memo
+
+
 def _run_2nt(t: TwoWayTransducer, u, caps):
-    """The origin graphs of two-way t on u within caps, breadth first.
+    """The origin graphs of two-way t on u within caps, breadth first,
+    with t's move table from ``_two_way_memo``; the run itself is not
+    looked up in the memo (``run_origin_graphs`` does that).
 
     A configuration is (state, head, output, origins).  Configurations are
     expanded layer by layer, first in, first out, so each one is first
@@ -308,9 +351,7 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
     least |v|.
     """
     tape = (LMARK,) + u + (RMARK,)
-    moves = {}
-    for (p, a, v, d, q) in t.transitions:
-        moves.setdefault((p, a), []).append((v, 1 if d == RIGHT else -1, q))
+    moves = _two_way_memo(t)[0]
     max_out, max_steps = caps.max_output_len, caps.max_steps
     final = t.final
     found = set()

@@ -1,4 +1,5 @@
-"""Random small two-way transducers and the every-path enumeration oracle.
+"""Random small two-way transducers, equal copies of a transducer, and the
+every-path enumeration oracle.
 
 ``every_run_graphs`` follows every run path of a two-way machine, with no
 seen set, until the step cap; it shares no code with ``_run_2nt``.  Runs
@@ -61,6 +62,12 @@ def two_way_pairs(draw):
                               tuple(sorted(set(t2.transitions) | set(LATE))),
                               {"p"}, t2.final | {"y"})
     return t1, t2
+
+
+def rebuilt(t):
+    """An equal copy of t, built separately."""
+    return type(t)(set(t.states), set(t.input_alphabet), set(t.output_alphabet),
+                   list(t.transitions), set(t.initial), set(t.final), name=t.name)
 
 
 def every_run_graphs(t, u, caps):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from origami import corpus
 from origami.mso import First, parse_formula
-from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer,
-                                 EPS, run_origin_graphs, words_upto)
+from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
+                                 origin_equivalent_upto, run_origin_graphs, words_upto)
 from origami.traversal import GreedyLabelError, greedy_label, max_traversal
 from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
@@ -19,7 +19,7 @@ from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, report_json)
 
 from random_one_way import LETTERS, STATES, machine_pairs, partners, stale_step_repro, variants
-from random_two_way import every_run_graphs, two_way_pairs
+from random_two_way import every_run_graphs, rebuilt, two_way_pairs
 
 
 def r_first(base=("a",)):
@@ -148,12 +148,6 @@ def identity_oracle(t1, t2, max_len, caps):
                 return "fails", Counterexample(sp, "no-accepted-partner" if written
                                                else "no-partner")
     return "holds-on-sweep", None
-
-
-def rebuilt(t):
-    """An equal copy of t, built separately."""
-    return type(t)(set(t.states), set(t.input_alphabet), set(t.output_alphabet),
-                   list(t.transitions), set(t.initial), set(t.final), name=t.name)
 
 
 def sweep_counts(t1, t2, max_len, caps, cex):
@@ -757,3 +751,42 @@ def test_calls_keep_the_product_of_one_pair_only():
     assert stats["route"] == "frontier"
     gc.collect()
     assert held() is None
+
+
+TWO_WAY_CALLS = ("contains", "profile", "equiv", "search")
+TWO_WAY_CAPS = (RunCaps(3, 6), RunCaps(3, 9), RunCaps(2, 9))
+
+
+def two_way_call(t1, t2, kind, caps):
+    """The answer of one call on t1 and t2 up to length 3, with the stats of
+    a containment or profile call, without the seconds a gamma compile
+    took."""
+    stats = {}
+    if kind == "contains":
+        got = contains_upto(t1, t2, make_identity(LETTERS), 3, caps, stats=stats)
+        stats.pop("gamma_compile_s")
+        return report_json(got), got.counterexample, stats
+    if kind == "profile":
+        return report_json(traversal_profile(t1, t2, 3, caps, stats=stats)), stats
+    if kind == "equiv":
+        return origin_equivalent_upto(t1, t2, 3, caps)
+    return report_json(resync_search(t1, t2, 2, 3, caps))
+
+
+@given(st.data(), two_way_pairs(), st.booleans())
+def test_two_way_calls_in_any_order_match_fresh_copies(data, pair, same):
+    # each two-way machine keeps its runs across the calls, in either
+    # place; each answer must be the one copies never asked before give
+    t1, t2 = pair
+    t2 = t1 if same else t2
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(TWO_WAY_CALLS),
+                                         st.sampled_from(TWO_WAY_CAPS), st.booleans()),
+                               min_size=2, max_size=6))
+    got = [two_way_call(*((t2, t1) if swap else (t1, t2)), kind, caps)
+           for (kind, caps, swap) in calls]
+    want = []
+    for (kind, caps, swap) in calls:
+        c1 = rebuilt(t1)
+        c2 = c1 if same else rebuilt(t2)
+        want.append(two_way_call(*((c2, c1) if swap else (c1, c2)), kind, caps))
+    assert got == want

@@ -246,6 +246,16 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: bad origin graph")
 
 
+def test_cli_origin_graphs_rejects_letters_outside_the_alphabet(capsys):
+    # id.2nt and one_two.1nt read {a}
+    for machine, u, a in (("id.2nt", "xz", "x"), ("id.2nt", "az", "z"),
+                          ("one_two.1nt", "ab", "b")):
+        assert main(["origin-graphs", data(machine), u]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: input letter {a!r} not in alphabet\n"
+
+
 def test_cli_lets_internal_errors_through(monkeypatch):
     # a plain ValueError is a bug, not bad input, and must not exit 2
     def broken(*args, **kwargs):

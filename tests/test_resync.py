@@ -783,6 +783,20 @@ def test_partial_delta_map_rejected():
         ExtendedResynchronizer(delta_by_type_pair=full, input_base="a", output_base="cd")
 
 
+def test_maps_naming_unknown_types_rejected():
+    c, d, z = ("c",), ("d",), ("z",)
+    gammas = {c: Top(), d: Top()}
+    deltas = {(t1, t2): Top() for t1 in (c, d) for t2 in (c, d)}
+    ExtendedResynchronizer(gamma_by_type=gammas, delta_by_type_pair=deltas,
+                           input_base="a", output_base="cd")
+    with pytest.raises(ResyncError, match=r"gamma_by_type names unknown types \[\('z',\)\]"):
+        ExtendedResynchronizer(gamma_by_type={**gammas, z: Top()}, input_base="a",
+                               output_base="cd")
+    with pytest.raises(ResyncError, match=r"unknown type pairs \[\(\('z',\), \('c',\)\)\]"):
+        ExtendedResynchronizer(delta_by_type_pair={**deltas, (z, c): Top()}, input_base="a",
+                               output_base="cd")
+
+
 def test_simplify_two_types_is_union():
     ext = ExtendedResynchronizer(
         gamma_by_type={("c",): parse_formula("x = y"), ("d",): parse_formula("y = x + 1")},

@@ -33,7 +33,7 @@ from origami.mso import parse_formula
 from origami.resync import (ExtendedResynchronizer, bounded_by, extended_pair_in_resync,
                             is_bounded, make_param_example, make_pm1, make_shift,
                             make_universal, pair_in_resync)
-from origami.transducers import OriginGraph, RunCaps
+from origami.transducers import OriginGraph, RunCaps, origin_equivalent_upto, run_origin_graphs
 
 def test_calls():
     slow, fast = corpus.t_slow(), corpus.t_fast()
@@ -56,6 +56,10 @@ def test_calls():
                                  gamma=parse_formula("x = y | x in I"),
                                  input_base=("a",), output_base=("b",), name="moves-I")
     extended_pair_in_resync(ext, g, g_p)
+    t_id = corpus.t_id()
+    run_origin_graphs(t_id, ("a", "a"), RunCaps(6, 30))
+    # the runs origin_equivalent_upto makes are not logged
+    origin_equivalent_upto(t_id, corpus.t_rev(), 3, RunCaps(6, 30))
 
 if __name__ == "__main__":
     test_calls()
@@ -85,7 +89,8 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                                                 "contains_upto", "pair_in_resync",
                                                 "contains_upto", "traversal_profile",
                                                 "is_bounded", "bounded_by",
-                                                "extended_pair_in_resync"]
+                                                "extended_pair_in_resync", "run_origin_graphs",
+                                                "origin_equivalent_upto"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
@@ -120,4 +125,10 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                                 ["OriginGraph", ["a", "a"], ["b"], [1]],
                                 ["OriginGraph", ["a", "a"], ["b"], [2]]]
     assert lines[8]["result"] == {"params": [[1, 0]], "out_params": [[1]]}
+    # a run's graphs as sorted (output, origins) pairs; words as lists
+    assert lines[9]["args"] == [["TwoWayTransducer", "T_id", 2, 3], ["a", "a"],
+                                ["RunCaps", 6, 30]]
+    assert lines[9]["result"] == {"graphs": [[["a", "a"], [1, 2]]], "pruned": False}
+    # an equivalence's flag and its witness's sort_key
+    assert lines[10]["result"] == [False, [["a", "a"], ["a", "a"], [1, 2]]]
     assert plugin.read_text() == wrapped.read_text()

@@ -5,11 +5,12 @@ from origami import corpus
 from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, OriginGraph,
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
-                                 MatchIndex, EmptyInputError, EPS, LMARK, RMARK, LEFT, RIGHT)
+                                 MatchIndex, EmptyInputError, TransducerAlphabetError, EPS, LMARK,
+                                 RMARK, LEFT, RIGHT, _run_2nt)
 
 from random_one_way import (LETTERS, SIX_STATES, fifo_run_graphs, one_way_machines, partners,
                             stale_step_repro, variants)
-from random_two_way import every_run_graphs, two_way_machines
+from random_two_way import every_run_graphs, rebuilt, two_way_machines
 
 
 def graphs_of(t, u, caps):
@@ -55,6 +56,17 @@ def test_classical_pairs_identity(t_id, caps):
 def test_empty_input_rejected(t_id, caps):
     with pytest.raises(EmptyInputError):
         run_origin_graphs(t_id, "", caps)
+
+
+def test_letters_outside_the_input_alphabet_rejected(caps):
+    # the two-way tape has no move on x, so without the check the run is
+    # silently empty; the check comes before the memo is made
+    t_id = corpus.t_id()
+    for t in (t_id, corpus.t_one_two()):
+        for u in ("x", "ax", ("a", "b", "a")):
+            with pytest.raises(TransducerAlphabetError, match="not in alphabet"):
+                run_origin_graphs(t, u, caps)
+    assert "_memo" not in vars(t_id)
 
 
 def test_origin_graph_invariants_hold(t_slow, caps):
@@ -279,6 +291,27 @@ def test_2nt_graphs_with_an_output_are_the_same_under_every_larger_output_cap(
             small = RunCaps(max(1, len(v)), steps)
             assert {g for g in run_origin_graphs(t, u, small).graphs if g.output == v} == want
             assert {g for g in every_run_graphs(t, u, small) if g.output == v} == want
+
+
+@given(st.data(), two_way_machines())
+def test_2nt_memo_answers_match_the_oracle_and_fresh_runs(data, machines):
+    # one machine answers every (input, caps) key, in a drawn order, then
+    # drawn keys again from its memo; each answer is the every-path
+    # oracle's graphs and the result of a fresh run on a rebuilt copy
+    t = machines[2]
+    caps = data.draw(st.lists(st.builds(RunCaps, st.integers(1, 3), st.integers(3, 10)),
+                              min_size=2, max_size=3, unique=True))
+    keys = [(u, c) for u in words_upto({"a", "b"}, 2) for c in caps]
+    order = data.draw(st.permutations(keys)) + data.draw(st.lists(st.sampled_from(keys),
+                                                                  max_size=6))
+    for u, c in order:
+        got = run_origin_graphs(t, u, c)
+        fresh = _run_2nt(rebuilt(t), u, c)
+        assert (got.graphs, got.pruned) == (fresh.graphs, fresh.pruned), (u, c)
+        assert got.graphs == every_run_graphs(t, u, c), (u, c)
+    # the memo is no field
+    copy = rebuilt(t)
+    assert (t == copy, hash(t), repr(t)) == (True, hash(copy), repr(copy))
 
 
 @given(st.data(), one_way_machines())
