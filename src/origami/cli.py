@@ -271,24 +271,24 @@ def build_parser():
                                 description="origin-graph analyses for string transducers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, caps=True, fmt=True):
+    def common(sp, caps=True, fmt=("text", "json")):
         if caps:
             sp.add_argument("--max-output", type=_at_least(1), default=12)
             sp.add_argument("--max-steps", type=_at_least(1), default=60)
         if fmt:
-            sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+            sp.add_argument("--format", choices=fmt, default="text")
 
     sp = sub.add_parser("origin-graphs", help="enumerate capped origin graphs on one input")
     sp.add_argument("transducer")
     sp.add_argument("word")
-    common(sp)
+    common(sp, fmt=("text", "json", "dot"))
     sp.set_defaults(func=cmd_origin_graphs)
 
     sp = sub.add_parser("origin-equiv", help="compare capped origin semantics")
     sp.add_argument("t1")
     sp.add_argument("t2")
     sp.add_argument("--max-len", type=_at_least(1), default=4)
-    common(sp, fmt=False)
+    common(sp, fmt=())
     sp.set_defaults(func=cmd_origin_equiv)
 
     sp = sub.add_parser("mso-compile", help="compile a formula to an automaton")

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, ResyncError,
-                     pair_in_resync, extended_pair_in_resync)
+                     pair_in_resync, extended_pair_in_resync, _least_valuation)
 from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex, _NO_TABLE,
                           TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
 from .frontier import _Frontier, _ProfileFrontier, _product, _t2_may_lead
@@ -245,18 +245,13 @@ def _default_membership(resync):
 
 
 def _ext_precheck_m0(resync, sigma_p):
-    """Extended with no parameters: alpha/beta/delta depend only on sigma'."""
-    u, v = sigma_p.input, sigma_p.output
-    if not resync._alpha_holds(u, ()):
+    """Extended with no parameters: alpha, beta and delta read sigma' only.
+    beta is evaluated on the output; alpha and the deltas go through
+    membership's search, with no parameter to find."""
+    if not resync._beta_holds(sigma_p.output, ()):
         return False
-    if not resync._beta_holds(v, ()):
-        return False
-    tys = [(c,) for c in v]
-    for t in range(len(v) - 1):
-        if not resync._delta_holds(u, (), tys[t], tys[t + 1],
-                                   sigma_p.orig[t], sigma_p.orig[t + 1]):
-            return False
-    return True
+    tys = [(c,) for c in sigma_p.output]
+    return _least_valuation(resync._checks(tys, None, sigma_p.orig), sigma_p.input, 0) is not None
 
 
 def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
@@ -375,18 +370,18 @@ class TraversalProfile:
     max_input_len: int
 
     def unbounded_growth_evidence(self):
-        """Heuristic flag: strictly increasing over >= 4 consecutive lengths."""
+        """Heuristic flag: the profile keeps rising, never more slowly.  The
+        lengths at which it rises strictly between two finite values number
+        at least three, the gaps between consecutive ones never grow, and no
+        more lengths follow the last rise than its gap."""
         lens = sorted(self.values)
-        run = 1
-        for a, b in zip(lens, lens[1:]):
-            va, vb = self.values[a], self.values[b]
-            if b == a + 1 and va is not math.inf and vb is not math.inf and vb > va:
-                run += 1
-                if run >= 4:
-                    return True
-            else:
-                run = 1
-        return False
+        rises = [b for a, b in zip(lens, lens[1:])
+                 if self.values[b] is not math.inf and self.values[a] < self.values[b]]
+        if len(rises) < 3:
+            return False
+        gaps = [b - a for a, b in zip(rises, rises[1:])]
+        steady = all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
+        return steady and sum(n > rises[-1] for n in lens) <= gaps[-1]
 
     def to_json(self):
         return {"profile": {str(n): ("inf" if v is math.inf else v)

@@ -9,6 +9,7 @@ indexes, machine states) need no quoting.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 
@@ -304,20 +305,16 @@ def parse_resynchronizer(text: str, base_dir=".", name=""):
             shared_gamma = mso.parse_formula(line[len("gamma:"):].strip())
         elif line.startswith("delta:"):
             shared_delta = mso.parse_formula(line[len("delta:"):].strip())
-    ext = ExtendedResynchronizer(
-        in_params=params, out_params=out_params, alpha=alpha, beta=beta,
-        gamma=shared_gamma, input_base=base, output_base=out_base,
-        delta=shared_delta, name=name)
-    for tau, f in gamma_by_type.items():
+    common = dict(in_params=params, out_params=out_params, alpha=alpha, beta=beta,
+                  input_base=base, output_base=out_base, name=name)
+    ext = ExtendedResynchronizer(gamma=shared_gamma, delta=shared_delta, **common)
+    for tau in itertools.chain(gamma_by_type, *delta_by_pair):
         if tau not in ext.gamma_by_type:
             raise FormatError(f"unknown output type {tau}")
-        ext.gamma_by_type[tau] = f
-    for pair, f in delta_by_pair.items():
-        for tau in pair:
-            if tau not in ext.gamma_by_type:
-                raise FormatError(f"unknown output type {tau}")
-        ext.delta_by_type_pair[pair] = f
-    return ext
+    # the typed lines override the shared formulas, type by type
+    return ExtendedResynchronizer(gamma_by_type={**ext.gamma_by_type, **gamma_by_type},
+                                  delta_by_type_pair={**ext.delta_by_type_pair, **delta_by_pair},
+                                  **common)
 
 
 # -- rational resynchronizers ---------------------------------------------------------

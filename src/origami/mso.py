@@ -49,15 +49,6 @@ class Formula:
     def free_vars(self) -> frozenset:
         raise NotImplementedError
 
-    def __and__(self, other):
-        return f_and(self, other)
-
-    def __or__(self, other):
-        return Or(self, other)
-
-    def __invert__(self):
-        return Not(self)
-
 
 @dataclass(frozen=True)
 class Top(Formula):

@@ -7,21 +7,30 @@ redirected to y.  A pair of origin graphs sharing input and output is
 related when one parameter valuation makes gamma hold at every output
 position.
 
-Membership is one depth-first search over the input positions, with or
-without parameters.  It runs one gamma-DFA state per distinct origin
-pair (x, y) of the output, all reading the same row of parameter bits at
-each position from gamma's step table, tries the rows in lexicographic
-order and abandons a state tuple as soon as it holds gamma's dead state,
-so the first valuation found is the least one, position-major.  The test
-suite checks it against a brute-force search over all parameter
-valuations in the same order.
+The extended form (Bojanczyk, Daviaud, Guillon, Penelle, ICALP 2017) adds
+alpha on the input, beta on the output parameters, a gamma per output
+type and a delta between consecutive outputs.
+
+Membership is one depth-first search over the input positions
+(``_least_valuation``) for both forms, with or without parameters.  It
+runs one DFA state per check (gamma, x, y), all reading the same row of
+parameter bits at each position from their gammas' step tables, tries
+the rows in lexicographic order and abandons a state tuple as soon as a
+state is its gamma's dead state, so the first valuation found is the
+least one, position-major.  A plain resynchronizer has one check per
+distinct origin pair (x, y) of the output; an extended one adds alpha
+and the deltas as checks, and tries the output-parameter valuations that
+beta accepts one by one.  The naive evaluator answers beta and re-checks
+witnesses; the test suite checks the search against brute-force searches
+over all valuations in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import mso
 from .mso import (Formula, Top, InSet, Succ, Lt, Leq, Letter, First, Last, Or, Not, Exists,
@@ -63,6 +72,12 @@ class _LetterClasses:
     classes: tuple
 
 
+def _check_free_vars(what, formula, allowed):
+    extra = formula.free_vars() - set(allowed)
+    if extra:
+        raise ResyncError(f"{what} uses unknown free variables {sorted(extra)}")
+
+
 class Resynchronizer:
     """Simplified regular resynchronizer: m input parameters plus gamma.
 
@@ -86,9 +101,7 @@ class Resynchronizer:
             self.base = frozenset(gamma_automaton.alphabet.base)
         else:
             self.base = frozenset(base)
-            extra = gamma.free_vars() - set(self.params) - {X, Y}
-            if extra:
-                raise ResyncError(f"gamma uses unknown free variables {sorted(extra)}")
+            _check_free_vars("gamma", gamma, self.params + (X, Y))
         for p in self.params:
             if not is_second_order(p):
                 raise ResyncError(f"parameter names must be second-order (uppercase): {p!r}")
@@ -112,10 +125,12 @@ class Resynchronizer:
         return self._nfa
 
     def gamma_dfa(self):
-        """The minimized gamma, complete on states 0 .. n - 1, and the step
-        table every reader of its moves reads: ``steps[a][s]`` lists the
-        successors of s on the base letter a by bits over params + (x, y) in
-        ``itertools.product`` order, entry ``4 * r + 2 * x + y`` for row r.
+        """The minimized gamma, complete on states 0 .. n - 1 with initial
+        state 0 (``minimize`` numbers its blocks breadth-first from the
+        initial one), and the step table every reader of its moves reads:
+        ``steps[a][s]`` lists the successors of s on the base letter a by
+        bits over params + (x, y) in ``itertools.product`` order, entry
+        ``4 * r + 2 * x + y`` for row r.
 
         Laying out the table also finds the dead state, kept as ``_dead``:
         the one state from which no word is accepted, or None when every
@@ -197,55 +212,73 @@ def check_witness(resync, sigma: OriginGraph, sigma_p: OriginGraph, witness: Res
     return all(resync.gamma_holds(sigma.input, witness.params, xh, yh) for (xh, yh) in pairs)
 
 
-def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGraph):
-    """Decide (sigma, sigma') in [[R]]; returns a ResyncWitness or None.
+def _least_valuation(checks, u, m):
+    """The least valuation of m parameters, position-major, under which
+    every check (gamma, x, y) holds on the input u: gamma a
+    ``Resynchronizer`` over those m parameters, read with x and y marked at
+    the positions x and y.  Returns a tuple of m bit vectors, or None.
 
-    The witness is the least parameter valuation position-major: its
-    per-position rows of parameter bits are compared lexicographically.
-    The search is depth-first over positions with one gamma-DFA state per
-    distinct origin pair; at each position it reads the states' entries of
-    gamma's step table for their (x, y) marks, tries the rows in
-    lexicographic order, cuts a state tuple that holds gamma's dead state,
-    and remembers the (position, tuple) nodes that failed.  Without
-    parameters there is one row, the empty one.  Its explicit stack keeps
-    long inputs from recursing.
+    The search is depth-first over positions with one DFA state per check;
+    at each position it reads each state's entries of its gamma's step
+    table for the letter and the check's (x, y) marks, tries the rows of
+    parameter bits in lexicographic order, cuts a state tuple in which a
+    state is its gamma's dead state, and remembers the (position, tuple)
+    nodes that failed.  Without parameters there is one row, the empty
+    one.  Its explicit stack keeps long inputs from recursing.
     """
-    _check_graph_pair(sigma, sigma_p)
-    if not set(sigma.input) <= resync.base:
-        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
-    u = sigma.input
     n = len(u)
-    pairs = sorted({(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))})
-    if not pairs:
-        return ResyncWitness(((0,) * n,) * resync.m)
-    dfa, steps = resync.gamma_dfa()
-    dead = resync._dead
-    rows = tuple(itertools.product((0, 1), repeat=resync.m))
+    if not checks:
+        return ((0,) * n,) * m
+    gammas = {g: g.gamma_dfa() for (g, _x, _y) in checks}
+    marks = [(gammas[g][1], x, y) for (g, x, y) in checks]
+    finals = [gammas[g][0].final for (g, _x, _y) in checks]
+    start = (0,) * len(checks)    # gamma_dfa numbers the initial state 0
+    # a state tuple is cut when a state is its check's dead state; when the
+    # checks share one dead state, one test over the tuple finds it
+    deads = tuple(g._dead for (g, _x, _y) in checks)
+    dead = deads[0] if deads.count(deads[0]) == len(deads) else None
+    rows = tuple(itertools.product((0, 1), repeat=m))
 
     def choices(p, states):   # (row, next state tuple) at position p + 1, rows in order
         if p == n:
             return iter(())
-        table = steps[u[p]]
-        moves = [table[s][2 * (p + 1 == xh) + (p + 1 == yh)::4]
-                 for s, (xh, yh) in zip(states, pairs)]
+        a = u[p]
+        p += 1
+        moves = [steps[a][s][2 * (p == x) + (p == y)::4] for s, (steps, x, y) in zip(states, marks)]
         return zip(rows, zip(*moves))
 
     # depth-first over (position, state tuple); frame p + 1 holds the row read at p + 1
-    start = (next(iter(dfa.initial)),) * len(pairs)
     stack, failed = [(None, start, choices(0, start))], set()
     while stack:
         _row, states, todo = stack[-1]
         p = len(stack) - 1
-        if p == n and dfa.final.issuperset(states):
-            return ResyncWitness(tuple(zip(*(row for (row, _s, _t) in stack[1:]))))
+        if p == n and all(map(operator.contains, finals, states)):
+            return tuple(zip(*(row for (row, _s, _t) in stack[1:])))
         for row, nxt in todo:
-            if dead not in nxt and (p + 1, nxt) not in failed:
+            if (dead not in nxt if dead is not None else not any(map(operator.eq, nxt, deads))) \
+                    and (p + 1, nxt) not in failed:
                 stack.append((row, nxt, choices(p + 1, nxt)))
                 break
         else:
             failed.add((p, states))
             stack.pop()
     return None
+
+
+def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGraph):
+    """Decide (sigma, sigma') in [[R]]; returns a ResyncWitness or None.
+
+    One check of gamma per distinct origin pair (x, y) of the output, in
+    ``_least_valuation``'s search, so the witness is the least parameter
+    valuation position-major: its per-position rows of parameter bits are
+    compared lexicographically.
+    """
+    _check_graph_pair(sigma, sigma_p)
+    if not set(sigma.input) <= resync.base:
+        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
+    pairs = sorted({(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))})
+    found = _least_valuation([(resync, x, y) for (x, y) in pairs], sigma.input, resync.m)
+    return None if found is None else ResyncWitness(found)
 
 
 # -- boundedness -------------------------------------------------------------
@@ -481,65 +514,49 @@ def make_Rk(k, base=("a", "b")):
 
 # -- composition --------------------------------------------------------------
 
+# the fields of a formula node that name a variable; its other fields are
+# subformulas, letters and offsets
+_VAR_FIELDS = frozenset({"var", "x", "y", "X"})
+
+
+def _map_vars(g, sub, bound=frozenset()):
+    """g with every variable name v replaced by sub(v, bound), bound the
+    names that the enclosing ``Exists`` nodes bind, a node's own included."""
+    if isinstance(g, Exists):
+        bound = bound | {g.var}
+    return type(g)(*(
+        _map_vars(value, sub, bound) if isinstance(value, Formula)
+        else sub(value, bound) if f.name in _VAR_FIELDS else value
+        for f in fields(g) for value in (getattr(g, f.name),)))
+
+
 def _all_var_names(f: Formula):
     out = set()
-
-    def walk(g):
-        if isinstance(g, (Top,)):
-            return
-        if isinstance(g, Letter):
-            out.add(g.var)
-        elif isinstance(g, (Leq, Lt, Succ)):
-            out.add(g.x)
-            out.add(g.y)
-        elif isinstance(g, InSet):
-            out.add(g.x)
-            out.add(g.X)
-        elif isinstance(g, (First, Last)):
-            out.add(g.var)
-        elif isinstance(g, Or):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, Exists):
-            out.add(g.var)
-            walk(g.body)
-    walk(f)
+    _map_vars(f, lambda v, _bound: out.add(v) or v)
     return out
 
 
 def rename_free(f: Formula, mapping):
-    def sub(name, m):
-        return m.get(name, name)
+    """f with its free variables renamed by mapping; a variable that an
+    ``Exists`` binds keeps its name within that ``Exists``."""
+    return _map_vars(f, lambda v, bound: v if v in bound else mapping.get(v, v))
 
-    def walk(g, m):
-        if isinstance(g, Top):
-            return g
-        if isinstance(g, Letter):
-            return Letter(g.letter, sub(g.var, m))
-        if isinstance(g, Leq):
-            return Leq(sub(g.x, m), sub(g.y, m))
-        if isinstance(g, Lt):
-            return Lt(sub(g.x, m), sub(g.y, m))
-        if isinstance(g, Succ):
-            return Succ(sub(g.x, m), sub(g.y, m), g.k)
-        if isinstance(g, InSet):
-            return InSet(sub(g.x, m), sub(g.X, m))
-        if isinstance(g, First):
-            return First(sub(g.var, m))
-        if isinstance(g, Last):
-            return Last(sub(g.var, m))
-        if isinstance(g, Or):
-            return Or(walk(g.left, m), walk(g.right, m))
-        if isinstance(g, Not):
-            return Not(walk(g.body, m))
-        if isinstance(g, Exists):
-            inner = {k: v for k, v in m.items() if k != g.var}
-            return Exists(g.var, walk(g.body, inner))
-        raise TypeError(f"unknown node {g!r}")
 
-    return walk(f, dict(mapping))
+def _unshadowed(g, taken):
+    """g with each variable that an ``Exists`` binds renamed, when its name
+    is in taken or bound further out, to a name that neither holds and g
+    does not use.  The formula means the same, in the form the compiler
+    takes: no binding there shadows a track or an outer binding."""
+    if isinstance(g, Exists):
+        v, body = g.var, g.body
+        if v in taken:
+            used = taken | _all_var_names(body)
+            while v in used:
+                v += "_"
+            body = rename_free(body, {g.var: v})
+        return Exists(v, _unshadowed(body, taken | {v}))
+    return type(g)(*(_unshadowed(value, taken) if isinstance(value, Formula) else value
+                     for value in (getattr(g, f.name) for f in fields(g))))
 
 
 def compose(r1: Resynchronizer, r2: Resynchronizer) -> Resynchronizer:
@@ -616,9 +633,18 @@ class ExtendedResynchronizer:
         if unknown:
             raise ResyncError(f"delta_by_type_pair names unknown type pairs "
                               f"{sorted(unknown, key=repr)}")
+        for p in self.in_params + self.out_params:
+            if not is_second_order(p):
+                raise ResyncError(f"parameter names must be second-order (uppercase): {p!r}")
+        _check_free_vars("alpha", self.alpha, self.in_params)
+        _check_free_vars("beta", self.beta, self.out_params)
+        for tau, f in gamma_by_type.items():
+            _check_free_vars(f"gamma of type {tau}", f, self.in_params + (X, Y))
+        for pair, f in delta_by_type_pair.items():
+            _check_free_vars(f"delta of types {pair}", f, self.in_params + (X, Y))
         self.gamma_by_type = dict(gamma_by_type)
         self.delta_by_type_pair = dict(delta_by_type_pair)
-        self._gamma_cache = {}
+        self._resyncs = {}   # id(formula) -> (formula, its Resynchronizer)
 
     @property
     def m(self):
@@ -632,23 +658,35 @@ class ExtendedResynchronizer:
         return [(c,) + bits for c in sorted(self.output_base)
                 for bits in itertools.product((0, 1), repeat=self.n_out)]
 
+    def _resync(self, formula):
+        """alpha, a gamma or a delta as a ``Resynchronizer`` over the input
+        parameters: one per formula object, built on first use, so a formula
+        shared by several types compiles once.  Its bound variables are
+        renamed apart from the tracks (``_unshadowed``), so that alpha may
+        bind x, say.  The entry holds the formula too, so that its id cannot
+        be reused while it is cached."""
+        got = self._resyncs.get(id(formula))
+        if got is None:
+            tracks = self.in_params + (X, Y)
+            got = self._resyncs[id(formula)] = (formula, Resynchronizer(
+                self.in_params, _unshadowed(formula, frozenset(tracks)), base=self.input_base))
+        return got[1]
+
     def _gamma_resync(self, tau):
-        if tau not in self._gamma_cache:
-            self._gamma_cache[tau] = Resynchronizer(
-                self.in_params, self.gamma_by_type[tau], base=self.input_base)
-        return self._gamma_cache[tau]
+        return self._resync(self.gamma_by_type[tau])
 
-    def _delta_holds(self, u, ibits, t1, t2, z1, z2):
-        f = self.delta_by_type_pair[(t1, t2)]
-        env = {X: z1, Y: z2}
-        for nm, vec in zip(self.in_params, ibits):
-            env[nm] = frozenset(i + 1 for i, b in enumerate(vec) if b)
-        return evaluate(f, tuple(u), env)
-
-    def _alpha_holds(self, u, ibits):
-        env = {nm: frozenset(i + 1 for i, b in enumerate(vec) if b)
-               for nm, vec in zip(self.in_params, ibits)}
-        return evaluate(self.alpha, tuple(u), env)
+    def _checks(self, tys, orig, orig_p):
+        """``_least_valuation``'s checks for the output types tys, in
+        first-seen order without repeats: alpha at (1, 1), which marks
+        nothing alpha reads; unless orig is None, the gamma of each type t at
+        (orig[t], orig_p[t]); the delta of each consecutive pair of types at
+        (orig_p[t], orig_p[t + 1])."""
+        checks = [(self._resync(self.alpha), 1, 1)]
+        if orig is not None:
+            checks += [(self._gamma_resync(tau), x, y) for tau, x, y in zip(tys, orig, orig_p)]
+        checks += [(self._resync(self.delta_by_type_pair[pair]), y1, y2)
+                   for pair, y1, y2 in zip(zip(tys, tys[1:]), orig_p, orig_p[1:])]
+        return list(dict.fromkeys(checks))
 
     def _beta_holds(self, v, obits):
         env = {nm: frozenset(i + 1 for i, b in enumerate(vec) if b)
@@ -660,9 +698,13 @@ def extended_pair_in_resync(ext: ExtendedResynchronizer, sigma: OriginGraph,
                             sigma_p: OriginGraph):
     """Search input and output parameters satisfying all four families.
 
-    Output parameters are searched exhaustively (exponential in
-    n_out * |v|, fine at desk scale); input parameters by brute force, the
-    per-type constraint sets being small for the shipped examples.
+    Output parameters are searched exhaustively, each valuation that beta
+    accepts in ``itertools.product`` order (exponential in n_out * |v|,
+    fine at desk scale).  For each, ``_least_valuation`` searches the input
+    parameters under alpha, the gamma of each output type and the delta of
+    each consecutive pair of types (``ExtendedResynchronizer._checks``), so
+    the input witness is the least valuation position-major, as
+    ``pair_in_resync``'s is.
     """
     _check_graph_pair(sigma, sigma_p)
     u, v = sigma.input, sigma.output
@@ -670,41 +712,13 @@ def extended_pair_in_resync(ext: ExtendedResynchronizer, sigma: OriginGraph,
         raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
     if not set(v) <= ext.output_base:
         raise ResyncError("output word uses letters outside the resynchronizer's output alphabet")
-    nv = len(v)
-    for obits in itertools.product(itertools.product((0, 1), repeat=nv), repeat=ext.n_out):
+    for obits in itertools.product(itertools.product((0, 1), repeat=len(v)), repeat=ext.n_out):
         if not ext._beta_holds(v, obits):
             continue
-        tys = [
-            (v[t],) + tuple(vec[t] for vec in obits)
-            for t in range(nv)
-        ]
-        found = _search_ibits(ext, sigma, sigma_p, tys)
+        tys = [(c,) + tuple(vec[t] for vec in obits) for t, c in enumerate(v)]
+        found = _least_valuation(ext._checks(tys, sigma.orig, sigma_p.orig), u, ext.m)
         if found is not None:
             return ResyncWitness(found, obits)
-    return None
-
-
-def _search_ibits(ext, sigma, sigma_p, tys):
-    u = sigma.input
-    nu = len(u)
-    nv = len(sigma.output)
-    for ibits in itertools.product(itertools.product((0, 1), repeat=nu), repeat=ext.m):
-        if not ext._alpha_holds(u, ibits):
-            continue
-        ok = True
-        for t in range(nv):
-            r = ext._gamma_resync(tys[t])
-            if not r.gamma_holds(u, ibits, sigma.orig[t], sigma_p.orig[t]):
-                ok = False
-                break
-        if ok:
-            for t in range(nv - 1):
-                if not ext._delta_holds(u, ibits, tys[t], tys[t + 1],
-                                        sigma_p.orig[t], sigma_p.orig[t + 1]):
-                    ok = False
-                    break
-        if ok:
-            return ibits
     return None
 
 

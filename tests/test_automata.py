@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from origami.automata import (Diagrams, GuardedNfa, StructuredAlphabet, StructuredNfa,
                               intersect, union, ambiguity_class, ambiguity_report,
@@ -223,6 +223,39 @@ def test_parallel_self_loops_exponential():
     assert rep.kind == EXP
     counts = [n.count_accepting_runs([("a", ())] * k) for k in range(1, 6)]
     assert counts == [2, 4, 8, 16, 32]
+
+
+def test_exponential_pump_found_off_the_diagonal():
+    # the two runs part at state 1, not at the diagonal state 0, and meet
+    # again one letter later: the pump reaches the split and comes back
+    n = nfa("ab", (), [0, 1, 2, 3], [0], [0], [
+        (0, ("a", ()), 1), (1, ("b", ()), 2), (1, ("b", ()), 3),
+        (2, ("b", ()), 0), (3, ("b", ()), 0),
+    ])
+    rep = ambiguity_report(n)
+    assert rep.kind == EXP and rep.states == (0,)
+    assert rep.pump == (("a", ()), ("b", ()), ("b", ()))
+    counts = [n.count_accepting_runs(rep.pump * k) for k in range(1, 5)]
+    assert counts == [2, 4, 8, 16]
+
+
+@st.composite
+def plain_nfas(draw):
+    states = range(draw(st.integers(1, 3)))
+    trans = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(letters("ab")),
+                                    st.sampled_from(states)), max_size=8))
+    return nfa("ab", (), states, draw(st.sets(st.sampled_from(states), min_size=1)),
+               draw(st.sets(st.sampled_from(states))), trans)
+
+
+@given(plain_nfas())
+@example(nfa("ab", (), [0, 1, 2], [0], [2], [
+    (0, ("a", ()), 0), (0, ("b", ()), 1), (1, ("a", ()), 2), (1, ("b", ()), 1)]))
+def test_find_witness_is_the_least_shortest_word(n):
+    # a shortest accepted word visits each set of states at most once, and
+    # three states make seven non-empty sets
+    words = (w for k in range(8) for w in itertools.product(letters("ab"), repeat=k))
+    assert n.find_witness() == next((w for w in words if n.accepts(w)), None)
 
 
 def test_empty_automaton_finite():

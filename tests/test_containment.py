@@ -11,12 +11,13 @@ from origami.mso import First, parse_formula
 from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
                                  origin_equivalent_upto, run_origin_graphs, words_upto)
 from origami.traversal import GreedyLabelError, greedy_label, max_traversal
-from origami.reduction import grow, build_tiles, build_Tdown, build_Tup
+from origami.reduction import grow, halt2, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
                             make_shift, make_param_example, compose, pair_in_resync,
-                            check_witness, make_first_to_last, make_first, make_block)
+                            check_witness, make_first_to_last, make_first, make_block,
+                            ExtendedResynchronizer)
 from origami.containment import (Counterexample, contains_upto, resync_search,
-                                 traversal_profile, report_json)
+                                 traversal_profile, report_json, _ext_precheck_m0)
 
 from random_one_way import LETTERS, STATES, machine_pairs, partners, stale_step_repro, variants
 from random_two_way import every_run_graphs, rebuilt, two_way_pairs
@@ -335,12 +336,66 @@ def test_verdict_json_is_deterministic(t_slow, t_fast, caps):
 
 def test_unbounded_growth_heuristic(t_id, t_rev):
     profile = traversal_profile(t_id, t_rev, 9, RunCaps(18, 90))
-    # id/rev alternates between flat and rising steps, so four consecutive
-    # strict rises never appear
-    assert not profile.unbounded_growth_evidence()
+    # id/rev rises at every second length, a steady pace
+    assert profile.unbounded_growth_evidence()
     values = {n: n for n in range(1, 7)}
     from origami.containment import TraversalProfile
     assert TraversalProfile(values, False, 6).unbounded_growth_evidence()
+
+
+def growth_pairs():
+    halt2_tiles, grow_tiles = build_tiles(halt2()), build_tiles(grow())
+    return {"id/rev": (corpus.t_id(), corpus.t_rev()),
+            "one-two/two-one": (corpus.t_one_two(), corpus.t_two_one()),
+            "fast/slow": (corpus.t_fast(), corpus.t_slow()),
+            "slow/fast": (corpus.t_slow(), corpus.t_fast()),
+            "HALT2": (build_Tdown(halt2_tiles), build_Tup(halt2_tiles)),
+            "GROW": (build_Tdown(grow_tiles), build_Tup(grow_tiles))}
+
+
+# (pair, max length, profile from length 1, growth evidence)
+GROWTH_PINS = [
+    ("id/rev", 9, [0, 1, 1, 2, 2, 3, 3, 4, 4], True),
+    ("id/rev", 10, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5], True),
+    ("one-two/two-one", 10, [0, 1, 1, 1, 2, 2, 2, 3, 3, 3], True),
+    ("fast/slow", 8, [0, 1, 2, 3, 4, 5, 6, 7], True),
+    ("slow/fast", 8, [0, 1, 1, 1, 1, 1, 1, 1], False),
+    # rises at 2, 3 and 5: the pace slows, as a bounded profile's does
+    ("HALT2", 6, [0, 1, 2, 2, 3, 3], False),
+    ("HALT2", 8, [0, 1, 2, 2, 3, 3, 3, 3], False),
+    ("GROW", 10, [0, 1, 2, 2, 3, 3, 3, 3, 3, 3], False),
+    ("GROW", 16, [0, 1, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4], False),
+]
+
+
+def test_growth_evidence_pinned():
+    pairs = growth_pairs()
+    for name, n, values, flag in GROWTH_PINS:
+        caps = RunCaps(2 + 4 * n, 20 + 12 * n)
+        profile = traversal_profile(*pairs[name], n, caps)
+        assert [profile.values[k] for k in range(1, n + 1)] == values, name
+        assert profile.unbounded_growth_evidence() == flag, (name, n)
+    from origami.containment import TraversalProfile
+    assert TraversalProfile({n: n for n in range(1, 7)}, False, 6).unbounded_growth_evidence()
+    # a rise to or from inf is no rise
+    steps = {1: 0, 2: 1, 3: 2, 4: math.inf, 5: 3, 6: 4}
+    assert not TraversalProfile(steps, False, 6).unbounded_growth_evidence()
+
+
+def test_extended_precheck_without_parameters():
+    # alpha, beta and delta read sigma' only; each one alone can reject it
+    sigma_p = OriginGraph("ab", "cd", (2, 1))
+    ok = dict(input_base="ab", output_base="cd")
+    assert _ext_precheck_m0(ExtendedResynchronizer(**ok), sigma_p)
+    for part, text in (("alpha", "exists z. z = z + 1"), ("beta", "forall z. c(z)"),
+                       ("delta", "x < y")):
+        ext = ExtendedResynchronizer(**{part: parse_formula(text)}, **ok)
+        assert not _ext_precheck_m0(ext, sigma_p), part
+        # the sweep finds the same: t1 is its own only partner
+        t = OneWayTransducer(STATES, ("a", "b"), ("c", "d"),
+                             (("p", "a", (), "q"), ("q", "b", ("c", "d"), "r")), {"p"}, {"r"})
+        verdict = contains_upto(t, t, ext, 2, RunCaps(4, 10))
+        assert verdict.counterexample.reason == "no-accepted-partner", part
 
 
 def test_alphabet_mismatch_raises(t_id, t_first, caps):
@@ -661,6 +716,18 @@ def writes_ahead():
     return early_and_late()[0], eager
 
 
+def owes_another_letter():
+    """t1 writes b at its second letter and a after; t2 writes a at its
+    first letter, so it owes t1 an a where t1 writes b: no partner."""
+    late_b = OneWayTransducer(STATES, ("a",), LETTERS,
+                              (("p", "a", (), "q"), ("q", "a", ("b",), "r"),
+                               ("r", "a", ("a",), "r")), {"p"}, {"r"})
+    early_a = OneWayTransducer(STATES, ("a",), LETTERS,
+                               (("p", "a", ("a",), "q"), ("q", "a", (), "q"),
+                                ("q", "a", ("a",), "q")), {"p"}, {"q"})
+    return late_b, early_a
+
+
 @st.composite
 def profile_cases(draw):
     """(t1, t2), a length and caps.  t1 sometimes has a silent or a writing
@@ -685,6 +752,8 @@ def profile_cases(draw):
 # t2 owes t1 every letter but the first, up to what t1 can still write
 @example((writes_ahead(), 4, RunCaps(8, 40)))
 @example(((corpus.t_fast(), t_skip_then_pad()), 4, RunCaps(6, 40)))
+# the letter t1 writes is not the one t2 wrote ahead
+@example((owes_another_letter(), 4, RunCaps(6, 30)))
 # a two-way t1 and a one-way t2 stay on the sweep
 @example(((corpus.t_rev(), corpus.t_slow()), 4, RunCaps(8, 40)))
 def test_profile_frontier_matches_bruteforce_oracle(case):

@@ -78,6 +78,44 @@ def test_typed_lines_with_unknown_types_rejected(tmp_path, capsys):
     assert r.delta_by_type_pair[(("d",), ("c",))] == parse_formula("false")
 
 
+def test_nfa_file_and_gamma_automaton_line(tmp_path):
+    gamma = parse_formula("(x = y + 1) | (y = x + 1)")
+    auto = mso_compile(gamma, ("x", "y"), "ab")
+    (tmp_path / "pm1.nfa").write_text(format_automaton(auto))
+    loaded = formats.load(str(tmp_path / "pm1.nfa"))
+    assert language_equal_upto(loaded, auto, 3)
+    (tmp_path / "pm1.rsync").write_text("params:\ngamma-automaton: pm1.nfa\n")
+    r = formats.load(str(tmp_path / "pm1.rsync"))
+    assert isinstance(r, Resynchronizer) and r.gamma_formula is None and r.base == {"a", "b"}
+    from origami.resync import pair_in_resync
+    s, sp = OriginGraph("abab", "cc", (1, 3)), OriginGraph("abab", "cc", (2, 4))
+    assert pair_in_resync(r, s, sp) is not None
+    assert pair_in_resync(r, s, OriginGraph("abab", "cc", (2, 3))) is None
+
+
+def test_extended_file_with_unknown_variables_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.rsync"
+    bad.write_text("output-alphabet: c d\nalpha: exists z. z in K\n")
+    graph = data("shifted_src.graph")
+    assert main(["resync-check", str(bad), graph, graph]) == 2
+    assert capsys.readouterr().err == "error: alpha uses unknown free variables ['K']\n"
+    # a typed gamma line is checked as well
+    bad.write_text("output-alphabet: c d\ngamma(d): w <= x\n")
+    assert main(["resync-check", str(bad), graph, graph]) == 2
+    assert capsys.readouterr().err == \
+        "error: gamma of type ('d',) uses unknown free variables ['w']\n"
+
+
+def test_format_dot_only_where_it_is_printed(capsys):
+    pair = [data("slow.1nt"), data("fast.1nt")]
+    for argv in (["contains", *pair, data("identity.rsync")], ["resync-search", *pair],
+                 ["traversal-profile", *pair]):
+        assert main([*argv, "--format", "dot"]) == 2, argv[0]
+        assert "invalid choice: 'dot'" in capsys.readouterr().err
+    assert main(["origin-graphs", data("one_two.1nt"), "aa", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
 def test_parse_errors():
     with pytest.raises(FormatError):
         parse_transducer("kind: 3nt\n")

@@ -11,10 +11,10 @@ from origami.automata import (StructuredAlphabet, StructuredNfa, ambiguity_repor
                               language_equal_upto, FINITE, _closure, _scc)
 from origami.formats import parse_resynchronizer
 from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not, Exists,
-                         f_and, parse_formula, is_second_order)
+                         f_and, parse_formula, is_second_order, evaluate)
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
-                            pair_in_resync, check_witness,
+                            pair_in_resync, check_witness, rename_free,
                             is_bounded, bounded_by, BoundViolation, compose,
                             simplify_extended,
                             extended_pair_in_resync, ExtendedResynchronizer,
@@ -601,6 +601,8 @@ def assert_dead_state_cannot_accept(r):
                 back.setdefault(q, set()).add(p)
     outside = dfa.states - _closure(dfa.final, back)
     assert outside == (set() if r._dead is None else {r._dead})
+    # membership's search starts every check in state 0
+    assert dfa.initial == {0}
 
 
 def all_words_gamma():
@@ -685,6 +687,94 @@ def test_compose_renames_clashing_params():
     r = make_param_example(base="a")
     c = compose(r, r)
     assert len(set(c.params)) == 2
+
+
+def rename_free_reference(g, m):
+    """The renaming written out node kind by node kind, the reference for
+    the field walk."""
+    def sub(name):
+        return m.get(name, name)
+    if isinstance(g, Top):
+        return g
+    if isinstance(g, Letter):
+        return Letter(g.letter, sub(g.var))
+    if isinstance(g, (Leq, Lt)):
+        return type(g)(sub(g.x), sub(g.y))
+    if isinstance(g, Succ):
+        return Succ(sub(g.x), sub(g.y), g.k)
+    if isinstance(g, InSet):
+        return InSet(sub(g.x), sub(g.X))
+    if isinstance(g, (First, Last)):
+        return type(g)(sub(g.var))
+    if isinstance(g, Or):
+        return Or(rename_free_reference(g.left, m), rename_free_reference(g.right, m))
+    if isinstance(g, Not):
+        return Not(rename_free_reference(g.body, m))
+    inner = {k: v for k, v in m.items() if k != g.var}
+    return Exists(g.var, rename_free_reference(g.body, inner))
+
+
+def all_var_names_reference(g):
+    names = {getattr(g, f) for f in ("var", "x", "y", "X") if hasattr(g, f)}
+    for f in ("left", "right", "body"):
+        if hasattr(g, f):
+            names |= all_var_names_reference(getattr(g, f))
+    return names
+
+
+def compose_reference(r1, r2):
+    """compose's gamma, built with the reference renaming."""
+    ren2, taken = {}, set(r1.params)
+    for p in r2.params:
+        q = p
+        while q in taken:
+            q += "_b"
+        ren2[p] = q
+        taken.add(q)
+    g2 = rename_free_reference(r2.gamma_formula, ren2)
+    used = (all_var_names_reference(r1.gamma_formula) | all_var_names_reference(g2)
+            | taken | {"x", "y"})
+    mid = "mid"
+    while mid in used:
+        mid += "_"
+    return Exists(mid, f_and(rename_free_reference(r1.gamma_formula, {"x": mid}),
+                             rename_free_reference(g2, {"y": mid})))
+
+
+# every node kind; z is bound inside, so the inner z keeps its name
+EVERY_NODE = Or(f_and(Top(), Letter("a", "x"), Leq("x", "y"), Lt("y", "z"),
+                      Succ("z", "x", 2), InSet("x", "I")),
+                Not(Exists("z", f_and(First("z"), Last("y"), InSet("z", "I"),
+                                      Exists("I", InSet("z", "I"))))))
+
+
+def test_rename_free_over_every_node_kind():
+    got = rename_free(EVERY_NODE, {"x": "w", "y": "v", "z": "u", "I": "J"})
+    assert got == rename_free_reference(EVERY_NODE, {"x": "w", "y": "v", "z": "u", "I": "J"})
+    assert got == Or(f_and(Top(), Letter("a", "w"), Leq("w", "v"), Lt("v", "u"),
+                           Succ("u", "w", 2), InSet("w", "J")),
+                     Not(Exists("z", f_and(First("z"), Last("v"), InSet("z", "J"),
+                                           Exists("I", InSet("z", "I"))))))
+
+
+@given(formula_cases())
+def test_rename_free_matches_reference(case):
+    formula, sig = case
+    mapping = {v: v + "_r" for v in sig}
+    assert rename_free(formula, mapping) == rename_free_reference(formula, mapping)
+
+
+COMPOSE_BUILDERS = [make_identity, make_universal, make_pm1, lambda: make_shift(2),
+                    make_first, make_param_example, make_block, lambda: make_Rk(1),
+                    lambda: compose(make_param_example(), make_pm1())]
+
+
+@pytest.mark.parametrize("first", range(len(COMPOSE_BUILDERS)))
+def test_compose_formula_matches_reference(first):
+    r1 = COMPOSE_BUILDERS[first]()
+    for build in COMPOSE_BUILDERS:
+        r2 = build()
+        assert compose(r1, r2).gamma_formula == compose_reference(r1, r2)
 
 
 def test_two_parameter_search_matches_bruteforce():
@@ -772,6 +862,162 @@ def test_delta_constraint_rejects():
     dec = graph("aaa", "bb", (2, 1))
     assert extended_pair_in_resync(ext, s, inc) is not None
     assert extended_pair_in_resync(ext, s, dec) is None
+
+
+def extended_pair_in_resync_bruteforce(ext, sigma, sigma_p):
+    """Oracle: output valuations in ``itertools.product`` order, each that
+    beta accepts, then input valuations with rows position by position in
+    lexicographic order; alpha, every gamma and every delta by the naive
+    evaluator.  The first hit is ``extended_pair_in_resync``'s witness."""
+    u, v = sigma.input, sigma.output
+
+    def sets(names, vecs):
+        return {nm: frozenset(i + 1 for i, b in enumerate(vec) if b)
+                for nm, vec in zip(names, vecs)}
+
+    for obits in itertools.product(itertools.product((0, 1), repeat=len(v)), repeat=ext.n_out):
+        if not evaluate(ext.beta, v, sets(ext.out_params, obits)):
+            continue
+        tys = [(c,) + tuple(vec[t] for vec in obits) for t, c in enumerate(v)]
+        for rows in itertools.product(itertools.product((0, 1), repeat=ext.m), repeat=len(u)):
+            ibits = tuple(tuple(r[i] for r in rows) for i in range(ext.m))
+            env = sets(ext.in_params, ibits)
+            if evaluate(ext.alpha, u, env) and all(
+                    evaluate(ext.gamma_by_type[ty], u, {**env, "x": x, "y": y})
+                    for ty, x, y in zip(tys, sigma.orig, sigma_p.orig)) and all(
+                    evaluate(ext.delta_by_type_pair[(t1, t2)], u, {**env, "x": y1, "y": y2})
+                    for t1, t2, y1, y2 in zip(tys, tys[1:], sigma_p.orig, sigma_p.orig[1:])):
+                return ResyncWitness(ibits, obits)
+    return None
+
+
+def draw_formula(draw, depth, fo, so, letters, binders):
+    """A formula of nesting depth <= depth with free variables among the
+    first-order fo and second-order so, over the given letters; exists
+    binds a name of binders that no enclosing exists binds, which may be
+    one of fo or so."""
+    def gen(depth, scope):
+        names = [v for v in fo + so if v not in scope] + list(scope)
+        fos = [v for v in names if not is_second_order(v)]
+        sos = [v for v in names if is_second_order(v)]
+        kinds = ["top"]
+        if fos:
+            kinds += ["letter", "leq", "lt", "succ", "first", "last"]
+            if sos:
+                kinds += ["in", "in"]
+        if depth:
+            kinds += ["or", "or", "not", "not"]
+            if set(binders) - set(scope):
+                kinds.append("exists")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "top":
+            return Top()
+        if kind == "letter":
+            return Letter(draw(st.sampled_from(letters)), draw(st.sampled_from(fos)))
+        if kind in ("leq", "lt", "succ"):
+            x, y = draw(st.sampled_from(fos)), draw(st.sampled_from(fos))
+            if kind == "succ":
+                return Succ(x, y, draw(st.integers(0, 2)))
+            return Leq(x, y) if kind == "leq" else Lt(x, y)
+        if kind in ("first", "last"):
+            v = draw(st.sampled_from(fos))
+            return First(v) if kind == "first" else Last(v)
+        if kind == "in":
+            return InSet(draw(st.sampled_from(fos)), draw(st.sampled_from(sos)))
+        if kind == "or":
+            return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "not":
+            return Not(gen(depth - 1, scope))
+        v = draw(st.sampled_from(sorted(set(binders) - set(scope))))
+        return Exists(v, gen(depth - 1, scope + (v,)))
+
+    return gen(depth, ())
+
+
+@st.composite
+def extended_cases(draw):
+    """An extended resynchronizer over inputs {a, b} and outputs {c, d}
+    with 0-2 input and 0-1 output parameters: alpha, beta, and one to three
+    gammas and deltas, shared out over the output types and type pairs;
+    quantifiers may rebind x or a parameter.  Then an input of length <= 4
+    (<= 3 with two parameters) and two origin tuples for <= 3 outputs."""
+    ins = draw(st.sampled_from([(), ("I",), ("I", "J")]))
+    outs = draw(st.sampled_from([(), ("P",)]))
+    binders = ("z", "Z", "x") + ins[:1]
+    alpha = draw_formula(draw, 3, (), ins, "ab", binders)
+    beta = draw_formula(draw, 3, (), outs, "cd", ("z", "Z"))
+    gammas = [draw_formula(draw, 3, ("x", "y"), ins, "ab", binders)
+              for _ in range(draw(st.integers(1, 3)))]
+    deltas = [draw_formula(draw, 3, ("x", "y"), ins, "ab", binders)
+              for _ in range(draw(st.integers(1, 3)))]
+    types = [(c,) + bits for c in "cd" for bits in itertools.product((0, 1), repeat=len(outs))]
+    ext = ExtendedResynchronizer(
+        ins, outs, alpha, beta,
+        gamma_by_type={t: draw(st.sampled_from(gammas)) for t in types},
+        delta_by_type_pair={(t1, t2): draw(st.sampled_from(deltas))
+                            for t1 in types for t2 in types},
+        input_base="ab", output_base="cd")
+    n = draw(st.integers(1, 3 if len(ins) == 2 else 4))
+    u = draw(st.text("ab", min_size=n, max_size=n))
+    v = "".join(draw(st.sampled_from("cd")) for _ in range(draw(st.integers(0, 3))))
+    orig = [tuple(draw(st.integers(1, n)) for _ in v) for _ in range(2)]
+    return ext, graph(u, v, orig[0]), graph(u, v, orig[1])
+
+
+@settings(max_examples=150)
+@given(extended_cases())
+@example((ExtendedResynchronizer(("I", "J"), (), gamma=LAST_OR_FIRST, input_base="a",
+                                 output_base="c"),) + (graph("aa", "c", (1,)),) * 2)
+# alpha and delta bind names that are tracks of their automata
+@example((ExtendedResynchronizer(("I",), alpha=parse_formula("exists x. x in I & b(x)"),
+                                 delta=parse_formula("x < y & exists y. y in I & x < y"),
+                                 input_base="ab", output_base="c"),
+          graph("aba", "cc", (1, 1)), graph("aba", "cc", (1, 3))))
+def test_extended_membership_matches_position_major_oracle(case):
+    ext, s, sp = case
+    assert extended_pair_in_resync(ext, s, sp) == extended_pair_in_resync_bruteforce(ext, s, sp)
+
+
+def test_extended_witness_is_least_position_major():
+    ext = ExtendedResynchronizer(("I", "J"), (), gamma=LAST_OR_FIRST, input_base="a",
+                                 output_base="c")
+    g = graph("aa", "c", (1,))
+    plain = pair_in_resync(Resynchronizer(("I", "J"), LAST_OR_FIRST, base="a"), g, g)
+    assert extended_pair_in_resync(ext, g, g).params == plain.params == ((0, 1), (0, 0))
+
+
+def test_extended_formula_shared_by_types_compiles_once():
+    gamma, delta = parse_formula("x = y"), parse_formula("x <= y")
+    ext = ExtendedResynchronizer(gamma=gamma, delta=delta, input_base="a", output_base="cd")
+    resyncs = {ext._gamma_resync(t) for t in ext.types()}
+    assert len(resyncs) == 1
+    s = graph("aa", "cdc", (1, 2, 2))
+    assert extended_pair_in_resync(ext, s, s) is not None
+    # alpha, the shared gamma and the shared delta: one entry each
+    assert sorted(id(f) for (f, _r) in ext._resyncs.values()) == \
+        sorted(map(id, (ext.alpha, gamma, delta)))
+
+
+BAD_EXTENDED = {
+    "alpha reads an unknown set": dict(alpha=parse_formula("exists z. z in K")),
+    "alpha reads x": dict(alpha=parse_formula("a(x)")),
+    "beta reads an input parameter": dict(in_params=("I",),
+                                          beta=parse_formula("exists z. z in I")),
+    "beta reads an unknown set": dict(beta=parse_formula("exists z. z in Q")),
+    "gamma reads an unknown position": dict(gamma=parse_formula("w <= x")),
+    "typed gamma reads an output parameter": dict(
+        out_params=("P",), gamma_by_type={(c, b): parse_formula("exists z. z in P" if b else "true")
+                                          for c in "cd" for b in (0, 1)}),
+    "delta reads an unknown position": dict(delta=parse_formula("x <= w")),
+    "first-order input parameter": dict(in_params=("i",)),
+    "first-order output parameter": dict(out_params=("p",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EXTENDED))
+def test_extended_free_variables_checked_when_built(name):
+    with pytest.raises(ResyncError):
+        ExtendedResynchronizer(**BAD_EXTENDED[name])
 
 
 def test_partial_delta_map_rejected():
