@@ -20,8 +20,17 @@ without the seconds (route, macro-states per layer, gamma DFA sizes,
 sweep counters), from a dict of the logger's own when the caller passed
 none.  Calls made inside another logged call are not logged, and a line
 already written by this process is not written again, so a benchmark's
-repeated passes log as one.  The log goes to the file named by
-``ORIGAMI_VERDICT_LOG``, appended to.
+repeated passes log as one.
+
+Compiles are logged too, at any depth: every ``mso_compile`` call, by a
+digest of its formula's ``repr``, its signature and base letters, and
+the first ``gamma_dfa`` call on each ``Resynchronizer``, the one that
+compiles, by its name, signature and base letters.  The result is the
+automaton's sizes and a sha256 digest of its sorted states, initial and
+final states, its transitions in their order and, for ``gamma_dfa``, the
+step table, so that a diff over the log also shows a compiled automaton
+that changed.  The log goes to the file named by ``ORIGAMI_VERDICT_LOG``,
+appended to.
 
 As a pytest plugin, with ``scripts`` on the path:
 
@@ -38,11 +47,13 @@ Run both trees with the same ``PYTHONHASHSEED`` and compare the logs.
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import os
 import runpy
 import sys
+import weakref
 
 ENV = "ORIGAMI_VERDICT_LOG"
 LOGGED = {"transducers": ("run_origin_graphs", "origin_equivalent_upto"),
@@ -91,15 +102,35 @@ def outcome(name, result):
     return result.params if name == "pair_in_resync" else dataclasses.asdict(result)
 
 
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def compiled(nfa, steps=None):
+    """A compiled automaton's sizes and digest (see the module docstring)."""
+    key = (sorted(nfa.states, key=repr), sorted(nfa.initial, key=repr),
+           sorted(nfa.final, key=repr), nfa.transitions)
+    if steps is not None:
+        key += (sorted(steps.items()),)
+    return {"states": len(nfa.states), "transitions": len(nfa.transitions), "sha256": _sha(key)}
+
+
 def install(path):
     """Wrap the logged functions everywhere they are bound in origami's
     modules; returns a function that undoes it."""
     import origami
-    from origami import cli, containment, rational, resync, transducers
+    from origami import cli, containment, mso, rational, resync, transducers
 
     depth = [0]
     undo = []
     written = set()
+
+    def write(line):
+        text = json.dumps(line, sort_keys=True, default=str)
+        if text not in written:
+            written.add(text)
+            with open(path, "a") as out:
+                out.write(text + "\n")
 
     def wrap(name, fn):
         sig = inspect.signature(fn)
@@ -128,13 +159,37 @@ def install(path):
                     line["saturated_at"] = result.saturated_at
                 if stats is not None:
                     line["stats"] = {k: v for k, v in stats.items() if not k.endswith("_s")}
-                text = json.dumps(line, sort_keys=True, default=str)
-                if text not in written:
-                    written.add(text)
-                    with open(path, "a") as out:
-                        out.write(text + "\n")
+                write(line)
             return result
         return logged
+
+    mso_compile = mso.mso_compile
+
+    @functools.wraps(mso_compile)
+    def logged_compile(formula, signature, base):
+        result = mso_compile(formula, signature, base)
+        write({"call": "mso_compile", "args": [_sha(formula), list(signature), sorted(base)],
+               "result": compiled(result)})
+        return result
+
+    gamma_dfa = resync.Resynchronizer.gamma_dfa
+    compiled_once = weakref.WeakSet()
+
+    @functools.wraps(gamma_dfa)
+    def logged_gamma_dfa(r):
+        result = gamma_dfa(r)
+        if r not in compiled_once:
+            compiled_once.add(r)
+            write({"call": "gamma_dfa", "args": [r.name, list(r.signature), sorted(r.base)],
+                   "result": compiled(*result)})
+        return result
+
+    for mod in (origami, mso):
+        if mod.mso_compile is mso_compile:
+            undo.append((mod, "mso_compile", mso_compile))
+            setattr(mod, "mso_compile", logged_compile)
+    undo.append((resync.Resynchronizer, "gamma_dfa", gamma_dfa))
+    resync.Resynchronizer.gamma_dfa = logged_gamma_dfa
 
     modules = {"transducers": transducers, "containment": containment, "rational": rational,
                "resync": resync}

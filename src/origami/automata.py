@@ -310,6 +310,9 @@ def _check_same_alphabet(n1, n2):
 
 _LEAF = 1 << 30   # the level of leaves, below every track
 
+# ``Diagrams.branching`` values, ordered so that a node's is its children's max
+COMPLETE, PARTIAL, BRANCHING = 0, 1, 2
+
 
 class Diagrams:
     """A unique table of multi-terminal decision diagrams over one base
@@ -329,7 +332,7 @@ class Diagrams:
         self.kids = []       # node -> children, or a leaf's targets
         self.unique = {}
         self._targets = {}
-        self._single = {}
+        self._branching = {}
         self.empty = self.leaf(())
 
     def _make(self, level, kids):
@@ -392,17 +395,20 @@ class Diagrams:
             self._targets[u] = t
         return t
 
-    def single(self, u):
-        """Does every letter lead to exactly one target below u?"""
-        s = self._single.get(u)
-        if s is None:
+    def branching(self, u):
+        """How the letters below u branch: ``COMPLETE`` when every letter
+        leads to exactly one target (parallel copies allowed), ``PARTIAL``
+        when none leads to two but some lead nowhere, ``BRANCHING`` when
+        some letter leads to two distinct targets."""
+        b = self._branching.get(u)
+        if b is None:
             if self.level[u] == _LEAF:
                 t = self.kids[u]
-                s = bool(t) and t.count(t[0]) == len(t)
+                b = PARTIAL if not t else COMPLETE if t.count(t[0]) == len(t) else BRANCHING
             else:
-                s = all(self.single(k) for k in self.kids[u])
-            self._single[u] = s
-        return s
+                b = max(self.branching(k) for k in self.kids[u])
+            self._branching[u] = b
+        return b
 
     def leaf_order(self, u):
         """The leaves below u, each once, in the order of their least
@@ -546,13 +552,40 @@ class GuardedNfa:
                                         frozenset(names[i] for i in self.initial),
                                         frozenset(names[i] for i in self.final), tuple(trans))
 
+    def to_dfa(self):
+        """A complete DFA on the states 0 .. n - 1, as ``minimize`` returns
+        it, written out in one walk over its diagrams: ``to_nfa()``, with
+        its transitions in the same order, and the step table, where
+        ``steps[a][s]`` lists the successors of s on the base letter a, one
+        per bit vector over the tracks in ``itertools.product`` order."""
+        ntracks = len(self.alphabet.tracks)
+        bits = list(itertools.product((0, 1), repeat=ntracks))
+        width = len(bits)
+        letters = [[(a, b) for b in bits] for a in self.dd.base]
+        memo = {}
+        trans = []
+        steps = {a: [None] * len(self.rows) for a in self.dd.base}
+        for p in sorted(range(len(self.rows)), key=repr):
+            succ = [t[0] for _ai, _idx, t in self.dd.letter_table(self.rows[p], ntracks, memo)]
+            for ai, a in enumerate(self.dd.base):
+                row = steps[a][p] = tuple(succ[ai * width:(ai + 1) * width])
+                trans += zip(itertools.repeat(p), letters[ai], row)
+        nfa = StructuredNfa._unchecked(self.alphabet, frozenset(range(len(self.rows))),
+                                       self.initial, self.final, tuple(trans))
+        return nfa, {a: tuple(rows) for a, rows in steps.items()}
+
     # -- structure ----------------------------------------------------------
 
     def _relabel(self, names, initial, final, rows, alphabet=None):
         return GuardedNfa(self.dd, alphabet or self.alphabet, names, initial, final, rows)
 
+    def rename_tracks(self, tracks) -> "GuardedNfa":
+        """The same automaton with its tracks renamed, position for position."""
+        return self._relabel(self.names, self.initial, self.final, self.rows,
+                             self.alphabet.with_tracks(tracks))
+
     def is_dfa(self) -> bool:
-        return len(self.initial) == 1 and all(self.dd.single(r) for r in self.rows)
+        return len(self.initial) == 1 and all(self.dd.branching(r) == COMPLETE for r in self.rows)
 
     def trim(self) -> "GuardedNfa":
         """Restrict to accessible and co-accessible states."""
@@ -664,20 +697,52 @@ class GuardedNfa:
     def minimize(self) -> "GuardedNfa":
         """Moore partition refinement on the determinized automaton; blocks
         numbered breadth-first from the initial block, letters in canonical
-        order, then blocks unreachable from it by their least state ``repr``."""
-        d = self if self.is_dfa() else self.determinize()
-        dd = d.dd
-        block = [int(p in d.final) for p in range(len(d.names))]
+        order, then blocks unreachable from it by their least state ``repr``.
+
+        A partial DFA (one initial state, at most one target per letter)
+        whose every state is reachable is refined as it stands, with an
+        implicit sink state where a letter leads nowhere: the subset
+        construction would only rename each state p to {p} and add the
+        empty set as that sink, and the block numbering forgets names.
+        The sink's block is dropped when the breadth-first numbering does
+        not reach it.  A partial DFA with unreachable states is
+        determinized first, since the subset construction drops them where
+        the numbering above would keep them.  Each round of refinement
+        numbers the states' signatures, their diagrams with every target
+        replaced by its block, in a dict of that round's own."""
+        dd = self.dd
+        branching = max(map(dd.branching, self.rows), default=COMPLETE)
+        d = self
+        if len(self.initial) != 1 or branching == BRANCHING:
+            d = self.determinize()
+        elif branching == PARTIAL:
+            reach = _closure(self.initial, dict(enumerate(map(dd.targets, self.rows))))
+            if len(reach) < len(self.rows):
+                d = self.determinize()
+        level, kids = dd.level, dd.kids
+        sink = len(d.rows)
+        rows = d.rows + [dd.empty]   # the sink leads nowhere on every letter
+        block = [int(p in d.final) for p in range(sink)] + [0]
         count = len(set(block))
         while True:
-            memo = {}
+            memo, nodes = {}, {}
 
-            def fn(t, block=block):
-                return (block[t[0]],)
+            def sig(u, block=block, memo=memo, nodes=nodes):
+                # a leaf is ~(its target's block), a node its number this round
+                r = memo.get(u)
+                if r is None:
+                    if level[u] == _LEAF:
+                        t = kids[u]
+                        r = ~block[t[0] if t else sink]
+                    else:
+                        ks = tuple(sig(k) for k in kids[u])
+                        r = ks[0] if ks.count(ks[0]) == len(ks) else \
+                            nodes.setdefault((level[u], ks), len(nodes))
+                    memo[u] = r
+                return r
 
-            sig = [(block[p], dd.map_leaves(r, fn, memo)) for p, r in enumerate(d.rows)]
             classes = {}
-            block = [classes.setdefault(g, len(classes)) for g in sig]
+            block = [classes.setdefault((b, sig(r)), len(classes)) for b, r in zip(block, rows)]
             if len(classes) == count:
                 break
             count = len(classes)
@@ -690,8 +755,9 @@ class GuardedNfa:
             order[root] = len(order)
             queue = deque([root])
             while queue:
-                for leaf in dd.leaf_order(d.rows[rep[queue.popleft()]]):
-                    nb = block[dd.kids[leaf][0]]
+                for leaf in dd.leaf_order(rows[rep[queue.popleft()]]):
+                    t = kids[leaf]
+                    nb = block[t[0] if t else sink]
                     if nb not in order:
                         order[nb] = len(order)
                         queue.append(nb)
@@ -700,22 +766,24 @@ class GuardedNfa:
         bfs(block[init])
         if len(order) < len(rep):
             least = {}
-            for p, b in enumerate(block):
+            for p in range(sink):
+                b = block[p]
                 if b not in order:
                     least[b] = min(least.get(b, repr(d.names[p])), repr(d.names[p]))
             for b in sorted(least, key=least.get):
                 if b not in order:
                     bfs(b)
-        num = [order[b] for b in block]
         memo = {}
 
         def renum(t):
-            return (num[t[0]],)
+            return (order[block[t[0] if t else sink]],)
 
-        rows = [None] * len(order)
+        out = [None] * len(order)
         for b, p in rep.items():
-            rows[order[b]] = dd.map_leaves(d.rows[p], renum, memo)
-        return d._relabel(list(range(len(order))), (num[init],), (num[p] for p in d.final), rows)
+            if b in order:
+                out[order[b]] = dd.map_leaves(rows[p], renum, memo)
+        return d._relabel(list(range(len(order))), (order[block[init]],),
+                          (order[block[p]] for p in d.final), out)
 
     def extend_tracks(self, tracks) -> "GuardedNfa":
         """Move to a superset of the tracks, in any order; the added bits

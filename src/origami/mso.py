@@ -19,6 +19,19 @@ implementation secrets", IJFCS 2002), instead of three complements and a
 union.  The language is the same, a minimal complete DFA is unique, and
 ``minimize`` numbers its blocks canonically, so the automaton built is
 the same, state for state and transition for transition.
+
+Subformulas that are equal up to an order-preserving renaming of their
+free variables compile once per compile, as in MONA's DAG representation
+(same paper): one bottom-up pass (``_shape``) numbers every subformula by
+its shape, the formula with its free variables replaced by their ranks
+in the signature order and its bound variables left anonymous, and the
+compile (``_comp``) keeps the automaton of each shape number, handing it
+to a later subformula of that shape with the track names changed.  The
+diagrams depend on track positions only, so the automaton is the one a
+compile of its own would build.  R_k's k ``Right_i`` parts are one shape,
+and so are its k ``Left_i`` parts; ``x < y`` and ``y < x`` are not.  The
+same pass rejects a quantifier that rebinds a variable in scope, once,
+before anything compiles.
 """
 
 from __future__ import annotations
@@ -362,9 +375,65 @@ def _compact(n: GuardedNfa) -> GuardedNfa:
     return n.trim()
 
 
-def _comp(formula, sig, dd):
+def _atom_vars(f):
+    """An atom's variables, in field order, and its other fields."""
+    if isinstance(f, (Leq, Lt)):
+        return (f.x, f.y), ()
+    if isinstance(f, Succ):
+        return (f.x, f.y), f.k
+    if isinstance(f, InSet):
+        return (f.x, f.X), ()
+    if isinstance(f, Letter):
+        return (f.var,), f.letter
+    if isinstance(f, (First, Last)):
+        return (f.var,), ()
+    if isinstance(f, Top):
+        return (), ()
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def _shape(formula, sig, shapes):
+    """``formula``'s shape, bottom-up: (shape number, its free variables in
+    ``sig`` order, the children's shapes), ``sig`` listing every variable
+    in scope.  Two subformulas get one number when an order-preserving
+    renaming of their free variables, and any renaming of the variables
+    they bind, turns one into the other; then their automata differ in
+    the track names only.  ``shapes`` numbers the keys: a node's kind, its
+    children's numbers and where their free variables sit among its own.
+    Raises ``MsoSyntaxError`` where an ``Exists`` rebinds a variable in
+    scope."""
+    if isinstance(formula, Or):
+        left = _shape(formula.left, sig, shapes)
+        right = _shape(formula.right, sig, shapes)
+        fl, fr = left[1], right[1]
+        fv = fl if fl == fr else tuple(v for v in sig if v in fl or v in fr)
+        key = (Or, left[0], tuple(map(fv.index, fl)), right[0], tuple(map(fv.index, fr)))
+        kids = (left, right)
+    elif isinstance(formula, Not):
+        body = _shape(formula.body, sig, shapes)
+        fv, key, kids = body[1], (Not, body[0]), (body,)
+    elif isinstance(formula, Exists):
+        v = formula.var
+        if v in sig:
+            raise MsoSyntaxError(f"variable {v!r} shadows an outer binding")
+        body = _shape(formula.body, sig + (v,), shapes)
+        used = body[1][-1:] == (v,)   # v comes last in sig + (v,)
+        fv = body[1][:-1] if used else body[1]
+        key, kids = (Exists, is_second_order(v), body[0], used), (body,)
+    else:
+        names, rest = _atom_vars(formula)
+        fv = tuple(v for v in sig if v in names)
+        key, kids = (type(formula), rest, tuple(map(fv.index, names))), ()
+    return shapes.setdefault(key, len(shapes)), fv, kids
+
+
+def _comp(formula, shape, dd, memo):
     """Compile ``formula`` over the tracks of its own free variables only,
-    kept in their ``sig`` order (``sig`` lists every variable in scope).
+    in their ``sig`` order, as ``shape`` (its ``_shape``) lists them.
+
+    ``memo`` maps a shape number to the automaton compiled for it in this
+    compile, so each shape compiles once; another subformula of that
+    shape gets the same automaton with its own track names.
 
     Every subformula's automaton ignores the tracks of variables that are
     not free in it, so they are left out; ``extend_tracks`` adds them back
@@ -381,7 +450,17 @@ def _comp(formula, sig, dd):
     route too, since complementing that side costs a determinization of
     its own.
     """
-    alpha = StructuredAlphabet(dd.base, tuple(v for v in sig if v in formula.free_vars()))
+    number, tracks, kids = shape
+    n = memo.get(number)
+    if n is None:
+        n = memo[number] = _comp_node(formula, tracks, kids, dd, memo)
+    elif n.alphabet.tracks != tracks:
+        n = n.rename_tracks(tracks)
+    return n
+
+
+def _comp_node(formula, tracks, kids, dd, memo):
+    alpha = StructuredAlphabet(dd.base, tracks)
     if isinstance(formula, Top):
         return _all_accepting(alpha, dd)
     if isinstance(formula, Letter):
@@ -399,37 +478,39 @@ def _comp(formula, sig, dd):
     if isinstance(formula, Last):
         return _atom_last(formula, alpha, dd)
     if isinstance(formula, Or):
-        left = _comp(formula.left, sig, dd).extend_tracks(alpha.tracks)
-        right = _comp(formula.right, sig, dd).extend_tracks(alpha.tracks)
+        left = _comp(formula.left, kids[0], dd, memo).extend_tracks(tracks)
+        right = _comp(formula.right, kids[1], dd, memo).extend_tracks(tracks)
         return _compact(left.union(right))
     if isinstance(formula, Not):
         body = formula.body
         if isinstance(body, Or) and isinstance(body.left, Not) and isinstance(body.right, Not):
-            left = _comp(body.left.body, sig, dd).extend_tracks(alpha.tracks)
-            right = _comp(body.right.body, sig, dd).extend_tracks(alpha.tracks)
+            (_n, _fv, (neg_a, neg_b)), = kids
+            left = _comp(body.left.body, neg_a[2][0], dd, memo).extend_tracks(tracks)
+            right = _comp(body.right.body, neg_b[2][0], dd, memo).extend_tracks(tracks)
             return left.product(right).minimize().trim()
-        return _comp(body, sig, dd).complement().minimize().trim()
+        return _comp(body, kids[0], dd, memo).complement().minimize().trim()
     if isinstance(formula, Exists):
         v = formula.var
-        if v in sig:
-            raise MsoSyntaxError(f"variable {v!r} shadows an outer binding")
-        inner = _comp(formula.body, sig + (v,), dd).extend_tracks(alpha.tracks + (v,))
+        inner = _comp(formula.body, kids[0], dd, memo).extend_tracks(tracks + (v,))
         if not is_second_order(v):
             inner = inner.intersect(_singleton(v, inner.alphabet, dd))
         return _compact(inner.project_track(v))
     raise TypeError(f"unknown formula node {formula!r}")
 
 
-def _compile(formula, signature, base) -> GuardedNfa:
+def compile_guarded(formula: Formula, signature, base) -> GuardedNfa:
+    """``mso_compile`` before the automaton is written out letter by
+    letter: its transitions still decision diagrams."""
     sig = tuple(signature)
     if len(set(sig)) != len(sig):
         raise MsoSyntaxError("signature variables must be distinct")
     missing = formula.free_vars() - set(sig)
     if missing:
         raise UnboundVariableError(f"free variables not in signature: {sorted(missing)}")
+    shape = _shape(formula, sig, {})
     alpha = StructuredAlphabet(frozenset(base), sig)
     dd = Diagrams(alpha.base)
-    n = _comp(formula, sig, dd).extend_tracks(sig)
+    n = _comp(formula, shape, dd, {}).extend_tracks(sig)
     for v in sig:
         if not is_second_order(v):
             n = n.intersect(_singleton(v, alpha, dd))
@@ -446,13 +527,13 @@ def mso_compile(formula: Formula, signature, base) -> StructuredNfa:
     The automata in between keep their transitions as decision diagrams
     in one table, dropped when the compile returns.
     """
-    return _compile(formula, signature, base).to_nfa()
+    return compile_guarded(formula, signature, base).to_nfa()
 
 
 def compile_dfa(formula: Formula, signature, base) -> StructuredNfa:
     """``mso_compile(formula, signature, base).minimize()``, minimized on
     the decision diagrams, so the NFA is never written out letter by letter."""
-    return _compile(formula, signature, base).minimize().to_nfa()
+    return compile_guarded(formula, signature, base).minimize().to_nfa()
 
 
 # -- surface syntax ----------------------------------------------------------

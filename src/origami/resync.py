@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 from . import mso
 from .mso import (Formula, Top, InSet, Succ, Lt, Leq, Letter, First, Last, Or, Not, Exists,
                   f_and, forall, implies, eq, evaluate, is_second_order)
-from .automata import StructuredNfa, AmbiguityReport, _closure, _scc
+from .automata import GuardedNfa, StructuredNfa, AmbiguityReport, _closure, _scc
 from .transducers import OriginGraph
 
 X, Y = "x", "y"
@@ -109,6 +109,7 @@ class Resynchronizer:
         self._dfa = None
         self._steps = None
         self._dead = None    # the gamma-DFA state from which nothing is accepted
+        self._search = None  # see _search_table
         self._classes = None  # _LetterClasses of gamma for boundedness
 
     @property
@@ -119,9 +120,15 @@ class Resynchronizer:
     def signature(self):
         return self.params + (X, Y)
 
+    def _compiled_formula(self):
+        """gamma with its bound variables renamed apart from the tracks and
+        from each other (``_unshadowed``), the form the compiler takes; the
+        naive evaluator reads ``gamma_formula`` as given."""
+        return _unshadowed(self.gamma_formula, frozenset(self.signature))
+
     def gamma_nfa(self) -> StructuredNfa:
         if self._nfa is None:
-            self._nfa = mso.mso_compile(self.gamma_formula, self.signature, self.base)
+            self._nfa = mso.mso_compile(self._compiled_formula(), self.signature, self.base)
         return self._nfa
 
     def gamma_dfa(self):
@@ -132,25 +139,34 @@ class Resynchronizer:
         bits over params + (x, y) in ``itertools.product`` order, entry
         ``4 * r + 2 * x + y`` for row r.
 
-        Laying out the table also finds the dead state, kept as ``_dead``:
-        the one state from which no word is accepted, or None when every
-        state can still accept.  In a minimized complete DFA it is the
-        non-final state whose every move leads back to itself."""
+        Both come from one walk over the minimized diagrams
+        (``GuardedNfa.to_dfa``), the automaton's transitions in
+        ``to_nfa``'s order.  The dead state is found with them, for
+        ``_search_table``: the one state from which no word is accepted,
+        or None when every state can still accept.  In a minimized complete
+        DFA it is the non-final state whose every move leads back to
+        itself, kept as ``_dead``."""
         if self._dfa is None:
             if self.gamma_formula is not None:
-                d = mso.compile_dfa(self.gamma_formula, self.signature, self.base)
+                g = mso.compile_guarded(self._compiled_formula(), self.signature, self.base)
             else:
-                d = self._nfa.minimize()
-            at = {bits: i for i, bits in enumerate(itertools.product((0, 1), repeat=self.m + 2))}
-            steps = {a: [[None] * len(at) for _ in d.states] for a in d.alphabet.base}
-            for (p, (a, bits), q) in d.transitions:
-                steps[a][p][at[bits]] = q
-            self._dfa = d
-            self._steps = {a: tuple(map(tuple, rows)) for a, rows in steps.items()}
+                g = GuardedNfa.from_nfa(self._nfa)
+            d, steps = g.minimize().to_dfa()
             self._dead = next((s for s in range(len(d.states)) if s not in d.final
                                and all(q == s for rows in steps.values() for q in rows[s])),
                               None)
+            self._dfa, self._steps = d, steps
+            self._search = (steps, d.final, self._dead,
+                            tuple(itertools.product((0, 1), repeat=self.m)))
         return self._dfa, self._steps
+
+    def _search_table(self):
+        """What ``_least_valuation`` reads of this gamma, built once with
+        the step table: the steps, the final states, the dead state and
+        the rows of parameter bits in lexicographic order."""
+        if self._search is None:
+            self.gamma_dfa()
+        return self._search
 
     def _letter_classes(self):
         """The gamma DFA as the boundedness searches read it; built once from
@@ -229,15 +245,15 @@ def _least_valuation(checks, u, m):
     n = len(u)
     if not checks:
         return ((0,) * n,) * m
-    gammas = {g: g.gamma_dfa() for (g, _x, _y) in checks}
-    marks = [(gammas[g][1], x, y) for (g, x, y) in checks]
-    finals = [gammas[g][0].final for (g, _x, _y) in checks]
+    tables = [g._search_table() for (g, _x, _y) in checks]
+    marks = [(t[0], x, y) for t, (_g, x, y) in zip(tables, checks)]
+    finals = [t[1] for t in tables]
     start = (0,) * len(checks)    # gamma_dfa numbers the initial state 0
     # a state tuple is cut when a state is its check's dead state; when the
     # checks share one dead state, one test over the tuple finds it
-    deads = tuple(g._dead for (g, _x, _y) in checks)
+    deads = tuple(t[2] for t in tables)
     dead = deads[0] if deads.count(deads[0]) == len(deads) else None
-    rows = tuple(itertools.product((0, 1), repeat=m))
+    rows = tables[0][3]
 
     def choices(p, states):   # (row, next state tuple) at position p + 1, rows in order
         if p == n:
@@ -546,7 +562,8 @@ def _unshadowed(g, taken):
     """g with each variable that an ``Exists`` binds renamed, when its name
     is in taken or bound further out, to a name that neither holds and g
     does not use.  The formula means the same, in the form the compiler
-    takes: no binding there shadows a track or an outer binding."""
+    takes: no binding there shadows a track or an outer binding.  A
+    subformula in which nothing is renamed is returned as it is."""
     if isinstance(g, Exists):
         v, body = g.var, g.body
         if v in taken:
@@ -554,9 +571,15 @@ def _unshadowed(g, taken):
             while v in used:
                 v += "_"
             body = rename_free(body, {g.var: v})
-        return Exists(v, _unshadowed(body, taken | {v}))
-    return type(g)(*(_unshadowed(value, taken) if isinstance(value, Formula) else value
-                     for value in (getattr(g, f.name) for f in fields(g))))
+        new = _unshadowed(body, taken | {v})
+        return g if new is g.body else Exists(v, new)
+    if isinstance(g, Or):
+        left, right = _unshadowed(g.left, taken), _unshadowed(g.right, taken)
+        return g if left is g.left and right is g.right else Or(left, right)
+    if isinstance(g, Not):
+        body = _unshadowed(g.body, taken)
+        return g if body is g.body else Not(body)
+    return g
 
 
 def compose(r1: Resynchronizer, r2: Resynchronizer) -> Resynchronizer:
@@ -661,15 +684,14 @@ class ExtendedResynchronizer:
     def _resync(self, formula):
         """alpha, a gamma or a delta as a ``Resynchronizer`` over the input
         parameters: one per formula object, built on first use, so a formula
-        shared by several types compiles once.  Its bound variables are
-        renamed apart from the tracks (``_unshadowed``), so that alpha may
-        bind x, say.  The entry holds the formula too, so that its id cannot
-        be reused while it is cached."""
+        shared by several types compiles once.  Alpha may bind x, say: the
+        compile renames such bound variables (``_compiled_formula``).  The
+        entry holds the formula too, so that its id cannot be reused while
+        it is cached."""
         got = self._resyncs.get(id(formula))
         if got is None:
-            tracks = self.in_params + (X, Y)
             got = self._resyncs[id(formula)] = (formula, Resynchronizer(
-                self.in_params, _unshadowed(formula, frozenset(tracks)), base=self.input_base))
+                self.in_params, formula, base=self.input_base))
         return got[1]
 
     def _gamma_resync(self, tau):

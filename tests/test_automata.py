@@ -4,6 +4,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from origami.automata import (Diagrams, GuardedNfa, StructuredAlphabet, StructuredNfa,
                               intersect, union, ambiguity_class, ambiguity_report,
                               language_equal_upto, AlphabetMismatchError, UnknownTrackError,
-                              FINITE, POLY, EXP)
+                              FINITE, POLY, EXP, _closure)
 
 import explicit_automata as ref
 from explicit_automata import same_automaton
@@ -377,6 +378,49 @@ def assert_operations_match_reference(n, m):
 @given(st.data(), ALPHABETS)
 def test_diagram_operations_match_reference_on_random_nfas(data, alpha):
     assert_operations_match_reference(data.draw(nfas_over(alpha)), data.draw(nfas_over(alpha)))
+
+
+@st.composite
+def dfas_over(draw, alpha):
+    """A DFA with one initial state and at most one target per letter, of
+    one of four kinds: ``trimmed`` (a trimmed random DFA), ``reachable``
+    (its reachable part, which may keep states that cannot accept),
+    ``complete`` (every letter at every state, an unreachable state
+    added) or ``partial`` (an unreachable state added, letters missing)."""
+    kind = draw(st.sampled_from(["trimmed", "reachable", "complete", "partial"]))
+    states = draw(st.lists(st.sampled_from(STATE_NAMES), min_size=2, max_size=5, unique=True))
+    moves = states if kind == "complete" else states + [None]
+    trans = [(p, a, q) for p in states for a in alpha.letters()
+             for q in [draw(st.sampled_from(moves))] if q is not None]
+    initial, extra = states[0], states[-1]
+    if kind in ("complete", "partial"):
+        # nothing enters the last state
+        trans = [(p, a, initial if q == extra else q) for (p, a, q) in trans]
+    n = StructuredNfa(alpha, states, {initial}, draw(st.sets(st.sampled_from(states))), trans)
+    if kind == "trimmed":
+        return n.trim()
+    if kind == "reachable":
+        fwd = {}
+        for (p, _a, q) in trans:
+            fwd.setdefault(p, set()).add(q)
+        keep = _closure({initial}, fwd)
+        return StructuredNfa(alpha, keep, {initial}, n.final & keep,
+                             [t for t in trans if t[0] in keep])
+    return n
+
+
+@settings(max_examples=200)
+@given(st.data(), ALPHABETS)
+def test_diagram_operations_match_reference_on_partial_and_complete_dfas(data, alpha):
+    n = data.draw(dfas_over(alpha))
+    assert_operations_match_reference(n, data.draw(nfas_over(alpha)))
+    g = GuardedNfa.from_nfa(n)
+    reachable = len(_closure(n.initial, {p: {q for (s, _a, q) in n.transitions if s == p}
+                                         for p in n.states})) == len(n.states)
+    if len(n.initial) == 1 and reachable:
+        # a partial DFA whose every state is reachable is minimized as it stands
+        with mock.patch.object(GuardedNfa, "determinize", side_effect=AssertionError):
+            assert g.minimize().to_nfa().transitions == ref.minimize(n).transitions
 
 
 @settings(max_examples=100)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from origami.mso import (parse_formula, mso_compile, compile_dfa, evaluate_extended,
                          is_second_order, MsoSyntaxError, UnboundVariableError,
                          Top, Letter, Leq, Lt, InSet, Succ, First, Last, Or, Not, Exists,
-                         bottom, f_and, forall)
+                         bottom, f_and, forall, _shape)
+from origami.resync import rename_free
 
 
 def ext_letters(base, k):
@@ -181,6 +182,47 @@ def test_generated_formulas_match_evaluator(case):
 def test_compile_dfa_is_the_minimized_compile(case):
     formula, sig = case
     assert compile_dfa(formula, sig, "ab") == mso_compile(formula, sig, "ab").minimize()
+
+
+def test_shapes_equal_up_to_order_preserving_renaming():
+    sig = ("x", "y", "u", "v")
+    shapes = {}
+
+    def shape(text):
+        return _shape(parse_formula(text), sig, shapes)[0]
+
+    assert shape("x < y") == shape("u < v") == shape("x < v")
+    assert shape("x < y") != shape("y < x")
+    assert shape("x < y") != shape("x <= y")
+    assert shape("x = y + 1") != shape("x = y + 2")
+    assert shape("a(x)") != shape("b(x)")
+    assert shape("exists z. x < z") == shape("exists w. v < w")
+    assert shape("exists z. x < z") != shape("exists z. z < x")
+    assert shape("exists2 Z. true") != shape("exists z. true")
+    assert shape("x < y | a(x)") == shape("u < v | a(u)")
+    assert shape("x < y | a(x)") != shape("x < y | a(y)")
+
+
+@settings(max_examples=60)
+@given(formula_cases(), st.booleans())
+# x < y against its copy y' < x': one shape only when the order is kept
+@example((Lt("x", "y"), ("x", "y")), False)
+@example((Lt("x", "y"), ("x", "y")), True)
+def test_renamed_copy_compiles_like_the_evaluator(case, reverse):
+    """f or a copy of f with its free variables renamed to new names; the
+    copy's variables come after f's in the signature, in f's order (so the
+    compile shares f's automaton for the copy) or in reverse order."""
+    f, sig = case
+    ren = {v: v + "2" for v in sig}
+    copy = rename_free(f, ren)
+    copy_sig = tuple(ren[v] for v in sig)
+    full = sig + (copy_sig[::-1] if reverse else copy_sig)
+    formula = Or(f, copy)
+    if not reverse:
+        left, right = _shape(formula, full, {})[2]
+        assert left[0] == right[0]
+    sweep_agreement(formula, full, "ab", 2)
+    assert compile_dfa(formula, full, "ab") == mso_compile(formula, full, "ab").minimize()
 
 
 @settings(max_examples=100)

@@ -193,6 +193,9 @@ def gamma_cases(draw):
 # parameterless, with quantifiers: the a-block moves of make_block
 @example(((), make_block().gamma_formula, "aab", (1, 3), (2, 3)))
 @example(((), make_block().gamma_formula, "aab", (1, 3), (1, 2)))
+# binds a parameter and x: renamed for the compile, read as written by the evaluator
+@example((("I",), parse_formula("x in I & exists2 I. exists x. x in I & a(x)"), "ba",
+          (1,), (1,)))
 def test_generated_gammas_match_position_major_oracle(case):
     params, gamma, u, orig, orig_p = case
     r = Resynchronizer(params, gamma, base="ab")
@@ -203,6 +206,27 @@ def test_generated_gammas_match_position_major_oracle(case):
     if got is not None:
         assert got.params == ref.params
         assert check_witness(r, s, sp, got)
+
+
+# gamma binds its own track x; the evaluator reads the bound x as a new
+# position, and the compile renames it apart from the track
+SHADOWING_GAMMA = "x = y & exists x. a(x)"
+
+
+@pytest.mark.parametrize("simplified", [False, True])
+def test_gamma_binding_its_own_track_gets_the_evaluators_answer(simplified):
+    gamma = parse_formula(SHADOWING_GAMMA)
+    r = Resynchronizer((), gamma, base="ab")
+    if simplified:
+        r = simplify_extended(ExtendedResynchronizer(gamma=gamma, input_base="ab",
+                                                     output_base="c"))
+    assert r.gamma_formula == gamma
+    for n in range(1, 4):
+        for u in itertools.product("ab", repeat=n):
+            for x, y in itertools.product(range(1, n + 1), repeat=2):
+                want = evaluate(gamma, u, {"x": x, "y": y})
+                got = pair_in_resync(r, graph(u, "c", (x,)), graph(u, "c", (y,)))
+                assert (got is not None) == want, (u, x, y)
 
 
 # -- boundedness ---------------------------------------------------------------

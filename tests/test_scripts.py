@@ -29,7 +29,7 @@ def test_growth_profiles_runs():
 CALLS = """
 from origami import corpus
 from origami.containment import contains_upto, resync_search, traversal_profile
-from origami.mso import parse_formula
+from origami.mso import mso_compile, parse_formula
 from origami.resync import (ExtendedResynchronizer, bounded_by, extended_pair_in_resync,
                             is_bounded, make_param_example, make_pm1, make_shift,
                             make_universal, pair_in_resync)
@@ -58,6 +58,8 @@ def test_calls():
     extended_pair_in_resync(ext, g, g_p)
     t_id = corpus.t_id()
     run_origin_graphs(t_id, ("a", "a"), RunCaps(6, 30))
+    for _ in range(2):
+        mso_compile(parse_formula("first(x)"), ("x",), "a")
     # the runs origin_equivalent_upto makes are not logged
     origin_equivalent_upto(t_id, corpus.t_rev(), 3, RunCaps(6, 30))
 
@@ -83,6 +85,20 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stdout + res.stderr
     lines = [json.loads(line) for line in wrapped.read_text().splitlines()]
+    compiles = [line for line in lines if line["call"] in ("mso_compile", "gamma_dfa")]
+    lines = [line for line in lines if line not in compiles]
+    # compiles at any depth: each resynchronizer's first gamma_dfa, the
+    # repeated mso_compile once
+    assert [(line["call"], line["args"][0]) for line in compiles[:-1]] == [
+        ("gamma_dfa", "shift(1)"), ("gamma_dfa", "param-example"), ("gamma_dfa", "shift(0)"),
+        ("gamma_dfa", "universal"), ("gamma_dfa", "pm1"), ("gamma_dfa", ""),
+        ("gamma_dfa", "")]
+    assert compiles[0]["args"] == ["shift(1)", ["x", "y"], ["a"]]
+    assert {k: v for k, v in compiles[0]["result"].items() if k != "sha256"} == \
+        {"states": 4, "transitions": 16}
+    assert compiles[-1]["call"] == "mso_compile"
+    assert compiles[-1]["args"][1:] == [["x"], ["a"]]
+    assert compiles[-1]["result"]["states"] == 2
     # the repeated call is logged once, the calls resync_search and
     # contains_upto make not at all
     assert [line["call"] for line in lines] == ["contains_upto", "resync_search",
