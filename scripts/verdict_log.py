@@ -4,13 +4,16 @@ profile drivers, one JSON line per call, so that two trees can be compared
 with one ``diff``.
 
 Every outermost call of ``run_origin_graphs``, ``origin_equivalent_upto``,
-``contains_upto``, ``contains_upto_rational``, ``resync_search``,
+``enumerate_matching_graphs``, ``classical_pairs``, ``contains_upto``,
+``contains_upto_rational``, ``resync_search``,
 ``traversal_profile``, ``pair_in_resync``, ``extended_pair_in_resync``,
 ``is_bounded`` and ``bounded_by`` is logged with a description of its
 arguments (machines and resynchronizers by names and sizes, origin graphs
 by their words and origins, words as lists of letters; keyword arguments
 left at None are omitted) and its result: a run's sorted (output, origins)
 pairs and ``pruned``, an equivalence's flag and its witness's ``sort_key``,
+the distinct origin tuples of a partner enumeration in their order (the
+logger hands the caller an iterator over them), the sorted classical pairs,
 the ``to_json()`` of a verdict, search or profile, a witness's parameter
 bits (an extended witness's input and output parameters field by field), a
 boundedness result or violation field by field, or null.  A verdict's line
@@ -56,7 +59,8 @@ import sys
 import weakref
 
 ENV = "ORIGAMI_VERDICT_LOG"
-LOGGED = {"transducers": ("run_origin_graphs", "origin_equivalent_upto"),
+LOGGED = {"transducers": ("run_origin_graphs", "origin_equivalent_upto",
+                          "enumerate_matching_graphs", "classical_pairs"),
           "containment": ("contains_upto", "resync_search", "traversal_profile"),
           "rational": ("contains_upto_rational",),
           "resync": ("pair_in_resync", "extended_pair_in_resync", "is_bounded", "bounded_by")}
@@ -85,7 +89,9 @@ def outcome(name, result):
     """A logged call's result: for ``run_origin_graphs`` the sorted (output,
     origins) pairs of its graphs and ``pruned``; for
     ``origin_equivalent_upto`` the flag and the witness's ``sort_key``
-    (null when the machines agree); otherwise its ``to_json()``; for
+    (null when the machines agree); for ``enumerate_matching_graphs`` the
+    origin tuples in order; for ``classical_pairs`` the sorted (input,
+    output) pairs; otherwise its ``to_json()``; for
     ``pair_in_resync`` the witness's parameter bits (null when the pair is
     not related); for ``extended_pair_in_resync``, ``is_bounded`` and
     ``bounded_by`` the dataclass's fields, nested ones too (null when the
@@ -95,6 +101,10 @@ def outcome(name, result):
                 "pruned": result.pruned}
     if name == "origin_equivalent_upto":
         return [result[0], None if result[1] is None else result[1].sort_key()]
+    if name == "enumerate_matching_graphs":
+        return result
+    if name == "classical_pairs":
+        return sorted(result)
     if hasattr(result, "to_json"):
         return result.to_json()
     if result is None:
@@ -147,6 +157,8 @@ def install(path):
             depth[0] += 1
             try:
                 result = fn(*pos, **kw)
+                if name == "enumerate_matching_graphs":
+                    result = list(result)
             finally:
                 depth[0] -= 1
             if depth[0] == 0:
@@ -160,7 +172,7 @@ def install(path):
                 if stats is not None:
                     line["stats"] = {k: v for k, v in stats.items() if not k.endswith("_s")}
                 write(line)
-            return result
+            return iter(result) if name == "enumerate_matching_graphs" else result
         return logged
 
     mso_compile = mso.mso_compile

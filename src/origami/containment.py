@@ -28,12 +28,12 @@ never puts t2's origin before t1's does not enumerate inputs.
 ``frontier._Frontier`` runs one forward t1 x t2 product over the input
 tree, merging the prefixes that reach the same macro-state, finds the
 least failing input layer by layer, and ``_sweep`` turns that one input
-into the counterexample.  What does not read gamma is built once per
-pair of transducer objects and shared by the calls on it
-(``frontier._product``).  Unless no cap can bind (``_t1_fits_caps``),
-each t1 run carries its step count and output length, so that the caps
-cut the runs the sweep cuts; ``pruned`` then comes from t1's sweep alone
-(``_t1_pruned``).  When no cap can bind, a layer with no new macro-state
+into the counterexample.  What does not read gamma, t2's ``MatchIndex``
+and each machine's frontier tables, is kept on the machine object
+(``transducers._memo``) and shared by every call on it.  Unless no cap
+can bind (``_t1_fits_caps``), each t1 run carries its step count and
+output length, so that the caps cut the runs the sweep cuts; ``pruned``
+then comes from t1's sweep alone (``_t1_pruned``).  When no cap can bind, a layer with no new macro-state
 proves the verdict for every input length (``Verdict.saturated_at``).
 
 The traversal profile of one-way t1 and t2 comes from the same kind of
@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 from .resync import (Resynchronizer, ExtendedResynchronizer, ResyncWitness, ResyncError,
                      pair_in_resync, extended_pair_in_resync, _least_valuation)
-from .transducers import (OneWayTransducer, OriginGraph, RunCaps, MatchIndex, _NO_TABLE,
+from .transducers import (OneWayTransducer, OriginGraph, RunCaps, _NO_TABLE, _index,
                           TransducerAlphabetError, run_origin_graphs, sweep_origin_graphs)
-from .frontier import _Frontier, _ProfileFrontier, _product, _t2_may_lead
+from .frontier import _Frontier, _ProfileFrontier, _t2_may_lead
 from .traversal import max_traversal
 
 
@@ -162,17 +162,19 @@ class _Listing:
         return False
 
 
-def _sweep(t1, t2, index, max_input_len, caps, judge, stats, inputs=None):
+def _sweep(t1, t2, max_input_len, caps, judge, stats, inputs=None):
     """Run judge(u, graphs, partners) on each input u where t1 has graphs,
     until it returns False: every input up to max_input_len in
     ``words_upto`` order, or those of inputs.  graphs are t1's graphs on u
     in ``sort_key`` order; partners answers ``MatchIndex.search`` for t2:
-    index for a one-way t2, a ``_Listing`` for a two-way one.  Returns
-    ``pruned`` over the inputs visited.  A dict stats receives the
-    counters ``inputs`` visited, t1 ``graphs`` judged and ``t2_runs``, the
-    runs of a two-way t2 that the listings ask for, made or read from t2's
-    memo (none when t2 equals t1, whose own graphs are its partners)."""
+    the ``MatchIndex`` kept on a one-way t2, a ``_Listing`` for a two-way
+    one.  Returns ``pruned`` over the inputs visited.  A dict stats
+    receives the counters ``inputs`` visited, t1 ``graphs`` judged and
+    ``t2_runs``, the runs of a two-way t2 that the listings ask for, made
+    or read from t2's memo (none when t2 equals t1, whose own graphs are
+    its partners)."""
     tally = None if stats is None else {"inputs": 0, "graphs": 0, "t2_runs": 0}
+    index = _index(t2) if isinstance(t2, OneWayTransducer) else None
     same = index is None and t2 == t1
     pruned = False
 
@@ -276,13 +278,11 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     every input length: ``saturated_at`` gives that layer.  Otherwise t1's
     runs on the frontier count their steps and output, ``saturated_at`` is
     None, and ``pruned`` is the sweep's, from t1's runs alone on the
-    inputs the sweep would visit (``_t1_pruned``).  The frontier's product,
-    t2's ``MatchIndex`` and every table that does not read gamma, is shared
-    by the calls on the same t1 and t2 objects, with ``traversal_profile``'s
-    too (``frontier._product``); the gamma tables and the macro-states are
-    the call's own.  Only the last pair's product is kept, keyed by
-    identity, so that transducers built again start afresh and one pair's
-    tables at most stay alive between calls.  A dict passed as ``stats``
+    inputs the sweep would visit (``_t1_pruned``).  The tables that do not
+    read gamma, t2's ``MatchIndex`` and each machine's frontier tables,
+    are kept on the machine objects (``transducers._memo``) and shared by
+    every call on them, ``traversal_profile``'s too; the gamma tables and
+    the macro-states are the call's own.  A dict passed as ``stats``
     receives the route taken, the new macro-states per layer and, without a
     membership callback, the state count of each gamma DFA (one per output
     type for an extended resynchronizer) with the seconds taken to compile
@@ -342,19 +342,18 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     one_way = isinstance(t1, OneWayTransducer) and isinstance(t2, OneWayTransducer)
     if plain and not record and one_way:
         if not _t2_may_lead(*resync.gamma_dfa(), tuple(sorted(t1.input_alphabet))):
-            front = _Frontier(_product(t1, t2, max_input_len, caps), resync)
+            front = _Frontier(t1, t2, max_input_len, caps, resync)
     if front is None:
-        index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
         layers, saturated = [], None
-        pruned = _sweep(t1, t2, index, max_input_len, caps, judge, stats)
+        pruned = _sweep(t1, t2, max_input_len, caps, judge, stats)
     else:
         u, layers, saturated = front.run(max_input_len)
         if u is not None:
-            _sweep(t1, t2, front.product.index, max_input_len, caps, judge, None, inputs=(u,))
+            _sweep(t1, t2, max_input_len, caps, judge, None, inputs=(u,))
             if cex is None:
                 raise AssertionError(f"frontier failure on {u} has no failing graph")
         pruned = False
-        if front.product.caps is not None:
+        if front.m1.caps is not None:
             saturated = None
             pruned = _t1_pruned(t1, max_input_len, caps, u)
     if stats is not None:
@@ -399,12 +398,9 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
     the input tree (``_ProfileFrontier``).  Unless ``_t1_fits_caps`` shows
     that no cap can bind, t1's runs there count their steps and output,
     and ``approximate`` comes from t1's sweep alone (``_t1_pruned``), as
-    in ``contains_upto``.  Its t1 and t2 moves come from the product that
-    the calls on the same t1 and t2 objects share with ``contains_upto``'s
-    (``frontier._product``); the output room per state and the values are
-    the call's own.  Only the last pair's product is kept, keyed by
-    identity, so that transducers built again start afresh and one pair's
-    tables at most stay alive between calls.  Otherwise inputs are swept
+    in ``contains_upto``.  Its t1 and t2 moves come from the tables kept on
+    the machine objects, shared with ``contains_upto``; the output room
+    per state and the values are the call's own.  Otherwise inputs are swept
     one by one (``_sweep``), and an input whose length already has the
     value math.inf is not searched.  A dict passed as ``stats`` receives the
     route taken and, on the frontier, the macro-states each length's end
@@ -414,13 +410,12 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
     if isinstance(t1, OneWayTransducer) and isinstance(t2, OneWayTransducer):
-        front = _ProfileFrontier(_product(t1, t2, max_input_len, caps), caps, max_input_len)
+        front = _ProfileFrontier(t1, t2, max_input_len, caps)
         values, layers = front.run(max_input_len)
-        pruned = front.product.caps is not None and _t1_pruned(t1, max_input_len, caps)
+        pruned = front.m1.caps is not None and _t1_pruned(t1, max_input_len, caps)
         if stats is not None:
             stats.update(route="frontier", layers=layers)
         return TraversalProfile(values, pruned, max_input_len)
-    index = MatchIndex(t2) if isinstance(t2, OneWayTransducer) else None
     values = {n: 0 for n in range(1, max_input_len + 1)}
 
     def judge(u, graphs, partners):
@@ -444,7 +439,7 @@ def traversal_profile(t1, t2, max_input_len, caps: RunCaps, stats=None) -> Trave
         values[n] = best
         return True
 
-    pruned = _sweep(t1, t2, index, max_input_len, caps, judge, stats)
+    pruned = _sweep(t1, t2, max_input_len, caps, judge, stats)
     if stats is not None:
         stats.update(route="sweep", layers=[])
     return TraversalProfile(values, pruned, max_input_len)

@@ -4,22 +4,21 @@ t1 and t2, that merge every input prefix reaching the same macro-state.
 ``_Frontier`` decides plain containment up to a parameterless
 resynchronizer under which t2 never writes ahead of t1 (``_t2_may_lead``
 tells), layer by layer; ``_ProfileFrontier`` computes the traversal
-profile.  Both hold a ``_Product``: everything that does not depend on the
-resynchronizer, which is t2's ``MatchIndex``, t1's moves per key and
-letter, t2's moves through item sets, t2's walks over each written prefix,
-and the memo tables of all of these.  ``_product`` keeps one product
-between calls, keyed by the identity of the last pair of transducer
-objects asked about: the calls on one pair share it, equal transducers
-built again start afresh, and no more than one pair's tables stay alive.
+profile.  What does not depend on the resynchronizer is a table of one
+machine, kept on that machine object (``transducers._memo``): t1's moves
+per key and letter (``_T1Moves``, one per counted caps), t2's moves
+through item sets, its walks and its covers (``_T2Moves``), with their
+memo tables; every call on a machine shares them, whatever its partner.
 The state of a call, the gamma tables and the configurations it interns,
-stays with the frontier it builds.  ``_Frontier`` reads gamma through
-the resynchronizer's step table (``Resynchronizer.gamma_dfa``), the
-successors of each gamma state on each letter under the four (x, y)
-marks, and keeps one object per distinct pending suffix, settled set, t2
-configuration and set of them.  Unless ``_t1_fits_caps`` shows that no
-cap can bind, t1's runs are keyed with their step count and output
-length, so that the caps cut the runs the sweep cuts.  ``containment``
-chooses between a frontier and the per-input sweep.
+stays with the frontier it builds.
+``_Frontier`` reads gamma through the resynchronizer's step table
+(``Resynchronizer.gamma_dfa``), the successors of each gamma state on each
+letter under the four (x, y) marks, and keeps one object per distinct
+pending suffix, settled set, t2 configuration and set of them.  Unless
+``_t1_fits_caps`` shows that no cap can bind, t1's runs are keyed with
+their step count and output length, so that the caps cut the runs the
+sweep cuts.  ``containment`` chooses between a frontier and the
+per-input sweep.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ import math
 from bisect import bisect_right
 
 from .automata import _closure, _scc
-from .transducers import EPS, MatchIndex, transition_index, _eps_close, _read
+from .transducers import EPS, _by_key, _index, _memo, _eps_close, _read
 
 _EMPTY = (None, frozenset())       # the macro-state with no run left to check
-_last = None                       # the product of the last pair asked about (_product)
 
 
 def _t1_fits_caps(t1, max_input_len, caps):
@@ -89,98 +87,36 @@ def _t1_fits_caps(t1, max_input_len, caps):
     return True
 
 
-def _product(t1, t2, max_input_len, caps):
-    """The product of one-way t1 and t2 for a call with these bounds.
-
-    The product of the last call is kept in one slot and returned again
-    when it was built for the same t1 and t2 objects and the same counted
-    caps (the caps when one can bind, else None), so the calls made on
-    one pair, whatever their resynchronizers, share its tables.  Anything
-    else replaces it: the old product is dropped before the new one is
-    built, and only t2's ``MatchIndex`` and the answers of
-    ``_t1_fits_caps`` carry over when the objects are the same.
-
-    The slot is keyed by identity, not by value: equal transducers that a
-    caller builds again start from an empty product, so the tables of
-    one batch of calls never carry over into the next.  It holds one
-    entry, in this module and not on the transducers: at most one pair's
-    tables outlive a call, and the next call on another pair frees them
-    before it builds its own.
-    """
-    global _last
-    last = _last
-    if last is None or last.t1 is not t1 or last.t2 is not t2:
-        _last = last = None
-    fits = {} if last is None else last.fits
-    key = (max_input_len, caps)
-    if key not in fits:
-        fits[key] = _t1_fits_caps(t1, max_input_len, caps)
-    counted = None if fits[key] else caps
-    if last is not None and last.caps == counted:
-        return last
-    index = None if last is None else last.index
-    _last = last = None
-    _last = _Product(t1, t2, counted, index or MatchIndex(t2), fits)
-    return _last
+def _live(t):
+    """The states of t from which a run can still accept."""
+    pred = {}
+    for (p, _a, _out, q) in t.transitions:
+        pred.setdefault(q, set()).add(p)
+    return _closure(t.final, pred)
 
 
-class _Product:
-    """What the containment and the profile frontiers share, for one pair
-    of one-way transducers: t1's moves per key and letter, and t2's moves
-    followed letter by letter, with the memo tables of both.  Nothing here
-    reads a resynchronizer, so every call on the pair may share it
-    (``_product``); it keeps growing over the calls, by the keys they
-    meet.
+def _t1_moves(t1, max_input_len, caps):
+    """t1's ``_T1Moves`` for a call with these bounds, kept on t1: its keys
+    count steps and output unless ``_t1_fits_caps``, whose answer is kept
+    too, shows that no cap can bind."""
+    fits = _memo(t1, ("fits", max_input_len, caps),
+                 lambda t: _t1_fits_caps(t, max_input_len, caps))
+    counted = None if fits else caps
+    return _memo(t1, ("moves1", counted), lambda t: _T1Moves(t, counted))
 
-    A t1 key is t1's state or, when ``caps`` is not None, (state, steps,
-    output length) at the run's least step count; ``caps`` is the caps
-    when ``_t1_fits_caps`` could not show that no cap binds, and ``fits``
-    keeps that function's answers per (max_input_len, caps).  t2's moves
-    at one position (eps moves, then the read, then at the input's end
-    eps moves again) are followed through item sets of (state, read yet,
-    rest of a move's output), shared by every word written; an item that
-    has not read and cannot read any more is dropped.  ``walks`` keeps,
-    per t2 state, written prefix and letter, the live states that finish
-    after each prefix of it (``t2_walk``), one object per distinct answer
-    (``walked``).  t1's end words on a letter, sorted, are walked as a
-    trie, so that each shared prefix is followed once.  A free state of t2
-    is final, reads every letter silently in place and eps-writes every
-    output letter.
-    """
 
-    def __init__(self, t1, t2, caps, index, fits):
-        self.t1, self.t2, self.caps, self.index, self.fits = t1, t2, caps, index, fits
-        self.letters = tuple(sorted(t1.input_alphabet))
-        outputs = t1.output_alphabet      # t2's too
-        self.outputs = tuple(sorted(outputs))
-        self.by_key1 = transition_index(t1)
-        pred1, pred2 = {}, {}
-        for (p, _a, _out, q) in t1.transitions:
-            pred1.setdefault(q, set()).add(p)
-        # t2's moves by (state, letter or EPS, first letter written), and
-        # those that write nothing
-        self.first2, self.silent2 = {}, {}
-        for (p, b, out), targets in index.exact.items():
-            for q in targets:
-                pred2.setdefault(q, set()).add(p)
-                if out:
-                    self.first2.setdefault((p, b, out[0]), []).append((out[1:], q))
-                else:
-                    self.silent2.setdefault((p, b), []).append(q)
-        self.live1 = _closure(t1.final, pred1)
-        self.live2 = _closure(index.final, pred2)
-        self.readers = index.readers
-        # accepting states that eps-write every output letter, and those
-        # that also read every letter in place
-        self.pad_all = frozenset(q for q, pad in index.pad.items() if pad == outputs)
-        self.free_states = self.pad_all & index.sink
-        self.final1 = t1.final
-        self.closed1 = {}
-        self.moves1 = {}
-        self.fronts2 = {}
-        self.finished2 = {}
-        self.covers = {}
-        self.walks, self.walked = {}, {}
+class _T1Moves:
+    """t1's moves per key and letter for the frontiers, with their memo
+    tables, kept on t1 per ``caps`` (``_t1_moves``).  A key is t1's state
+    or, when ``caps`` is not None, (state, steps, output length) at the
+    run's least step count."""
+
+    def __init__(self, t1, caps):
+        self.caps = caps
+        self.by_key = _by_key(t1)
+        self.live = _memo(t1, "live", _live)
+        self.final = t1.final
+        self.closed, self.moves = {}, {}
 
     def t1_moves(self, k1, a):
         """From t1's key k1 on the letter a: the (k1', w) that eps moves and
@@ -189,25 +125,64 @@ class _Product:
         each configuration is expanded at its least step count, as the
         sweep does, and the caps cut the runs the sweep cuts."""
         key = (k1, a)
-        got = self.moves1.get(key)
+        got = self.moves.get(key)
         if got is None:
-            caps, by_key = self.caps, self.by_key1
+            caps, by_key = self.caps, self.by_key
             if caps is None:
                 q1, steps, olen, room = k1, 0, 0, (math.inf, math.inf)
             else:
                 q1, steps, olen = k1
                 room = (caps.max_output_len - olen, caps.max_steps)
-            entries = self.closed1.get(k1)
+            entries = self.closed.get(k1)
             if entries is None:
-                entries = self.closed1[k1] = {(q1, (), ()): steps}
+                entries = self.closed[k1] = {(q1, (), ()): steps}
                 _eps_close(by_key, entries, 0, room)
             read = _read(by_key, entries, a, 0, room)[0]
             moves = tuple((r if caps is None else (r, s, olen + len(w)), w)
-                          for (r, w, _org), s in read.items() if r in self.live1)
+                          for (r, w, _org), s in read.items() if r in self.live)
             _eps_close(by_key, read, 0, room)
-            ends = tuple(sorted({w for (q, w, _org) in read if q in self.final1}))
-            got = self.moves1[key] = (moves, ends)
+            ends = tuple(sorted({w for (q, w, _org) in read if q in self.final}))
+            got = self.moves[key] = (moves, ends)
         return got
+
+
+class _T2Moves:
+    """t2's moves followed letter by letter for the frontiers, with their
+    memo tables, kept on t2; none reads a resynchronizer, t1 or the caps.
+
+    t2's moves at one position (eps moves, then the read, then at the
+    input's end eps moves again) are followed through item sets of (state,
+    read yet, rest of a move's output), shared by every word written; an
+    item that has not read and cannot read any more is dropped.  ``walks``
+    keeps, per t2 state, written prefix and letter, the live states that
+    finish after each prefix of it (``t2_walk``), one object per distinct
+    answer (``walked``).  t1's end words on a letter, sorted, are walked
+    as a trie, so that each shared prefix is followed once; ``covers``
+    holds the words tuple whose id is in each key.  A free state of t2 is
+    final, reads every letter silently in place and eps-writes every
+    output letter.
+    """
+
+    def __init__(self, t2):
+        self.index = index = _index(t2)
+        self.outputs = tuple(sorted(t2.output_alphabet))
+        # t2's moves by (state, letter or EPS, first letter written), and
+        # those that write nothing
+        self.first2, self.silent2 = {}, {}
+        for (p, b, out), targets in index.exact.items():
+            for q in targets:
+                if out:
+                    self.first2.setdefault((p, b, out[0]), []).append((out[1:], q))
+                else:
+                    self.silent2.setdefault((p, b), []).append(q)
+        self.live = _memo(t2, "live", _live)
+        self.readers = index.readers
+        # accepting states that eps-write every output letter, and those
+        # that also read every letter in place
+        self.pad_all = frozenset(q for q, pad in index.pad.items() if pad == t2.output_alphabet)
+        self.free_states = self.pad_all & index.sink
+        self.fronts2, self.finished2, self.covers = {}, {}, {}
+        self.walks, self.walked = {}, {}
 
     def t2_close(self, items, a, end):
         """items, t2's (state, read yet, rest of a move's output), with the
@@ -280,9 +255,9 @@ class _Product:
         key = (q2, target, a)
         got = self.walks.get(key)
         if got is None:
-            live2, found = self.live2, []
+            live, found = self.live, []
             for k, front in self.t2_fronts(q2, target, a):
-                states = tuple([r for r in self.finished(front) if r in live2])
+                states = tuple([r for r in self.finished(front) if r in live])
                 if states:
                     found.append((k, states))
             got = tuple(found)
@@ -316,8 +291,8 @@ class _Product:
         key = (front, id(words), a)
         got = self.covers.get(key)
         if got is None:
-            got = self.covers[key] = self._covers(front, words, 0, len(words), 0, a)
-        return got
+            got = self.covers[key] = (words, self._covers(front, words, 0, len(words), 0, a))
+        return got[1]
 
     def _covers(self, front, words, lo, hi, d, a):
         # words[lo:hi] share their first d letters: one node of the trie
@@ -384,15 +359,16 @@ class _Frontier:
     ``shared`` holds one object per distinct pending suffix, settled set,
     configuration and set of configurations that ``t2_next`` builds.
     These, and the caches ``next2`` and ``end2``, read gamma and stay with
-    the frontier; t1's and t2's moves come from the ``product``, shared
-    with the other calls on the pair.
+    the frontier; t1's moves come from ``m1`` (``_T1Moves``) and t2's from
+    ``m2`` (``_T2Moves``), each kept on its machine.
     """
 
-    def __init__(self, product, resync):
-        self.product = product
+    def __init__(self, t1, t2, max_input_len, caps, resync):
+        self.m1 = m1 = _t1_moves(t1, max_input_len, caps)
+        self.m2 = m2 = _memo(t2, "moves2", _T2Moves)
         dfa, steps = resync.gamma_dfa()
         init = next(iter(dfa.initial))
-        self.letters = product.letters
+        self.letters = tuple(sorted(t1.input_alphabet))
         self.g_final = dfa.final
         self.steps = {a: steps[a] for a in self.letters}
         zsucc, zpred, xpred = {}, {}, {}
@@ -408,22 +384,21 @@ class _Frontier:
         self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
         identity_safe = all(table[s][3] in self.safe
                             for s in _closure({init}, zsucc) for table in self.steps.values())
-        self.free = frozenset((q, (), frozenset()) for q in product.free_states
+        self.free = frozenset((q, (), frozenset()) for q in m2.free_states
                               if identity_safe)
-        self.pair = {s: {b: (b, s) for b in product.outputs} for s in dfa.states}
+        self.pair = {s: {b: (b, s) for b in m2.outputs} for s in dfa.states}
         self.next2 = {}
         self.end2 = {}
         self.shared = {}
         self.start = (init, frozenset(
-            (q1 if product.caps is None else (q1, 0, 0),
-             frozenset((q2, (), frozenset()) for q2 in product.index.initial
-                       if q2 in product.live2))
-            for q1 in product.t1.initial if q1 in product.live1))
+            (q1 if m1.caps is None else (q1, 0, 0),
+             frozenset((q2, (), frozenset()) for q2 in m2.index.initial if q2 in m2.live))
+            for q1 in t1.initial if q1 in m1.live))
 
     def t2_next(self, c, w, a, z):
         """The configurations t2's configuration c can reach at this position,
         where t1 writes w and the input letter is a, from t2's walk over
-        what is pending (``_Product.t2_walk``).  The pending entries
+        what is pending (``_T2Moves.t2_walk``).  The pending entries
         after this position are built once, as one tuple of ``pair``
         entries, and a successor that has written k of them keeps the
         slice from k on.  Suffixes, settled sets, configurations and the
@@ -461,7 +436,7 @@ class _Frontier:
         done, upto = shared.setdefault(done, done), 0
         entries = tuple([pair[s][b] for b, s in zip(written, later)])
         found = []
-        for k, states in self.product.t2_walk(q2, written[:most], a):
+        for k, states in self.m2.t2_walk(q2, written[:most], a):
             if k < least:
                 continue
             # the suffix and the settled set depend on k alone: done grows
@@ -491,14 +466,14 @@ class _Frontier:
             got = frozenset()
             if (all(steps[g][2] in final for (_b, g) in pending)
                     and all(steps[g][0] in final for g in settled)):
-                got = self.product.t2_after(q2, tuple(b for (b, _g) in pending), a)
+                got = self.m2.t2_after(q2, tuple(b for (b, _g) in pending), a)
             self.end2[key] = got
         return got
 
     def step(self, state, a):
         """The macro-state after one more letter a."""
         z, pairs = state
-        minimal, t1_moves = {}, self.product.t1_moves
+        minimal, t1_moves = {}, self.m1.t1_moves
         for (q1, configs) in pairs:
             for (r1, w) in t1_moves(q1, a)[0]:
                 nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
@@ -516,15 +491,14 @@ class _Frontier:
             return False
         # t1's letters here all have the gamma state z, y marked
         writes = self.steps[a][z][3] in self.g_final
-        product = self.product
         for (q1, configs) in pairs:
-            words = product.t1_moves(q1, a)[1]
+            words = self.m1.t1_moves(q1, a)[1]
             if not words:
                 continue
             if not writes and words[-1]:
                 return True
             front = frozenset().union(*(self.t2_ends(c, a) for c in configs))
-            if not product.t2_covers(front, words, a):
+            if not self.m2.t2_covers(front, words, a):
                 return True
         return False
 
@@ -638,23 +612,23 @@ class _ProfileFrontier:
     letters, every last letter and every end word of t1, of the least value
     over S; math.inf when no configuration can finish.
 
-    t1's and t2's moves come from the ``product``, shared with the other
-    calls on the pair; ``room``, the caches ``next2`` and ``values`` stay
-    with the frontier.
+    t1's and t2's moves come from ``m1`` and ``m2``, as in ``_Frontier``;
+    ``room``, the caches ``next2`` and ``values`` stay with the frontier.
     """
 
-    def __init__(self, product, caps, max_input_len):
-        self.product = product
-        self.letters = product.letters
-        self.free_states = product.free_states
-        self.cont2 = product.live2 & product.readers
-        self.room = _output_room(product.t1, caps.max_output_len, max_input_len)
+    def __init__(self, t1, t2, max_input_len, caps):
+        self.m1 = m1 = _t1_moves(t1, max_input_len, caps)
+        self.m2 = m2 = _memo(t2, "moves2", _T2Moves)
+        self.letters = tuple(sorted(t1.input_alphabet))
+        self.free_states = m2.free_states
+        self.cont2 = m2.live & m2.readers
+        self.room = _output_room(t1, caps.max_output_len, max_input_len)
         self.next2, self.values = {}, {}
         start = self.settle({(None, False, (), 0) if q2 in self.free_states else (q2, False, (), 0)
-                             for q2 in product.index.initial if q2 in self.cont2})
+                             for q2 in m2.index.initial if q2 in self.cont2})
         self.start = frozenset(
-            (q1 if product.caps is None else (q1, 0, 0), start)
-            for q1 in product.t1.initial if q1 in product.live1 and start is not None)
+            (q1 if m1.caps is None else (q1, 0, 0), start)
+            for q1 in t1.initial if q1 in m1.live and start is not None)
 
     def settle(self, configs):
         """configs without the dominated ones, or None when a collapsed
@@ -715,7 +689,7 @@ class _ProfileFrontier:
                 more = room - sum(map(len, left))
                 if more < 0:
                     return
-                moves = [(q2, 0, ())] if q2 in free else self.product.t2_writes(q2, (), a, more)
+                moves = [(q2, 0, ())] if q2 in free else self.m2.t2_writes(q2, (), a, more)
                 for (r, _k, e) in moves:
                     if r in self.cont2:
                         nb = left + (e,) if e else left
@@ -723,7 +697,7 @@ class _ProfileFrontier:
                 return
         target = tuple(x for (b, _n) in old for x in b) + w
         moves = ([(q2, len(target), ())] if q2 in free
-                 else self.product.t2_writes(q2, target, a, room))
+                 else self.m2.t2_writes(q2, target, a, room))
         for (r, k, e) in moves:
             if r not in self.cont2:
                 continue
@@ -751,7 +725,7 @@ class _ProfileFrontier:
         """The macro-state after one more letter a, with at most left
         letters to come."""
         room, minimal = self.room[left], {}
-        caps, t1_moves = self.product.caps, self.product.t1_moves
+        caps, t1_moves = self.m1.caps, self.m1.t1_moves
         for (k1, configs) in pairs:
             for (r1, w) in t1_moves(k1, a)[0]:
                 if caps is None:
@@ -772,7 +746,7 @@ class _ProfileFrontier:
         key = (k1, configs, a)
         got = self.values.get(key)
         if got is None:
-            words = self.product.t1_moves(k1, a)[1]
+            words = self.m1.t1_moves(k1, a)[1]
             got = self.values[key] = self._value(configs, words, a) if words else 0
         return got
 
@@ -785,7 +759,7 @@ class _ProfileFrontier:
                 # t1's end word starts with the owed letters
                 starts.append((mx, frozenset({(q2, False, tuple(x for b in blocks for x in b))})))
             else:
-                front = self.product.t2_after(q2, tuple(x for (b, _n) in blocks for x in b), a)
+                front = self.m2.t2_after(q2, tuple(x for (b, _n) in blocks for x in b), a)
                 if front:
                     starts.append((max([mx] + [n + 1 for (_b, n) in blocks]), front))
         # the least v at which the configurations of value at most v
@@ -797,7 +771,7 @@ class _ProfileFrontier:
                 return v
             front |= items
             if ((i + 1 == len(starts) or starts[i + 1][0] > v)
-                    and self.product.t2_covers(front, words, a)):
+                    and self.m2.t2_covers(front, words, a)):
                 return v
         return math.inf
 

@@ -327,12 +327,12 @@ def check_domino_sweep(tiles: TileSet, max_len: int, max_configs=400, max_cells=
 # -- transducers from tiles ------------------------------------------------------
 
 def _bad_prefixes(top, gamma):
-    """W_i: words up to |top| letters that are not prefixes of top."""
-    out = []
+    """W_i: words up to |top| letters that are not prefixes of top: every
+    word of each length but top's prefix of that length."""
+    letters, out = sorted(gamma), []
     for ln in range(1, len(top) + 1):
-        for w in itertools.product(sorted(gamma), repeat=ln):
-            if not _is_prefix(w, top):
-                out.append(w)
+        prefix = tuple(top[:ln])
+        out.extend(w for w in itertools.product(letters, repeat=ln) if w != prefix)
     return out
 
 

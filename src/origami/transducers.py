@@ -10,6 +10,10 @@ a word position because endmarker transitions must not produce output.
 Enumeration is capped by ``RunCaps``; runs exceeding the caps are pruned
 silently and the result records that pruning happened, so callers can
 tell exhaustive sweeps from sampled ones.
+
+Every table derived from one machine, such as a one-way machine's
+``MatchIndex`` or a two-way machine's runs, is kept on that machine
+object from the first call that needs it (``_memo``).
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ def word(letters):
     """Normalize str or iterable input to a tuple of letters."""
     if letters is None:
         return ()
-    if isinstance(letters, str):
-        return tuple(letters)
     return tuple(letters)
 
 
@@ -110,17 +112,21 @@ class OneWayTransducer:
         object.__setattr__(self, "output_alphabet", frozenset(self.output_alphabet))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "final", frozenset(self.final))
+        states, letters, outputs = self.states, self.input_alphabet, self.output_alphabet
         norm = []
-        for (p, a, out, q) in self.transitions:
-            out = word(out)
-            if a is not EPS and a not in self.input_alphabet:
+        for t in self.transitions:
+            p, a, out, q = t
+            if type(t) is not tuple or type(out) is not tuple:
+                out = word(out)
+                t = (p, a, out, q)
+            if a is not EPS and a not in letters:
                 raise TransducerAlphabetError(f"input letter {a!r} not in alphabet")
-            for c in out:
-                if c not in self.output_alphabet:
-                    raise TransducerAlphabetError(f"output letter {c!r} not in alphabet")
-            if p not in self.states or q not in self.states:
-                raise ValueError(f"transition endpoint outside states: {(p, a, out, q)}")
-            norm.append((p, a, out, q))
+            if not outputs.issuperset(out):
+                c = next(c for c in out if c not in outputs)
+                raise TransducerAlphabetError(f"output letter {c!r} not in alphabet")
+            if p not in states or q not in states:
+                raise ValueError(f"transition endpoint outside states: {t}")
+            norm.append(t)
         object.__setattr__(self, "transitions", tuple(norm))
 
     @property
@@ -189,37 +195,65 @@ def run_origin_graphs(transducer, u, caps: RunCaps) -> RunResult:
     """Enumerate the origin graphs of accepting runs on u, capped.
 
     Returns graphs deduplicated structurally; two runs with the same
-    (input, output, origins) contribute one graph.  A letter of u outside
-    the transducer's input alphabet raises ``TransducerAlphabetError``.  A
-    one-way transducer takes the steps of ``sweep_origin_graphs`` along u
-    alone, so ``pruned`` reports a cap that cuts a run at its least step
-    count.
+    (input, output, origins) contribute one graph.  An empty u raises
+    ``EmptyInputError`` and a letter of u outside the transducer's input
+    alphabet ``TransducerAlphabetError``.  A one-way transducer takes the
+    steps of ``sweep_origin_graphs`` along u alone, so ``pruned`` reports a
+    cap that cuts a run at its least step count.
 
     A two-way transducer runs once per (u, caps): the result, which is
-    frozen, is kept in a memo on the transducer object, keyed by the input
-    tuple and the caps, and every later call with that key returns it, so
-    the enumeration, equivalence, containment and profile calls on one
-    object share their runs.  The memo is made on the object's first
-    two-way run (``_two_way_memo``), is not a field, so equality, hashing
-    and repr do not see it, and lives as long as the object: an equal
-    transducer built again starts with none.
+    frozen, is kept in the transducer's memo (``_memo``), keyed by the
+    input tuple and the caps, and every later call with that key returns
+    it, so the enumeration, equivalence, containment and profile calls on
+    one object share their runs.
     """
-    u = word(u)
-    if not u:
-        raise EmptyInputError("input word must be non-empty")
-    if not transducer.input_alphabet.issuperset(u):
-        a = next(a for a in u if a not in transducer.input_alphabet)
-        raise TransducerAlphabetError(f"input letter {a!r} not in alphabet")
+    u = _input_word(transducer, u)
     if isinstance(transducer, OneWayTransducer):
         got = []
         _walk(transducer, [(a,) for a in u], caps, lambda _u, res: got.append(res))
         return got[0]
-    runs = _two_way_memo(transducer)[1]
+    runs = _memo(transducer, "runs", lambda _t: {})
     key = (u, caps)
     res = runs.get(key)
     if res is None:
         res = runs[key] = _run_2nt(transducer, u, caps)
     return res
+
+
+def _input_word(t, u):
+    """u as a tuple of letters, which must be non-empty and over t's input
+    alphabet."""
+    u = word(u)
+    if not u:
+        raise EmptyInputError("input word must be non-empty")
+    if not t.input_alphabet.issuperset(u):
+        a = next(a for a in u if a not in t.input_alphabet)
+        raise TransducerAlphabetError(f"input letter {a!r} not in alphabet")
+    return u
+
+
+def _memo(t, key, build):
+    """build(t), made on the first call with key and kept in a dict on the
+    machine t: not a field, so equality, hashing and repr do not see it,
+    and nothing in it refers back to t, so t is freed with its tables."""
+    memo = t.__dict__.get("_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(t, "_memo", memo)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = build(t)
+    return got
+
+
+def _by_key(t):
+    """one-way t's ``transition_index``, kept on t."""
+    return _memo(t, "by_key", transition_index)
+
+
+def _index(t):
+    """one-way t's ``MatchIndex``, kept on t."""
+    return _memo(t, "index", MatchIndex)
 
 
 def transition_index(t):
@@ -299,7 +333,7 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
     in the order of the choices, sharing run prefixes along the input
     tree: a node closes the runs on its prefix under eps moves, then each
     child reads its letter.  False once visit has returned False."""
-    by_key = transition_index(t)
+    by_key = _by_key(t)
     final = t.final
     n = len(choices)
     room = (caps.max_output_len, caps.max_steps)
@@ -319,25 +353,19 @@ def _walk(t: OneWayTransducer, choices, caps, visit):
     return rec((), {(q, (), ()): 0 for q in t.initial}, False)
 
 
-def _two_way_memo(t: TwoWayTransducer):
-    """(moves, runs) of two-way t, kept on the object from the first call:
-    moves maps (state, tape symbol) to t's moves there as (output,
-    head step, target) in transition order, and runs is
-    ``run_origin_graphs``'s memo, (input, caps) -> RunResult."""
-    memo = t.__dict__.get("_memo")
-    if memo is None:
-        moves = {}
-        for (p, a, v, d, q) in t.transitions:
-            moves.setdefault((p, a), []).append((v, 1 if d == RIGHT else -1, q))
-        memo = (moves, {})
-        object.__setattr__(t, "_memo", memo)
-    return memo
+def _two_way_moves(t: TwoWayTransducer):
+    """Two-way t's moves: (state, tape symbol) -> its moves there as
+    (output, head step, target), in transition order."""
+    moves = {}
+    for (p, a, v, d, q) in t.transitions:
+        moves.setdefault((p, a), []).append((v, 1 if d == RIGHT else -1, q))
+    return moves
 
 
 def _run_2nt(t: TwoWayTransducer, u, caps):
     """The origin graphs of two-way t on u within caps, breadth first,
-    with t's move table from ``_two_way_memo``; the run itself is not
-    looked up in the memo (``run_origin_graphs`` does that).
+    with t's move table, kept on t; the run itself is not looked up in the
+    memo (``run_origin_graphs`` does that).
 
     A configuration is (state, head, output, origins).  Configurations are
     expanded layer by layer, first in, first out, so each one is first
@@ -351,7 +379,7 @@ def _run_2nt(t: TwoWayTransducer, u, caps):
     least |v|.
     """
     tape = (LMARK,) + u + (RMARK,)
-    moves = _two_way_memo(t)[0]
+    moves = _memo(t, "moves", _two_way_moves)
     max_out, max_steps = caps.max_output_len, caps.max_steps
     final = t.final
     found = set()
@@ -627,10 +655,11 @@ def _origins(chain):
     return out
 
 
-def enumerate_matching_graphs(t: OneWayTransducer, u, v, index=None):
+def enumerate_matching_graphs(t: OneWayTransducer, u, v):
     """Yield the distinct origin tuples of runs of t on u with output v,
-    in the deterministic order of ``MatchIndex.search``."""
+    in the deterministic order of ``MatchIndex.search``; u is checked as
+    ``run_origin_graphs`` checks it."""
+    u = _input_word(t, u)
     found = {}      # first-found order; setdefault returns False, so the search goes on
-    index = index or MatchIndex(t)
-    index.search(word(u), word(v), each=lambda org: found.setdefault(org, False))
+    _index(t).search(u, word(v), each=lambda org: found.setdefault(org, False))
     yield from found

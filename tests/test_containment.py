@@ -6,10 +6,11 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from origami import corpus
+from origami import corpus, transducers
 from origami.mso import First, parse_formula
 from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
-                                 origin_equivalent_upto, run_origin_graphs, words_upto)
+                                 enumerate_matching_graphs, origin_equivalent_upto,
+                                 run_origin_graphs, words_upto)
 from origami.traversal import GreedyLabelError, greedy_label, max_traversal
 from origami.reduction import grow, halt2, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
@@ -807,7 +808,7 @@ def test_calls_on_one_pair_match_calls_on_rebuilt_copies(data, pair, same, n):
     assert got == want
 
 
-def test_calls_keep_the_product_of_one_pair_only():
+def test_a_dropped_machine_is_freed_after_a_call_on_another_pair():
     t1, t2 = early_and_late()
     held = weakref.ref(t1)
     r = make_shift(1, base=LETTERS)
@@ -820,6 +821,112 @@ def test_calls_keep_the_product_of_one_pair_only():
     assert stats["route"] == "frontier"
     gc.collect()
     assert held() is None
+
+
+def test_a_frontier_call_keeps_neither_machine_alive():
+    # the tables of each machine live on it and refer to neither
+    t1, t2 = early_and_late()
+    held = (weakref.ref(t1), weakref.ref(t2))
+    stats = {}
+    contains_upto(t1, t2, make_shift(1, base=LETTERS), 3, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    del t1, t2
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+
+
+def test_one_way_tables_are_built_once_per_machine(monkeypatch):
+    built = {"MatchIndex": [], "transition_index": []}
+    index_init, buckets = transducers.MatchIndex.__init__, transducers.transition_index
+
+    def counted_index_init(self, t):
+        built["MatchIndex"].append(t)
+        index_init(self, t)
+
+    def counted_buckets(t):
+        built["transition_index"].append(t)
+        return buckets(t)
+
+    monkeypatch.setattr(transducers.MatchIndex, "__init__", counted_index_init)
+    monkeypatch.setattr(transducers, "transition_index", counted_buckets)
+    t1, t2 = early_and_late()
+    r = make_shift(1, base=LETTERS)
+    stats = {}
+    contains_upto(t1, t2, r, 3, FRONTIER_CAPS, stats=stats)
+    assert stats["route"] == "frontier"
+    contains_upto(t1, t2, r, 3, FRONTIER_CAPS, stats=stats,
+                  membership=lambda s, s_p: pair_in_resync(r, s, s_p))
+    assert stats["route"] == "sweep"
+    traversal_profile(t1, t2, 3, FRONTIER_CAPS)
+    run_origin_graphs(t1, "ab", FRONTIER_CAPS)
+    run_origin_graphs(t2, "ab", FRONTIER_CAPS)
+    assert list(enumerate_matching_graphs(t1, "ab", "aa")) == [(1, 2)]
+    for made in built.values():
+        assert sorted(map(id, made)) == sorted([id(t1), id(t2)])
+
+
+ONE_WAY_CALLS = ("frontier", "param", "callback", "profile", "equiv", "runs", "partners")
+ONE_WAY_CAPS = (FRONTIER_CAPS, RunCaps(2, 4), RunCaps(3, 8))
+
+
+def one_way_call(t1, t2, kind, k, n, caps):
+    """The answer of one call on one-way t1 and t2 up to length n, with the
+    stats of a containment or profile call, without the seconds a gamma
+    compile took."""
+    stats = {}
+    if kind in ("frontier", "param", "callback"):
+        r = make_param_example(LETTERS) if kind == "param" else make_shift(k, base=LETTERS)
+        check = (lambda s, s_p: pair_in_resync(r, s, s_p)) if kind == "callback" else None
+        got = contains_upto(t1, t2, r, n, caps, membership=check, stats=stats)
+        stats.pop("gamma_compile_s", None)
+        assert stats["route"] == ("frontier" if kind == "frontier" else "sweep")
+        return report_json(got), got.counterexample, got.saturated_at, stats
+    if kind == "profile":
+        return report_json(traversal_profile(t1, t2, n, caps, stats=stats)), stats
+    if kind == "equiv":
+        return origin_equivalent_upto(t1, t2, n, caps)
+    if kind == "runs":
+        return [run_origin_graphs(t, u, caps) for t in (t1, t2) for u in words_upto(LETTERS, n)]
+    return [list(enumerate_matching_graphs(t2, u, "a" * m))
+            for u in words_upto(LETTERS, n) for m in range(4)]
+
+
+def covers_hold_their_words(t):
+    """Does each covers entry on t hold the words tuple whose id is in its
+    key?  Then no other tuple can take that id while the entry lives."""
+    moves2 = vars(t).get("_memo", {}).get("moves2")
+    return moves2 is None or all(id(words) == key[1]
+                                 for key, (words, _covers) in moves2.covers.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), machine_pairs(), st.booleans(), st.integers(1, 3))
+def test_one_way_calls_in_any_order_match_fresh_copies(data, pair, same, n):
+    # each one-way machine keeps its tables across the calls, in either
+    # place and under any caps.  Before one call t1 is dropped, collected
+    # and replaced by another machine, while t2 keeps the tables it built
+    # with the old t1, whose words tuples the new t1's may reuse the
+    # memory of.  Each answer must be the one copies never asked before
+    # give.  frontier_t1 keeps the sweeps under the caps small
+    t1 = frontier_t1(pair[0])
+    t2 = t1 if same else frontier_t1(pair[1])
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(ONE_WAY_CALLS), st.integers(0, 2),
+                                         st.sampled_from(ONE_WAY_CAPS), st.booleans()),
+                               min_size=2, max_size=6))
+    drop = data.draw(st.integers(1, len(calls) - 1))
+    other = frontier_t1(data.draw(machine_pairs())[0])
+    for i, (kind, k, caps, swap) in enumerate(calls):
+        if i == drop:
+            held = weakref.ref(t1)
+            t1, other = other, None
+            gc.collect()
+            assert (held() is None) != same
+        got = one_way_call(*((t2, t1) if swap else (t1, t2)), kind, k, n, caps)
+        c1 = rebuilt(t1)
+        c2 = c1 if t2 is t1 else rebuilt(t2)
+        want = one_way_call(*((c2, c1) if swap else (c1, c2)), kind, k, n, caps)
+        assert got == want, (i, kind)
+        assert covers_hold_their_words(t1) and covers_hold_their_words(t2)
 
 
 TWO_WAY_CALLS = ("contains", "profile", "equiv", "search")

@@ -465,11 +465,10 @@ MATCH_PINS = [
 
 def test_halt2_partner_order_pinned(h2_tiles):
     tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
-    index = MatchIndex(tup)
     for u, v, want in MATCH_PINS:
         assert next(g for g in run_origin_graphs(tdown, u, RunCaps(14, 45)).graphs
                     if g.output == v)
-        got = list(enumerate_matching_graphs(tup, u, v, index))
+        got = list(enumerate_matching_graphs(tup, u, v))
         if isinstance(want, tuple):
             got = (len(got), hashlib.sha256(repr(got).encode()).hexdigest())
         assert got == want, u

@@ -33,7 +33,9 @@ from origami.mso import mso_compile, parse_formula
 from origami.resync import (ExtendedResynchronizer, bounded_by, extended_pair_in_resync,
                             is_bounded, make_param_example, make_pm1, make_shift,
                             make_universal, pair_in_resync)
-from origami.transducers import OriginGraph, RunCaps, origin_equivalent_upto, run_origin_graphs
+from origami.transducers import (OriginGraph, RunCaps, classical_pairs,
+                                 enumerate_matching_graphs, origin_equivalent_upto,
+                                 run_origin_graphs)
 
 def test_calls():
     slow, fast = corpus.t_slow(), corpus.t_fast()
@@ -62,6 +64,9 @@ def test_calls():
         mso_compile(parse_formula("first(x)"), ("x",), "a")
     # the runs origin_equivalent_upto makes are not logged
     origin_equivalent_upto(t_id, corpus.t_rev(), 3, RunCaps(6, 30))
+    # the caller still receives the origin tuples, lazily or not
+    assert next(enumerate_matching_graphs(one_two, "aa", "aaa")) == (1, 2, 2)
+    assert classical_pairs(one_two, 1, RunCaps(6, 30)) == {(("a",), ("a",)), (("a",), ("a", "a"))}
 
 if __name__ == "__main__":
     test_calls()
@@ -106,7 +111,8 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                                                 "contains_upto", "traversal_profile",
                                                 "is_bounded", "bounded_by",
                                                 "extended_pair_in_resync", "run_origin_graphs",
-                                                "origin_equivalent_upto"]
+                                                "origin_equivalent_upto",
+                                                "enumerate_matching_graphs", "classical_pairs"]
     assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
                                 ["OneWayTransducer", "T_fast", 2, 3],
                                 ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
@@ -147,4 +153,9 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert lines[9]["result"] == {"graphs": [[["a", "a"], [1, 2]]], "pruned": False}
     # an equivalence's flag and its witness's sort_key
     assert lines[10]["result"] == [False, [["a", "a"], ["a", "a"], [1, 2]]]
+    # a partner enumeration's origin tuples in order, classical pairs sorted
+    assert lines[11]["args"] == [["OneWayTransducer", "T_one-two", 2, 3], "aa", "aaa"]
+    assert lines[11]["result"] == [[1, 2, 2]]
+    assert lines[12]["args"] == [["OneWayTransducer", "T_one-two", 2, 3], 1, ["RunCaps", 6, 30]]
+    assert lines[12]["result"] == [[["a"], ["a"]], [["a"], ["a", "a"]]]
     assert plugin.read_text() == wrapped.read_text()

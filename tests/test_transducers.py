@@ -5,7 +5,7 @@ from origami import corpus
 from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, OriginGraph,
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
-                                 MatchIndex, EmptyInputError, TransducerAlphabetError, EPS, LMARK,
+                                 EmptyInputError, TransducerAlphabetError, EPS, LMARK,
                                  RMARK, LEFT, RIGHT, _run_2nt)
 
 from random_one_way import (LETTERS, SIX_STATES, fifo_run_graphs, one_way_machines, partners,
@@ -67,6 +67,18 @@ def test_letters_outside_the_input_alphabet_rejected(caps):
             with pytest.raises(TransducerAlphabetError, match="not in alphabet"):
                 run_origin_graphs(t, u, caps)
     assert "_memo" not in vars(t_id)
+
+
+def test_partner_search_rejects_the_inputs_runs_reject():
+    # the empty input gave [()] and origin-0 tuples, a letter outside the
+    # alphabet an empty list; both raise before a table is made
+    t = corpus.t_first()
+    for v in ("", "cd"):
+        with pytest.raises(EmptyInputError):
+            list(enumerate_matching_graphs(t, "", v))
+    with pytest.raises(TransducerAlphabetError, match="not in alphabet"):
+        list(enumerate_matching_graphs(t, "az", "cd"))
+    assert "_memo" not in vars(t)
 
 
 def test_origin_graph_invariants_hold(t_slow, caps):
@@ -340,11 +352,11 @@ def test_partner_order_follows_the_repr_of_transitions():
 
 @given(one_way_machines())
 def test_partner_enumeration_matches_run_enumeration(t):
-    # every output word up to length 2, written or not
-    index = MatchIndex(t)
+    # every output word up to length 2, written or not; the index kept on
+    # t answers as a copy's first index does
     for u in words_upto(LETTERS, 2):
         for v in [()] + list(words_upto(LETTERS, 2)):
-            got = list(enumerate_matching_graphs(t, u, v, index))
+            got = list(enumerate_matching_graphs(t, u, v))
             assert len(got) == len(set(got)), (u, v)
             assert set(got) == partners(t, u, v), (u, v)
-            assert list(enumerate_matching_graphs(t, u, v)) == got
+            assert list(enumerate_matching_graphs(rebuilt(t), u, v)) == got
