@@ -13,11 +13,11 @@ judge, ``contains_upto``'s partner test or ``traversal_profile``'s least
 traversal.  It keeps ``pruned`` and the sweep counters, and every partner
 query goes through one ``search``: ``MatchIndex.search`` on a one-way
 t2's run lattice, or a ``_Listing`` of a two-way t2's graphs on the
-input, grouped by output in ``sort_key`` order (t1's own graphs when t2
-equals t1, otherwise one run of t2, asked for on the first query, under
-the output cap of t1's longest output there, which finds every graph
-with a shorter output too; ``run_origin_graphs`` keeps it on t2, so an
-earlier call on the same t2 object may have made it).  Parameterless
+input, grouped by output in ``sort_key`` order.  The listing asks
+``run_origin_graphs`` for t2's run under the sweep's caps on the first
+query; the run is kept on the machine, so an earlier call on the same
+object may have made it, and a t2 equal to t1 reads t1's runs, which the
+sweep has made.  Parameterless
 resynchronizers check a table of gamma answers, one per input, during
 the search, without enumerating graphs; other resynchronizers, and the
 traversal profile, test each distinct partner the search finds.
@@ -120,34 +120,25 @@ class _Listing:
     order, that the gamma table ``allowed`` admits go to ``each`` until it
     returns true.
 
-    With t2 None (t2 equals t1) the graphs are t1's own, ``graphs``
-    (non-empty, in ``sort_key`` order).  Otherwise the first search asks
-    ``run_origin_graphs`` for t2's run, once, under the output cap of t1's
-    longest output: the graphs with output v are the same under every
-    output cap of at least |v| (``transducers._run_2nt``), so one run
-    serves every output of t1.  The run comes from t2's memo when an
-    earlier call on the same object made it; ``t2_runs`` in the tally
-    counts the listings that asked for a run, whether or not it was made
-    anew.
+    The first search asks ``run_origin_graphs`` for the run of the machine
+    m on the input under the sweep's caps, and groups its graphs by
+    output.  The run comes from m's memo when an earlier call on the same
+    object made it.  A tally dict counts in ``t2_runs`` the listings that
+    asked for a run, whether or not it was made anew.
     """
 
-    def __init__(self, t2, graphs, max_steps, tally):
-        self.t2, self.graphs = t2, graphs
-        self.max_steps, self.tally = max_steps, tally
+    def __init__(self, m, caps, tally):
+        self.m, self.caps, self.tally = m, caps, tally
         self.groups = None
 
     def search(self, u, v, allowed=None, each=None):
         if self.groups is None:
-            graphs = self.graphs
-            if self.t2 is not None:
-                longest = max(len(g.output) for g in graphs)
-                res = run_origin_graphs(self.t2, u, RunCaps(max(1, longest), self.max_steps))
-                graphs = sorted(res.graphs, key=OriginGraph.sort_key)
-                if self.tally is not None:
-                    self.tally["t2_runs"] += 1
             self.groups = {}
-            for g in graphs:
+            res = run_origin_graphs(self.m, u, self.caps)
+            for g in sorted(res.graphs, key=OriginGraph.sort_key):
                 self.groups.setdefault(g.output, []).append(g)
+            if self.tally is not None:
+                self.tally["t2_runs"] += 1
         cache, keys, fill = allowed or _NO_TABLE
         for g in self.groups.get(v, ()):
             for h, key in zip(g.orig, keys):
@@ -171,11 +162,11 @@ def _sweep(t1, t2, max_input_len, caps, judge, stats, inputs=None):
     one.  Returns ``pruned`` over the inputs visited.  A dict stats
     receives the counters ``inputs`` visited, t1 ``graphs`` judged and
     ``t2_runs``, the runs of a two-way t2 that the listings ask for, made
-    or read from t2's memo (none when t2 equals t1, whose own graphs are
-    its partners)."""
+    or read from t2's memo.  A two-way t2 equal to t1 lists t1's runs,
+    which the sweep has already made, and counts none."""
     tally = None if stats is None else {"inputs": 0, "graphs": 0, "t2_runs": 0}
     index = _index(t2) if isinstance(t2, OneWayTransducer) else None
-    same = index is None and t2 == t1
+    m, listed = (t1, None) if index is None and t2 == t1 else (t2, tally)
     pruned = False
 
     def counted(graphs):
@@ -191,8 +182,7 @@ def _sweep(t1, t2, max_input_len, caps, judge, stats, inputs=None):
         if not res1.graphs:
             return True
         graphs = sorted(res1.graphs, key=OriginGraph.sort_key)
-        partners = index if index is not None else _Listing(
-            None if same else t2, graphs, caps.max_steps, tally)
+        partners = index if index is not None else _Listing(m, caps, listed)
         return judge(u, graphs if tally is None else counted(graphs), partners)
 
     if inputs is None:

@@ -216,14 +216,24 @@ class Resynchronizer:
 
 # -- membership -------------------------------------------------------------
 
-def _check_graph_pair(sigma, sigma_p):
+def _check_graph_pair(sigma, sigma_p, base):
     if sigma.input != sigma_p.input or sigma.output != sigma_p.output:
         raise ResyncError("resynchronization relates graphs with equal input and output words")
+    if not base.issuperset(sigma.input):
+        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
 
 
 def check_witness(resync, sigma: OriginGraph, sigma_p: OriginGraph, witness: ResyncWitness) -> bool:
-    """Re-check a parameter valuation against gamma at every output position."""
-    _check_graph_pair(sigma, sigma_p)
+    """Re-check a parameter valuation against gamma at every output position.
+
+    The graphs are checked as ``pair_in_resync`` checks them, and the
+    valuation must hold one vector per parameter, each with one bit, 0 or
+    1, per input position; otherwise ``ResyncError``."""
+    _check_graph_pair(sigma, sigma_p, resync.base)
+    n = len(sigma.input)
+    if len(witness.params) != resync.m or any(
+            len(vec) != n or not all(b in (0, 1) for b in vec) for vec in witness.params):
+        raise ResyncError(f"a witness holds {resync.m} vectors of {n} bits, each 0 or 1")
     pairs = {(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))}
     return all(resync.gamma_holds(sigma.input, witness.params, xh, yh) for (xh, yh) in pairs)
 
@@ -289,9 +299,7 @@ def pair_in_resync(resync: Resynchronizer, sigma: OriginGraph, sigma_p: OriginGr
     valuation position-major: its per-position rows of parameter bits are
     compared lexicographically.
     """
-    _check_graph_pair(sigma, sigma_p)
-    if not set(sigma.input) <= resync.base:
-        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
+    _check_graph_pair(sigma, sigma_p, resync.base)
     pairs = sorted({(sigma.orig[t], sigma_p.orig[t]) for t in range(len(sigma.output))})
     found = _least_valuation([(resync, x, y) for (x, y) in pairs], sigma.input, resync.m)
     return None if found is None else ResyncWitness(found)
@@ -728,10 +736,8 @@ def extended_pair_in_resync(ext: ExtendedResynchronizer, sigma: OriginGraph,
     the input witness is the least valuation position-major, as
     ``pair_in_resync``'s is.
     """
-    _check_graph_pair(sigma, sigma_p)
+    _check_graph_pair(sigma, sigma_p, ext.input_base)
     u, v = sigma.input, sigma.output
-    if not set(u) <= ext.input_base:
-        raise ResyncError("input word uses letters outside the resynchronizer's base alphabet")
     if not set(v) <= ext.output_base:
         raise ResyncError("output word uses letters outside the resynchronizer's output alphabet")
     for obits in itertools.product(itertools.product((0, 1), repeat=len(v)), repeat=ext.n_out):

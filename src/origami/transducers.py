@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .automata import _closure
+
 EPS = None          # input component of an epsilon transition
 LMARK = "<"         # left endmarker of a two-way tape
 RMARK = ">"         # right endmarker
@@ -478,10 +480,13 @@ def origin_equivalent_upto(t1, t2, max_input_len, caps: RunCaps):
     Returns (True, None) or (False, counterexample) where the counterexample
     is a minimal-input-length graph present in exactly one side (smallest
     by (input, output, orig) among those).  Compares one input length at a
-    time; a one-way side is swept (``_graph_sets``).
+    time; a one-way side is swept (``_graph_sets``).  Equal machines are
+    equivalent without a run.
     """
     if t1.input_alphabet != t2.input_alphabet or t1.output_alphabet != t2.output_alphabet:
         raise TransducerAlphabetError("transducers must share input and output alphabets")
+    if t1 == t2:
+        return (True, None)
     for n in range(1, max_input_len + 1):
         diff = []
         for g1, g2 in zip(_graph_sets(t1, n, caps), _graph_sets(t2, n, caps)):
@@ -532,15 +537,12 @@ class MatchIndex:
                               if all((q, a, (), q) in silent for a in t.input_alphabet))
         # states from which a run can still read an input letter; a lattice
         # node (q, i, j) with input left over and q outside is a dead end
-        readers = {p for (p, a, out, q) in t.transitions if a is not EPS}
-        grown = True
-        while grown:
-            grown = False
-            for (p, a, out, q) in t.transitions:
-                if a is EPS and q in readers and p not in readers:
-                    readers.add(p)
-                    grown = True
-        self.readers = frozenset(readers)
+        eps_pred = {}
+        for (p, a, out, q) in t.transitions:
+            if a is EPS:
+                eps_pred.setdefault(q, set()).add(p)
+        self.readers = frozenset(_closure(
+            {p for (p, a, out, q) in t.transitions if a is not EPS}, eps_pred))
 
     def search(self, u, v, allowed=None, each=None):
         """Does some accepting run on u write exactly v and pass the checks?

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -966,3 +967,47 @@ def test_two_way_calls_in_any_order_match_fresh_copies(data, pair, same):
         c2 = c1 if same else rebuilt(t2)
         want.append(two_way_call(*((c2, c1) if swap else (c1, c2)), kind, caps))
     assert got == want
+
+
+def each_call_in_turn(t1, t2, caps):
+    """Equivalence, containment under identity, the profile and the R_k
+    search on t1 and t2 under one caps, and the runs of two-way machines
+    they make, as (machine, input, caps)."""
+    runs, run = [], transducers._run_2nt
+
+    def counted(t, u, c):
+        runs.append((t, u, c))
+        return run(t, u, c)
+
+    with mock.patch.object(transducers, "_run_2nt", counted):
+        got = [two_way_call(t1, t2, kind, caps)
+               for kind in ("equiv", "contains", "profile", "search")]
+    return got, runs
+
+
+def assert_each_run_made_once(t1, t2, caps):
+    # the calls share one caps, so each machine runs each input at most
+    # once, and a t2 equal to t1 reads t1's runs; the answers are those of
+    # copies never asked before
+    got, runs = each_call_in_turn(t1, t2, caps)
+    keys = [(id(t), u) for (t, u, _c) in runs]
+    assert len(keys) == len(set(keys))
+    assert all(c == caps for (_t, _u, c) in runs)
+    if t2 == t1:
+        assert all(t is t1 for (t, _u, _c) in runs)
+    c1 = rebuilt(t1)
+    c2 = c1 if t2 is t1 else rebuilt(t2)
+    assert got == each_call_in_turn(c1, c2, caps)[0]
+
+
+@pytest.mark.parametrize("order", ["id-rev", "rev-id"])
+def test_reversal_pair_runs_each_input_once(order):
+    t1, t2 = corpus.t_id(), corpus.t_rev()
+    assert_each_run_made_once(*((t1, t2) if order == "id-rev" else (t2, t1)), RunCaps(6, 16))
+
+
+@given(two_way_pairs(), st.sampled_from(("drawn", "same", "copy")), st.sampled_from(TWO_WAY_CAPS))
+def test_two_way_calls_run_each_input_once(pair, t2_is, caps):
+    t1, t2 = pair
+    t2 = {"drawn": t2, "same": t1, "copy": rebuilt(t1)}[t2_is]
+    assert_each_run_made_once(t1, t2, caps)

@@ -11,7 +11,8 @@ from origami.formats import (parse_automaton, format_automaton, parse_transducer
                              parse_origin_graph, format_origin_graph, parse_resynchronizer,
                              FormatError)
 from origami.automata import language_equal_upto
-from origami.resync import Resynchronizer, ExtendedResynchronizer
+from origami.resync import (Resynchronizer, ExtendedResynchronizer, is_bounded,
+                            simplify_extended)
 from origami.reduction import halt2
 from origami.transducers import RunCaps, run_origin_graphs, OriginGraph
 from origami.mso import mso_compile, parse_formula
@@ -168,11 +169,27 @@ def test_cli_resync_check(capsys):
     assert code == 1
 
 
+def test_cli_resync_check_prints_the_parameter_witness(tmp_path, capsys):
+    src, tgt = tmp_path / "src.graph", tmp_path / "tgt.graph"
+    src.write_text(format_origin_graph(OriginGraph("ab", "c", (1,))))
+    tgt.write_text(format_origin_graph(OriginGraph("ab", "c", (2,))))
+    assert main(["resync-check", data("param_example.rsync"), str(src), str(tgt)]) == 0
+    assert capsys.readouterr().out == "accepted\n  I = {1}\n"
+
+
 def test_cli_resync_bounded(capsys):
     assert main(["resync-bounded", data("pm1.rsync")]) == 0
     assert main(["resync-bounded", data("univ.rsync")]) == 1
     out = capsys.readouterr().out
     assert "unbounded" in out
+
+
+def test_cli_resync_bounded_simplifies_an_extended_file(capsys):
+    # an extended resynchronizer is decided through its simplified form
+    want = is_bounded(simplify_extended(formats.load(data("first_to_last.rsync"))))
+    assert want.bounded
+    assert main(["resync-bounded", data("first_to_last.rsync")]) == 0
+    assert capsys.readouterr().out == f"bounded: {want.detail}\n"
 
 
 def test_cli_contains(capsys):
@@ -189,6 +206,25 @@ def test_cli_resync_search(capsys):
                  "--k-max", "2", "--max-len", "4"])
     out = capsys.readouterr().out
     assert code == 0 and "R_1" in out
+
+
+def test_cli_resync_search_json_and_not_found(capsys):
+    args = ["resync-search", data("slow.1nt"), data("fast.1nt"), "--max-len", "4"]
+    assert main(args + ["--k-max", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["found"], payload["k"], payload["verdict"]["status"]) == (
+        True, 1, "holds-on-sweep")
+    assert main(args + ["--k-max", "0"]) == 1
+    assert capsys.readouterr().out == (
+        "not found up to k=0; traversal profile:\n  1: 0\n  2: 1\n  3: 1\n  4: 1\n")
+
+
+def test_cli_origin_graphs_warns_when_capped(capsys):
+    # the identity writes four letters on aaaa, over the output cap of 2
+    assert main(["origin-graphs", data("id.2nt"), "aaaa", "--max-output", "2"]) == 0
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "warning: enumeration capped, results are a sample\n"
 
 
 def test_cli_traversal_profile(capsys):

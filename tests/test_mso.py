@@ -111,18 +111,20 @@ def test_compile_matches_evaluator_rtrav():
 
 # generated formulas: every node kind, free variables drawn from x, y, X
 VARS = ("X", "x", "y")
+# every set of variables the formulas may bind
+BOUND_SETS = [c for r in range(4) for c in itertools.combinations(VARS, r)]
 
 
 @st.composite
-def formula_cases(draw, count=1):
+def formula_cases(draw, count=1, bound_sets=BOUND_SETS):
     """``count`` formulas, then a signature holding their free variables
-    (and maybe more, in any order).  Variables bound in the formulas are
-    left out of the signature and never bound twice on one path, as the
-    compiler requires; a quantifier may bind a variable its body does not
-    use.  Conjunctions come through ``f_and`` and universal quantifiers
-    through ``forall``, the shapes the parser builds."""
-    bound = set(draw(st.sampled_from(
-        [c for r in range(4) for c in itertools.combinations(VARS, r)])))
+    (and maybe more, in any order).  The variables bound in the formulas
+    are one of ``bound_sets``; they are left out of the signature and
+    never bound twice on one path, as the compiler requires; a quantifier
+    may bind a variable its body does not use.  Conjunctions come through
+    ``f_and`` and universal quantifiers through ``forall``, the shapes the
+    parser builds."""
+    bound = set(draw(st.sampled_from(bound_sets)))
     sig = tuple(draw(st.permutations([v for v in VARS if v not in bound])))
 
     def gen(depth, scope):

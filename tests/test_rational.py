@@ -231,6 +231,41 @@ def test_shift_semantics_against_regular():
     assert checked > 100
 
 
+def test_shift_matches_the_direct_rule_on_every_small_pair():
+    # every input over {a, b} up to length 4, output over {c, d} up to
+    # length 3 and pair of nondecreasing origin tuples: shift(k) accepts
+    # exactly when every output's first origin is 0..k past its second
+    shifts = [make_rational_shift(k, SIG, GAM) for k in range(4)]
+    checked = 0
+    for n in range(1, 5):
+        for m in range(4):
+            origs = list(itertools.combinations_with_replacement(range(1, n + 1), m))
+            for u in itertools.product(SIG, repeat=n):
+                for v in itertools.product(GAM, repeat=m):
+                    for o1, o2 in itertools.product(origs, repeat=2):
+                        g1, g2 = graph(u, v, o1), graph(u, v, o2)
+                        gaps = [x - y for x, y in zip(o1, o2)]
+                        for k, r in enumerate(shifts):
+                            want = all(0 <= d <= k for d in gaps)
+                            assert rational_pair_accepts(r, g1, g2, SIG, GAM) == want, (g1, g2, k)
+                            checked += 1
+    assert checked == 266216
+
+
+def test_shift_rejects_pair_words_whose_components_disagree():
+    # words of pair letters that zip no two interleavings of equal words,
+    # which the rule above never meets: the components write different
+    # letters, read different letters, or the first reads k + 2 letters
+    # ahead while the second holds a letter of neither alphabet (over the
+    # alphabets, an output k + 1 letters old is rejected first)
+    r = make_rational_shift(1, SIG, GAM)
+    assert r.accepts_pairs((("a", "a"), ("c", "c")))
+    assert not r.accepts_pairs((("a", "a"), ("c", "d")))
+    assert not r.accepts_pairs((("a", "b"),))
+    assert not r.accepts_pairs((("a", "c"), ("c", "c"), ("a", "c")))
+    assert not r.accepts_pairs((("a", "#"),) * 3 + (("#", "a"),) * 3)
+
+
 def test_zip_pair_requires_equal_words():
     w1 = interleave(graph("ab", "c", (1,)), SIG, GAM)
     w2 = interleave(graph("ab", "cd", (1, 2)), SIG, GAM)
