@@ -13,11 +13,9 @@ judge, ``contains_upto``'s partner test or ``traversal_profile``'s least
 traversal.  It keeps ``pruned`` and the sweep counters, and every partner
 query goes through one ``search``: ``MatchIndex.search`` on a one-way
 t2's run lattice, or a ``_Listing`` of a two-way t2's graphs on the
-input, grouped by output in ``sort_key`` order.  The listing asks
-``run_origin_graphs`` for t2's run under the sweep's caps on the first
-query; the run is kept on the machine, so an earlier call on the same
-object may have made it, and a t2 equal to t1 reads t1's runs, which the
-sweep has made.  Parameterless
+input, grouped by output in ``sort_key`` order, from t2's run under the
+sweep's caps (kept on the machine, so an earlier call may have made it;
+a t2 equal to t1 reads the runs the sweep made of t1).  Parameterless
 resynchronizers check a table of gamma answers, one per input, during
 the search, without enumerating graphs; other resynchronizers, and the
 traversal profile, test each distinct partner the search finds.
@@ -121,7 +119,7 @@ class _Listing:
     returns true.
 
     The first search asks ``run_origin_graphs`` for the run of the machine
-    m on the input under the sweep's caps, and groups its graphs by
+    m on the input under the sweep's caps and groups its origin tuples by
     output.  The run comes from m's memo when an earlier call on the same
     object made it.  A tally dict counts in ``t2_runs`` the listings that
     asked for a run, whether or not it was made anew.
@@ -134,21 +132,21 @@ class _Listing:
     def search(self, u, v, allowed=None, each=None):
         if self.groups is None:
             self.groups = {}
-            res = run_origin_graphs(self.m, u, self.caps)
-            for g in sorted(res.graphs, key=OriginGraph.sort_key):
-                self.groups.setdefault(g.output, []).append(g)
+            for v2, org in sorted((g.output, g.orig) for g in run_origin_graphs(
+                    self.m, u, self.caps).graphs):
+                self.groups.setdefault(v2, []).append(org)
             if self.tally is not None:
                 self.tally["t2_runs"] += 1
         cache, keys, fill = allowed or _NO_TABLE
-        for g in self.groups.get(v, ()):
-            for h, key in zip(g.orig, keys):
+        for org in self.groups.get(v, ()):
+            for h, key in zip(org, keys):
                 got = cache.get((h, key))
                 if got is None:
                     got = fill(h, key)
                 if not got:
                     break
             else:
-                if each is None or each(g.orig):
+                if each is None or each(org):
                     return True
         return False
 

@@ -225,10 +225,9 @@ def _check_graph_pair(sigma, sigma_p, base):
 
 def check_witness(resync, sigma: OriginGraph, sigma_p: OriginGraph, witness: ResyncWitness) -> bool:
     """Re-check a parameter valuation against gamma at every output position.
-
-    The graphs are checked as ``pair_in_resync`` checks them, and the
-    valuation must hold one vector per parameter, each with one bit, 0 or
-    1, per input position; otherwise ``ResyncError``."""
+    The graphs are checked as ``pair_in_resync`` checks them; a valuation
+    that is not one vector of |u| bits 0 or 1 per parameter raises
+    ``ResyncError``."""
     _check_graph_pair(sigma, sigma_p, resync.base)
     n = len(sigma.input)
     if len(witness.params) != resync.m or any(
