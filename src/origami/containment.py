@@ -120,9 +120,10 @@ class _Listing:
 
     The first search asks ``run_origin_graphs`` for the run of the machine
     m on the input under the sweep's caps and groups its origin tuples by
-    output.  The run comes from m's memo when an earlier call on the same
-    object made it.  A tally dict counts in ``t2_runs`` the listings that
-    asked for a run, whether or not it was made anew.
+    output, each group sorted (``sort_key`` order).  The run comes from
+    m's memo when an earlier call on the same object made it.  A tally
+    dict counts in ``t2_runs`` the listings that asked for a run, whether
+    or not it was made anew.
     """
 
     def __init__(self, m, caps, tally):
@@ -132,9 +133,10 @@ class _Listing:
     def search(self, u, v, allowed=None, each=None):
         if self.groups is None:
             self.groups = {}
-            for v2, org in sorted((g.output, g.orig) for g in run_origin_graphs(
-                    self.m, u, self.caps).graphs):
-                self.groups.setdefault(v2, []).append(org)
+            for g in run_origin_graphs(self.m, u, self.caps).graphs:
+                self.groups.setdefault(g.output, []).append(g.orig)
+            for origs in self.groups.values():
+                origs.sort()
             if self.tally is not None:
                 self.tally["t2_runs"] += 1
         cache, keys, fill = allowed or _NO_TABLE
