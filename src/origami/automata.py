@@ -15,7 +15,8 @@ complement, Moore minimization, adding and projecting tracks) run on
 diagram over the base letter and the track bits, in the manner of MONA.
 A letter region that acts alike is one path, however many letters it
 holds; the triples are written out only when a ``StructuredNfa`` is
-returned.
+returned.  A minimized DFA can instead be returned as its step table
+(``StepDfa``), which writes its triples out only when they are read.
 """
 
 from __future__ import annotations
@@ -70,8 +71,19 @@ class StructuredAlphabet:
                 return True
         except TypeError:
             pass  # unhashable, e.g. list bits: the full check below decides
+        return self._holds(letter)
+
+    def _holds(self, letter):
         a, bits = letter
         return a in self.base and len(bits) == len(self.tracks) and all(b in (0, 1) for b in bits)
+
+    def normal_letter(self, letter):
+        """``letter`` as ``(base, tuple(bits))``, the form transitions use,
+        when ``contains_letter`` holds; ``AlphabetMismatchError`` when it is
+        false.  Checks the letter without building the letter set."""
+        if not self._holds(letter):
+            raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
+        return letter[0], tuple(letter[1])
 
     def track_index(self, name) -> int:
         try:
@@ -168,13 +180,18 @@ class StructuredNfa:
         """Run the subset construction lazily: each (state set, letter)
         step is computed once per automaton and then read from a table.
         A letter is checked against the alphabet when its step is first
-        computed, so a letter outside it raises ``AlphabetMismatchError``."""
+        computed, so a letter outside it raises ``AlphabetMismatchError``;
+        a letter with list bits is read as its tuple form.  A ``StepDfa``
+        reads its step table instead."""
+        return self._accepts(word)
+
+    def _accepts(self, word):
         cur = self.initial
         steps = self._steps
         for letter in word:
             try:
                 nxt = steps.get((cur, letter))
-            except TypeError:     # unhashable letter: the check below decides
+            except TypeError:     # unhashable letter: the step below reads its tuple form
                 nxt = None
             if nxt is None:
                 nxt = self._subset_step(cur, letter)
@@ -194,8 +211,7 @@ class StructuredNfa:
         return {}
 
     def _subset_step(self, cur, letter):
-        if not self.alphabet.contains_letter(letter):
-            raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
+        letter = self.alphabet.normal_letter(letter)
         d = self._delta
         nxt = frozenset().union(*(d.get((p, letter), ()) for p in cur))
         nxt = self._subsets.setdefault(nxt, nxt)
@@ -286,6 +302,69 @@ class StructuredNfa:
                 seen.add(tgt)
                 queue.append((tgt, w2))
         return None
+
+
+class StepDfa(StructuredNfa):
+    """A complete DFA on the states 0 .. n - 1 that is its step table:
+    ``steps[a][s]`` lists the successors of s on the base letter a, one
+    per bit vector over the tracks in ``itertools.product`` order.
+
+    ``transitions`` is written out from the table on first access, states
+    in ``repr`` order and each state's letters in ``letters()`` order, as
+    ``GuardedNfa.to_nfa`` writes them; nothing else builds it but what
+    reads it (equality, hashing, ``repr``, the explicit operations).
+    ``accepts`` indexes the table.  Equality, hashing and ``repr`` are
+    those of a ``StructuredNfa`` with the same fields, which it equals."""
+
+    @classmethod
+    def _from_table(cls, alphabet, initial, final, steps):
+        d = object.__new__(cls)
+        states = frozenset(range(len(next(iter(steps.values())))))
+        for field, value in (("alphabet", alphabet), ("states", states), ("initial", initial),
+                             ("final", final), ("steps", steps), ("_columns", {})):
+            object.__setattr__(d, field, value)
+        return d
+
+    @cached_property
+    def transitions(self):
+        bits = list(itertools.product((0, 1), repeat=len(self.alphabet.tracks)))
+        letters = [[(a, b) for b in bits] for a in self.steps]
+        trans = []
+        for p in sorted(self.states, key=repr):
+            for ltrs, rows in zip(letters, self.steps.values()):
+                trans += zip(itertools.repeat(p), ltrs, rows[p])
+        return tuple(trans)
+
+    def __eq__(self, other):
+        if not isinstance(other, StructuredNfa):
+            return NotImplemented
+        return (self.alphabet, self.states, self.initial, self.final, self.transitions) == \
+            (other.alphabet, other.states, other.initial, other.final, other.transitions)
+
+    __hash__ = StructuredNfa.__hash__
+
+    def __repr__(self):
+        return repr(StructuredNfa._unchecked(self.alphabet, self.states, self.initial,
+                                             self.final, self.transitions))
+
+    def _accepts(self, word):
+        s = next(iter(self.initial))
+        cols = self._columns   # letter -> (its base letter's rows, its bits' entry)
+        for letter in word:
+            try:
+                rows, i = cols[letter]
+            except (KeyError, TypeError):   # first met, outside the alphabet, or unhashable
+                rows, i = self._column(letter)
+            s = rows[s][i]
+        return s in self.final
+
+    def _column(self, letter):
+        a, bits = letter = self.alphabet.normal_letter(letter)
+        i = 0
+        for b in bits:
+            i = 2 * i + int(b)
+        self._columns[letter] = (self.steps[a], i)
+        return self.steps[a], i
 
 
 def _closure(seed, edges):
@@ -552,27 +631,36 @@ class GuardedNfa:
                                         frozenset(names[i] for i in self.initial),
                                         frozenset(names[i] for i in self.final), tuple(trans))
 
-    def to_dfa(self):
+    def to_dfa(self) -> StepDfa:
         """A complete DFA on the states 0 .. n - 1, as ``minimize`` returns
-        it, written out in one walk over its diagrams: ``to_nfa()``, with
-        its transitions in the same order, and the step table, where
-        ``steps[a][s]`` lists the successors of s on the base letter a, one
-        per bit vector over the tracks in ``itertools.product`` order."""
+        it, as its step table (``StepDfa``), filled straight from the
+        diagrams: one recursion, memoized on (node, level), gives each
+        node the successors of its letters in bit order, so a state's row
+        ``steps[a][s]`` is its diagram's tuple for the base letter a,
+        shared with every other row of the same diagram.  The explicit
+        transitions are ``to_nfa()``'s, in the same order, and are written
+        out only when read."""
+        dd = self.dd
+        level, kids = dd.level, dd.kids
         ntracks = len(self.alphabet.tracks)
-        bits = list(itertools.product((0, 1), repeat=ntracks))
-        width = len(bits)
-        letters = [[(a, b) for b in bits] for a in self.dd.base]
         memo = {}
-        trans = []
-        steps = {a: [None] * len(self.rows) for a in self.dd.base}
-        for p in sorted(range(len(self.rows)), key=repr):
-            succ = [t[0] for _ai, _idx, t in self.dd.letter_table(self.rows[p], ntracks, memo)]
-            for ai, a in enumerate(self.dd.base):
-                row = steps[a][p] = tuple(succ[ai * width:(ai + 1) * width])
-                trans += zip(itertools.repeat(p), letters[ai], row)
-        nfa = StructuredNfa._unchecked(self.alphabet, frozenset(range(len(self.rows))),
-                                       self.initial, self.final, tuple(trans))
-        return nfa, {a: tuple(rows) for a, rows in steps.items()}
+
+        def succ(u, lvl):   # the successors below u for the bit vectors of tracks lvl..
+            key = (u, lvl)
+            r = memo.get(key)
+            if r is None:
+                if level[u] == _LEAF:
+                    r = kids[u][:1] * (1 << (ntracks + 1 - lvl))
+                else:
+                    lo, hi = kids[u] if level[u] == lvl else (u, u)
+                    r = succ(lo, lvl + 1) + succ(hi, lvl + 1)
+                memo[key] = r
+            return r
+
+        width = len(dd.base)
+        by_letter = [kids[r] if level[r] == 0 else (r,) * width for r in self.rows]
+        steps = {a: tuple(succ(ks[ai], 1) for ks in by_letter) for ai, a in enumerate(dd.base)}
+        return StepDfa._from_table(self.alphabet, self.initial, self.final, steps)
 
     # -- structure ----------------------------------------------------------
 

@@ -15,10 +15,11 @@ query goes through one ``search``: ``MatchIndex.search`` on a one-way
 t2's run lattice, or a ``_Listing`` of a two-way t2's graphs on the
 input, grouped by output in ``sort_key`` order, from t2's run under the
 sweep's caps (kept on the machine, so an earlier call may have made it;
-a t2 equal to t1 reads the runs the sweep made of t1).  Parameterless
-resynchronizers check a table of gamma answers, one per input, during
-the search, without enumerating graphs; other resynchronizers, and the
-traversal profile, test each distinct partner the search finds.
+a t2 equal to t1 lists the graphs the sweep sorted for the judge).
+Parameterless resynchronizers check a table of gamma answers, one per
+input, during the search, without enumerating graphs; other
+resynchronizers, and the traversal profile, test each distinct partner
+the search finds.
 
 Frontier route: a plain call (one-way t1 and t2, parameterless
 ``Resynchronizer``, no membership callback, no recording) whose gamma
@@ -123,12 +124,23 @@ class _Listing:
     output, each group sorted (``sort_key`` order).  The run comes from
     m's memo when an earlier call on the same object made it.  A tally
     dict counts in ``t2_runs`` the listings that asked for a run, whether
-    or not it was made anew.
+    or not it was made anew.  ``of_graphs`` lists graphs already in
+    ``sort_key`` order instead, with no run and no sort.
     """
 
     def __init__(self, m, caps, tally):
         self.m, self.caps, self.tally = m, caps, tally
         self.groups = None
+
+    @classmethod
+    def of_graphs(cls, graphs):
+        """The listing of graphs given in ``sort_key`` order, all on one
+        input: the sweep's own graphs, when t2 is t1."""
+        listing = cls(None, None, None)
+        groups = listing.groups = {}
+        for g in graphs:
+            groups.setdefault(g.output, []).append(g.orig)
+        return listing
 
     def search(self, u, v, allowed=None, each=None):
         if self.groups is None:
@@ -162,11 +174,11 @@ def _sweep(t1, t2, max_input_len, caps, judge, stats, inputs=None):
     one.  Returns ``pruned`` over the inputs visited.  A dict stats
     receives the counters ``inputs`` visited, t1 ``graphs`` judged and
     ``t2_runs``, the runs of a two-way t2 that the listings ask for, made
-    or read from t2's memo.  A two-way t2 equal to t1 lists t1's runs,
-    which the sweep has already made, and counts none."""
+    or read from t2's memo.  A two-way t2 equal to t1 lists the graphs the
+    judge gets, in the order they are sorted in once, and counts no run."""
     tally = None if stats is None else {"inputs": 0, "graphs": 0, "t2_runs": 0}
     index = _index(t2) if isinstance(t2, OneWayTransducer) else None
-    m, listed = (t1, None) if index is None and t2 == t1 else (t2, tally)
+    own = index is None and t2 == t1
     pruned = False
 
     def counted(graphs):
@@ -182,7 +194,8 @@ def _sweep(t1, t2, max_input_len, caps, judge, stats, inputs=None):
         if not res1.graphs:
             return True
         graphs = sorted(res1.graphs, key=OriginGraph.sort_key)
-        partners = index if index is not None else _Listing(m, caps, listed)
+        partners = index if index is not None else \
+            _Listing.of_graphs(graphs) if own else _Listing(t2, caps, tally)
         return judge(u, graphs if tally is None else counted(graphs), partners)
 
     if inputs is None:

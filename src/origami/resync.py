@@ -106,8 +106,7 @@ class Resynchronizer:
             if not is_second_order(p):
                 raise ResyncError(f"parameter names must be second-order (uppercase): {p!r}")
         self._nfa = gamma_automaton
-        self._dfa = None
-        self._steps = None
+        self._dfa = None     # see gamma_dfa
         self._dead = None    # the gamma-DFA state from which nothing is accepted
         self._search = None  # see _search_table
         self._classes = None  # _LetterClasses of gamma for boundedness
@@ -139,26 +138,28 @@ class Resynchronizer:
         bits over params + (x, y) in ``itertools.product`` order, entry
         ``4 * r + 2 * x + y`` for row r.
 
-        Both come from one walk over the minimized diagrams
-        (``GuardedNfa.to_dfa``), the automaton's transitions in
-        ``to_nfa``'s order.  The dead state is found with them, for
-        ``_search_table``: the one state from which no word is accepted,
-        or None when every state can still accept.  In a minimized complete
-        DFA it is the non-final state whose every move leads back to
-        itself, kept as ``_dead``."""
+        The DFA is its step table (``automata.StepDfa``), filled straight
+        from the minimized diagrams (``GuardedNfa.to_dfa``): its
+        ``transitions``, in ``to_nfa``'s order, are written out only when
+        something reads them, and its ``accepts`` indexes the table.  The
+        dead state is found with the table, for ``_search_table``: the one
+        state from which no word is accepted, or None when every state can
+        still accept.  In a minimized complete DFA it is the non-final
+        state whose every move leads back to itself, kept as ``_dead``."""
         if self._dfa is None:
             if self.gamma_formula is not None:
                 g = mso.compile_guarded(self._compiled_formula(), self.signature, self.base)
             else:
                 g = GuardedNfa.from_nfa(self._nfa)
-            d, steps = g.minimize().to_dfa()
+            d = g.minimize().to_dfa()
+            steps = d.steps
             self._dead = next((s for s in range(len(d.states)) if s not in d.final
-                               and all(q == s for rows in steps.values() for q in rows[s])),
+                               and all(rows[s].count(s) == len(rows[s]) for rows in steps.values())),
                               None)
-            self._dfa, self._steps = d, steps
+            self._dfa = d
             self._search = (steps, d.final, self._dead,
                             tuple(itertools.product((0, 1), repeat=self.m)))
-        return self._dfa, self._steps
+        return self._dfa, self._dfa.steps
 
     def _search_table(self):
         """What ``_least_valuation`` reads of this gamma, built once with

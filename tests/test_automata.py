@@ -134,9 +134,21 @@ def test_letter_validation_kinds():
         with pytest.raises(AlphabetMismatchError):
             StructuredNfa(alpha, {"p"}, {"p"}, {"p"}, (("p", letter, "p"),))
     n = StructuredNfa(alpha, {"p"}, {"p"}, {"p"}, (("p", ("a", (0, 1)), "p"),))
-    for letter in bad[:6]:
-        with pytest.raises(AlphabetMismatchError):
-            n.accepts([("a", (0, 1)), letter])
+    # the same language as a step table: the subset construction's DFA, minimized
+    dfa = GuardedNfa.from_nfa(n).minimize().to_dfa()
+    for m in (n, dfa):
+        for letter in bad[:6]:
+            with pytest.raises(AlphabetMismatchError):
+                m.accepts([("a", (0, 1)), letter])
+        # a letter gets the answer of its tuple form, as a word's first
+        # letter and after a step
+        for letter in good:
+            tuple_form = (letter[0], tuple(letter[1]))
+            for prefix in ([], [("a", (0, 1))], [("b", (1, 1))]):
+                assert m.accepts(prefix + [letter]) == m.accepts(prefix + [tuple_form]), letter
+        assert [m.accepts([letter]) for letter in good] == [True, False, False, False]
+        for letter in bad[6:]:
+            assert _outcome(m.accepts, [letter]) == _outcome(alpha.contains_letter, letter)
 
 
 def test_delta_is_read_only_and_pickles(contains_a):
@@ -150,6 +162,26 @@ def test_delta_is_read_only_and_pickles(contains_a):
     # process pools pickle automata whose map is already built
     again = pickle.loads(pickle.dumps(contains_a))
     assert again == contains_a and again.delta() == d
+
+
+def test_step_dfa_compares_hashes_prints_and_pickles_as_its_explicit_automaton():
+    g = GuardedNfa.from_nfa(nfa("ab", ("x",), "pq", "p", "q", [
+        ("p", ("a", (1,)), "q"), ("p", ("b", (0,)), "p"), ("q", ("a", (0,)), "q")])).minimize()
+    explicit = g.to_nfa()
+    for read_first in (False, True):
+        d = g.to_dfa()
+        if read_first:
+            assert d.transitions == explicit.transitions
+        # pickled before and after anything read the transitions
+        again = pickle.loads(pickle.dumps(d))
+        assert d == explicit and explicit == d and again == explicit and explicit == again
+        assert not d != explicit and not explicit != d
+        assert hash(d) == hash(explicit) == hash(again)
+        assert repr(d) == repr(explicit) == repr(again)
+        assert len({d, explicit, again}) == 1
+        assert d != g.complement().to_nfa() and d != "d"
+        assert d.accepts([("a", (1,)), ("a", (0,))]) and again.accepts([("a", (1,))])
+        assert not again.accepts([("b", (1,))])
 
 
 @st.composite

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from origami import cli, resync
 from origami.formats import format_automaton
@@ -18,6 +19,7 @@ from origami.mso import mso_compile, parse_formula
 
 from test_acceptance import MSO_CORPUS
 from test_mso import CORPUS
+from test_resync import gammas_with_params, minimized_diagrams
 
 AB = ("a", "b")
 HALT2_LETTERS = tuple(f"t{i}" for i in range(1, 13))   # HALT2's twelve tiles
@@ -164,11 +166,37 @@ COMPILE_DIGESTS = {
 def test_gamma_dfa_digest(name, r):
     dfa, steps = r.gamma_dfa()
     assert automaton_digest(dfa) == GAMMA_DIGESTS[name]
-    # the step table lists exactly the DFA's transitions, rows in product order
-    rows = list(itertools.product((0, 1), repeat=len(dfa.alphabet.tracks)))
-    listed = [(p, (a, bits), q) for a, table in steps.items()
-              for p, succ in enumerate(table) for bits, q in zip(rows, succ, strict=True)]
-    assert sorted(listed) == sorted(dfa.transitions)
+    assert_table_lists_the_diagrams(r)
+
+
+def assert_table_lists_the_diagrams(r):
+    """The step table against ``to_nfa()`` of the same minimized diagrams,
+    the letter-table walk ``compile_dfa`` writes out: the same states, and
+    the table's entries, read state by state in ``repr`` order, then base
+    letter by base letter, bits in product order, are its transitions in
+    order; the DFA's transitions, written out from the table, are that
+    tuple."""
+    dfa, steps = r.gamma_dfa()
+    ref = minimized_diagrams(r).to_nfa()
+    assert (dfa.alphabet, dfa.states, dfa.initial, dfa.final) == \
+        (ref.alphabet, ref.states, ref.initial, ref.final)
+    assert list(steps) == sorted(ref.alphabet.base)
+    assert all(len(table) == len(ref.states) for table in steps.values())
+    rows = list(itertools.product((0, 1), repeat=len(ref.alphabet.tracks)))
+    listed = [(p, (a, bits), q) for p in sorted(ref.states, key=repr)
+              for a, table in steps.items() for bits, q in zip(rows, table[p], strict=True)]
+    assert listed == list(ref.transitions)
+    assert dfa.transitions == ref.transitions
+
+
+@settings(max_examples=100)
+@given(gammas_with_params())
+def test_step_table_lists_the_diagrams_on_generated_gammas(r):
+    assert_table_lists_the_diagrams(r)
+
+
+def test_step_table_lists_the_diagrams_on_r5():
+    assert_table_lists_the_diagrams(resync.make_Rk(5, base=AB))
 
 
 @pytest.mark.parametrize("name,formula,sig,base", list(compile_cases()),

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -7,17 +8,19 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from origami import corpus, transducers
-from origami.mso import First, parse_formula
+from origami import containment, corpus, transducers
+from origami.automata import StepDfa
+from origami.mso import First, compile_dfa, parse_formula
 from origami.transducers import (RunCaps, OriginGraph, OneWayTransducer, EPS,
                                  enumerate_matching_graphs, origin_equivalent_upto,
                                  run_origin_graphs, words_upto)
 from origami.traversal import GreedyLabelError, greedy_label, max_traversal
 from origami.reduction import grow, halt2, build_tiles, build_Tdown, build_Tup
 from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1, make_Rk,
+                            make_universal,
                             make_shift, make_param_example, compose, pair_in_resync,
                             check_witness, make_first_to_last, make_first, make_block,
-                            ExtendedResynchronizer)
+                            ExtendedResynchronizer, bounded_by, is_bounded)
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, report_json, _ext_precheck_m0)
 
@@ -836,6 +839,34 @@ def test_a_frontier_call_keeps_neither_machine_alive():
     assert [ref() for ref in held] == [None, None]
 
 
+def test_calls_on_gamma_never_write_out_its_transitions(monkeypatch, t_first, t_last):
+    # every reader of gamma's moves reads the step table; the transitions are
+    # written out when read, as the tuple compile_dfa writes
+    written = []
+    lazy = StepDfa.__dict__["transitions"]
+    spy = functools.cached_property(lambda d: written.append(d) or lazy.func(d))
+    spy.__set_name__(StepDfa, "transitions")
+    monkeypatch.setattr(StepDfa, "transitions", spy)
+    caps = RunCaps(6, 40)
+    shift, ident, param = make_shift(1), make_identity(), make_param_example()
+    rk, pm1 = make_Rk(2), make_pm1()
+    for r, route, kw in ((shift, "frontier", {}), (ident, "sweep", {"record": True}),
+                         (param, "sweep", {})):
+        stats = {}
+        contains_upto(t_first, t_last, r, 3, caps, stats=stats, **kw)
+        assert stats["route"] == route
+    assert contains_upto(t_last, t_first, make_param_example(), 3, caps).holds
+    sigma = OriginGraph("abab", "cd", (1, 3))
+    assert pair_in_resync(rk, sigma, OriginGraph("abab", "cd", (3, 1))) is not None
+    assert bounded_by(pm1, 1, 4) is not None and is_bounded(pm1).bounded
+    assert resync_search(t_first, t_last, 2, 3, caps).found
+    assert written == []
+    for r in (shift, ident, param, rk, pm1):
+        dfa = r.gamma_dfa()[0]
+        assert dfa.transitions == compile_dfa(r._compiled_formula(), r.signature, r.base).transitions
+    assert len(written) == 5
+
+
 def test_one_way_tables_are_built_once_per_machine(monkeypatch):
     built = {"MatchIndex": [], "transition_index": []}
     index_init, buckets = transducers.MatchIndex.__init__, transducers.transition_index
@@ -948,6 +979,33 @@ def two_way_call(t1, t2, kind, caps):
     if kind == "equiv":
         return origin_equivalent_upto(t1, t2, 3, caps)
     return report_json(resync_search(t1, t2, 2, 3, caps))
+
+
+@given(two_way_pairs(), st.sampled_from(TWO_WAY_CAPS))
+def test_two_way_self_calls_list_the_sweeps_own_graphs(pair, caps):
+    # with t2 = t1 the partners are the graphs the sweep sorted for the
+    # judge: no listing asks for a run, and the answers are those of
+    # listings that group t1's run themselves, as for another t2
+    t = pair[0]
+    asked = []
+
+    def run(*args):
+        asked.append(args)
+        return run_origin_graphs(*args)
+
+    def calls(t):
+        # the recorded partners are the first each search admits
+        recorded = contains_upto(t, t, make_universal(LETTERS), 3, caps, record=True)
+        return [two_way_call(t, t, kind, caps) for kind in ("contains", "profile", "search")] + \
+            [report_json(recorded), recorded.pairs]
+
+    with mock.patch.object(containment, "run_origin_graphs", run):
+        got = calls(t)
+    assert asked == []
+    c = rebuilt(t)
+    with mock.patch.object(containment._Listing, "of_graphs",
+                           staticmethod(lambda graphs: containment._Listing(c, caps, None))):
+        assert calls(c) == got
 
 
 @given(st.data(), two_way_pairs(), st.booleans())

@@ -7,11 +7,12 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from origami.automata import (StructuredAlphabet, StructuredNfa, ambiguity_report,
-                              language_equal_upto, FINITE, _closure, _scc)
+from origami.automata import (AlphabetMismatchError, GuardedNfa, StructuredAlphabet,
+                              StructuredNfa, ambiguity_report, language_equal_upto, FINITE,
+                              _closure, _scc)
 from origami.formats import parse_resynchronizer
 from origami.mso import (Top, Letter, Leq, Lt, Succ, First, Last, InSet, Or, Not, Exists,
-                         f_and, parse_formula, is_second_order, evaluate)
+                         f_and, parse_formula, is_second_order, evaluate, compile_guarded)
 from origami.transducers import OriginGraph
 from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             pair_in_resync, check_witness, rename_free,
@@ -22,6 +23,7 @@ from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             make_first, make_param_example, make_block, make_Rk,
                             make_first_to_last, _violation_from_path)
 from origami.frontier import _t2_may_lead
+from test_automata import _outcome
 from test_mso import formula_cases
 
 
@@ -584,6 +586,52 @@ def test_gamma_holds_dfa_matches_evaluator(r):
             for params in itertools.product(itertools.product((0, 1), repeat=n), repeat=r.m):
                 for xh, yh in itertools.product(range(1, n + 1), repeat=2):
                     assert r.gamma_holds_dfa(u, params, xh, yh) == r.gamma_holds(u, params, xh, yh)
+
+
+def minimized_diagrams(r):
+    """r's gamma as the minimized decision diagrams that ``gamma_dfa``
+    fills its step table from."""
+    if r.gamma_formula is not None:
+        g = compile_guarded(r._compiled_formula(), r.signature, r.base)
+    else:
+        g = GuardedNfa.from_nfa(r.gamma_nfa())
+    return g.minimize()
+
+
+@st.composite
+def gammas_and_words(draw):
+    """A gammas_with_params gamma and extended words over its letters,
+    bits drawn as ints, bools or lists, some words with letters outside
+    the alphabet: another base letter, a bit 2, too few or too many bits."""
+    r = draw(gammas_with_params())
+    n = r.m + 2
+    bits = st.tuples(*[st.sampled_from((0, 1, False, True))] * n)
+    good = st.one_of(st.tuples(st.sampled_from("ab"), bits),
+                     st.tuples(st.sampled_from("ab"), bits.map(list)))
+    bad = st.one_of(st.tuples(st.just("c"), bits),
+                    st.tuples(st.sampled_from("ab"), st.lists(st.sampled_from((0, 1, 2)),
+                                                              min_size=n - 1, max_size=n + 1)))
+    word = st.lists(good, max_size=6) | st.lists(st.one_of(good, good, good, bad), max_size=6)
+    return r, draw(st.lists(word, min_size=1, max_size=8))
+
+
+@settings(max_examples=100)
+@given(gammas_and_words())
+@example((make_Rk(1), [[("a", (0, 0, 1, 1)), ("b", [True, False, 0, 1])],
+                       [("a", (0, 0, 1))], [("c", (0, 0, 0, 0))], [("a", (0, 0, 2, 1))]]))
+def test_step_table_accepts_matches_the_subset_construction(case):
+    # the step table's accepts against the subset construction of the
+    # DFA's transitions written out from the same diagrams; a letter outside
+    # the alphabet raises AlphabetMismatchError on both
+    r, words = case
+    dfa = r.gamma_dfa()[0]
+    ref = minimized_diagrams(r).to_nfa()
+    explicit = StructuredNfa(ref.alphabet, ref.states, ref.initial, ref.final, ref.transitions)
+    for w in words:
+        assert _outcome(dfa.accepts, w) == _outcome(explicit.accepts, w), w
+    assert "transitions" not in vars(dfa)
+    raised = [w for w in words if _outcome(dfa.accepts, w) is AlphabetMismatchError]
+    assert all(any(not ref.alphabet.contains_letter(ltr) for ltr in w) for w in raised)
 
 
 def t2_may_lead_reference(dfa, delta, letters):
