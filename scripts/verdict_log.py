@@ -20,10 +20,10 @@ boundedness result or violation field by field, or null.  A verdict's line
 also carries its ``saturated_at``, which the JSON leaves out, and a
 ``contains_upto`` or ``traversal_profile`` line the call's ``stats``
 without the seconds (route, macro-states per layer, gamma DFA sizes,
-sweep counters), from a dict of the logger's own when the caller passed
-none.  Calls made inside another logged call are not logged, and a line
-already written by this process is not written again, so a benchmark's
-repeated passes log as one.
+frontier or sweep counters), from a dict of the logger's own when the
+caller passed none.  Calls made inside another logged call are not
+logged, and a line already written by this process is not written
+again, so a benchmark's repeated passes log as one.
 
 Compiles are logged too, at any depth: every ``mso_compile`` call, by a
 digest of its formula's ``repr``, its signature and base letters, and

@@ -128,10 +128,13 @@ def cmd_resync_bounded(args):
 
 def _print_stats(stats, lines=()):
     """The route taken, then lines, then the frontier's macro-states per
-    layer or the sweep's counters, on stderr."""
+    layer and, for containment, its t2 steps and free exits, or the
+    sweep's counters, on stderr."""
     lines = [f"route: {stats['route']}", *lines]
     if stats["route"] == "frontier":
         lines.append("macro-states per layer: " + " ".join(map(str, stats["layers"])))
+        if "t2_steps" in stats:
+            lines.append(f"t2 steps: {stats['t2_steps']}, free exits: {stats['free_exits']}")
     else:
         lines += [f"inputs visited: {stats['inputs']}", f"t1 graphs checked: {stats['graphs']}",
                   f"t2 runs: {stats['t2_runs']}"]

@@ -286,7 +286,9 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
     are kept on the machine objects (``transducers._memo``) and shared by
     every call on them, ``traversal_profile``'s too; the gamma tables and
     the macro-states are the call's own.  A dict passed as ``stats``
-    receives the route taken, the new macro-states per layer and, without a
+    receives the route taken, the new macro-states per layer, on the
+    frontier its ``free_exits`` (pair steps that left through a free t2
+    state) and ``t2_steps`` (distinct t2 successor sets built) and, without a
     membership callback, the state count of each gamma DFA (one per output
     type for an extended resynchronizer) with the seconds taken to compile
     them, which then happens before the sweep.  On the sweep it also
@@ -361,6 +363,8 @@ def contains_upto(t1, t2, resync, max_input_len, caps: RunCaps,
             pruned = _t1_pruned(t1, max_input_len, caps, u)
     if stats is not None:
         stats.update(route="sweep" if front is None else "frontier", layers=layers)
+        if front is not None:
+            stats.update(free_exits=front.free_exits, t2_steps=len(front.next2))
     status = "holds-on-sweep" if cex is None else "fails"
     return Verdict(status, cex, max_input_len, caps, pruned, tuple(pairs), saturated)
 

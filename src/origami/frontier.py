@@ -14,7 +14,10 @@ stays with the frontier it builds.
 ``_Frontier`` reads gamma through the resynchronizer's step table
 (``Resynchronizer.gamma_dfa``), the successors of each gamma state on each
 letter under the four (x, y) marks, and keeps one object per distinct
-pending suffix, settled set, t2 configuration and set of them.  Unless
+pending suffix, settled set, t2 configuration and set of them.  A pair
+that a free t2 state can follow from here on leaves before any of its
+successor sets is built, and the end check stops at the first
+configuration that finishes every end word.  Unless
 ``_t1_fits_caps`` shows that no cap can bind, t1's runs are keyed with
 their step count and output length, so that the caps cut the runs the
 sweep cuts.  ``containment`` chooses between a frontier and the
@@ -294,14 +297,18 @@ class _T2Moves:
             got = self.covers[key] = (words, self._covers(front, words, 0, len(words), 0, a))
         return got[1]
 
+    def finishes_all(self, front):
+        """Does an item of front finish every word at the input's end: a
+        free state, or after the read a state that eps-writes every
+        letter, with nothing left to write?"""
+        free, pad_all = self.free_states, self.pad_all
+        return any(not rest and (q in free or (read and q in pad_all)) for (q, read, rest) in front)
+
     def _covers(self, front, words, lo, hi, d, a):
         # words[lo:hi] share their first d letters: one node of the trie
         if not front:
             return False
-        # a free state, or after the read a state that eps-writes every
-        # letter, finishes every word
-        free, pad_all = self.free_states, self.pad_all
-        if any(not rest and (q in free or (read and q in pad_all)) for (q, read, rest) in front):
+        if self.finishes_all(front):
             return True
         if len(words[lo]) == d:
             final = self.index.final
@@ -344,8 +351,15 @@ class _Frontier:
     continuation accepts.  For each k1 only the inclusion-minimal S are
     kept, since a run with fewer partners fails whenever one with more
     does.  When gamma is identity-safe (x = y accepts from every unmarked
-    state, whatever follows), a pair whose S holds a free t2 state with
-    nothing pending or settled can never fail, and leaves.
+    state, whatever follows), a pair that can reach a free t2 state with
+    nothing pending or settled can never fail, and leaves: ``t2_exits``
+    decides that for each configuration before any successor set of the
+    pair is built, so only the pairs that stay are expanded, whatever the
+    order of their configurations.  ``free_exits`` counts the pair steps
+    that leave so, and ``next2`` holds one entry per successor set built.
+    The end check stops at the first configuration whose items finish
+    every end word (``_T2Moves.finishes_all``) and unions the items of
+    all of them only when none does.
 
     Every prefix reaching a macro-state fails on the same continuations,
     so each layer keeps the macro-states first reached at its length, each
@@ -358,8 +372,8 @@ class _Frontier:
     11; ``pair[s][b]`` is the one pending entry (b, s).
     ``shared`` holds one object per distinct pending suffix, settled set,
     configuration and set of configurations that ``t2_next`` builds.
-    These, and the caches ``next2`` and ``end2``, read gamma and stay with
-    the frontier; t1's moves come from ``m1`` (``_T1Moves``) and t2's from
+    These, and the caches ``next2``, ``exits`` and ``end2``, read gamma and
+    stay with the frontier; t1's moves come from ``m1`` (``_T1Moves``) and t2's from
     ``m2`` (``_T2Moves``), each kept on its machine.
     """
 
@@ -384,12 +398,13 @@ class _Frontier:
         self.safe = dfa.states - _closure(dfa.states - dfa.final, zpred)
         identity_safe = all(table[s][3] in self.safe
                             for s in _closure({init}, zsucc) for table in self.steps.values())
-        self.free = frozenset((q, (), frozenset()) for q in m2.free_states
-                              if identity_safe)
+        self.free = m2.free_states if identity_safe else frozenset()
         self.pair = {s: {b: (b, s) for b in m2.outputs} for s in dfa.states}
         self.next2 = {}
+        self.exits = {}
         self.end2 = {}
         self.shared = {}
+        self.free_exits = 0
         self.start = (init, frozenset(
             (q1 if m1.caps is None else (q1, 0, 0),
              frozenset((q2, (), frozenset()) for q2 in m2.index.initial if q2 in m2.live))
@@ -454,6 +469,31 @@ class _Frontier:
         got = self.next2[key] = shared.setdefault(got, got)
         return got
 
+    def t2_exits(self, c, w, a):
+        """Can t2's configuration c, where t1 writes w and the input letter
+        is a, reach a free t2 state with nothing pending or settled at this
+        position?  It can when every gamma state it would settle here stays
+        in ``safe``, so that none is kept or cut, and t2's walk over all
+        that is pending finishes in a free state: ``t2_next`` would then
+        hold (r, (), frozenset()) with r free.  t1's letters here are safe
+        whenever a t2 state is free, since gamma is then identity-safe, so
+        the answer does not read t1's gamma state.  No successor set is
+        built."""
+        key = (c, w, a)
+        got = self.exits.get(key)
+        if got is None:
+            q2, pending, settled = c
+            steps, safe = self.steps[a], self.safe
+            got = (all(steps[g][2] in safe for (_b, g) in pending)
+                   and all(steps[g][0] in safe for g in settled))
+            if got:
+                written = tuple([b for (b, _g) in pending]) + w
+                walk = self.m2.t2_walk(q2, written, a)
+                got = (bool(walk) and walk[-1][0] == len(written)
+                       and not self.free.isdisjoint(walk[-1][1]))
+            self.exits[key] = got
+        return got
+
     def t2_ends(self, c, a):
         """The items with which t2's configuration c starts on t1's end
         words, the input's last letter being a; empty when a gamma state of
@@ -473,12 +513,14 @@ class _Frontier:
     def step(self, state, a):
         """The macro-state after one more letter a."""
         z, pairs = state
-        minimal, t1_moves = {}, self.m1.t1_moves
+        minimal, t1_moves, free = {}, self.m1.t1_moves, self.free
         for (q1, configs) in pairs:
             for (r1, w) in t1_moves(q1, a)[0]:
+                if free and any(self.t2_exits(c, w, a) for c in configs):
+                    self.free_exits += 1
+                    continue
                 nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
-                if nxt.isdisjoint(self.free):
-                    minimal.setdefault(r1, set()).add(nxt)
+                minimal.setdefault(r1, set()).add(nxt)
         out = _antichains(minimal)
         if not out:
             return _EMPTY
@@ -490,16 +532,22 @@ class _Frontier:
         if not pairs:
             return False
         # t1's letters here all have the gamma state z, y marked
-        writes = self.steps[a][z][3] in self.g_final
+        writes, m2 = self.steps[a][z][3] in self.g_final, self.m2
         for (q1, configs) in pairs:
             words = self.m1.t1_moves(q1, a)[1]
             if not words:
                 continue
             if not writes and words[-1]:
                 return True
-            front = frozenset().union(*(self.t2_ends(c, a) for c in configs))
-            if not self.m2.t2_covers(front, words, a):
-                return True
+            fronts = []
+            for c in configs:
+                front = self.t2_ends(c, a)
+                if m2.finishes_all(front):
+                    break
+                fronts.append(front)
+            else:
+                if not m2.t2_covers(frozenset().union(*fronts), words, a):
+                    return True
         return False
 
     def run(self, max_input_len):

@@ -23,6 +23,8 @@ from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, report_json, _ext_precheck_m0)
 
+from origami.frontier import _EMPTY, _Frontier, _antichains
+
 from random_one_way import LETTERS, STATES, machine_pairs, partners, stale_step_repro, variants
 from random_two_way import every_run_graphs, rebuilt, two_way_pairs
 
@@ -581,7 +583,7 @@ def frontier_cases():
 def frontier_resync(kind):
     if kind == "identity":
         return make_identity(LETTERS)
-    if kind in FRONTIER_GAMMAS:
+    if isinstance(kind, str):
         return Resynchronizer((), parse_formula(kind), base=LETTERS)
     return make_shift(kind, base=LETTERS)
 
@@ -613,8 +615,11 @@ def test_frontier_verdicts_independent_of_t2_variants(data, case):
     (t1, t2), kind, n = case
     t1 = frontier_t1(t1)
     r = frontier_resync(kind)
-    got = {(report_json(v), v.saturated_at)
-           for v in (contains_upto(t1, b, r, n, FRONTIER_CAPS) for b in data.draw(variants(t2)))}
+    got = set()
+    for b in data.draw(variants(t2)):
+        stats = {}
+        v = contains_upto(t1, b, r, n, FRONTIER_CAPS, stats=stats)
+        got.add((report_json(v), v.saturated_at, stats["free_exits"], stats["t2_steps"]))
     assert len(got) == 1
 
 
@@ -639,15 +644,22 @@ def test_frontier_keeps_the_run_with_fewer_partners():
         containment_oracle(t1, t2, r, 4, FRONTIER_CAPS)
 
 
-def test_frontier_collapses_only_when_identity_is_safe():
-    # t2's state r follows any output at its own origin, but gamma
-    # refuses x = y on b: the run that has written nothing after "a" must
-    # stay on the frontier, and fails once it writes on the b
+def identity_unsafe_pair():
+    """t1 writes a on the b after an a; t2's one state r is free: it
+    follows any output at its own origin."""
     t1 = OneWayTransducer({"p", "q", "f"}, LETTERS, {"a"},
                           (("p", "a", (), "q"), ("q", "b", ("a",), "f")), {"p"}, {"f"})
     t2 = OneWayTransducer({"r"}, LETTERS, {"a"},
                           (("r", "a", (), "r"), ("r", "b", (), "r"), ("r", EPS, ("a",), "r")),
                           {"r"}, {"r"})
+    return t1, t2
+
+
+def test_frontier_collapses_only_when_identity_is_safe():
+    # t2's state r follows any output at its own origin, but gamma
+    # refuses x = y on b: the run that has written nothing after "a" must
+    # stay on the frontier, and fails once it writes on the b
+    t1, t2 = identity_unsafe_pair()
     r = Resynchronizer((), parse_formula("x = y & a(x)"), base=LETTERS)
     stats = {}
     verdict = contains_upto(t1, t2, r, 3, FRONTIER_CAPS, stats=stats)
@@ -709,6 +721,98 @@ def test_capped_frontier_matches_bruteforce_oracle(case):
         assert verdict.saturated_at is None
     if verdict.saturated_at is not None:
         assert verdict.holds and len(stats["layers"]) == verdict.saturated_at
+
+
+class EagerFrontier(_Frontier):
+    """The frontier without free exits: ``step`` builds every successor
+    set of a pair, then drops the pair if the union holds a free t2 state
+    with nothing pending or settled; ``fails`` unions every configuration's
+    end items before it asks ``t2_covers``."""
+
+    def step(self, state, a):
+        z, pairs = state
+        free = frozenset((q, (), frozenset()) for q in self.free)
+        minimal = {}
+        for (q1, configs) in pairs:
+            for (r1, w) in self.m1.t1_moves(q1, a)[0]:
+                nxt = frozenset().union(*(self.t2_next(c, w, a, z) for c in configs))
+                if nxt.isdisjoint(free):
+                    minimal.setdefault(r1, set()).add(nxt)
+        out = _antichains(minimal)
+        if not out:
+            return _EMPTY
+        return (self.steps[a][z][0], frozenset(out))
+
+    def fails(self, state, a):
+        z, pairs = state
+        if not pairs:
+            return False
+        writes = self.steps[a][z][3] in self.g_final
+        for (q1, configs) in pairs:
+            words = self.m1.t1_moves(q1, a)[1]
+            if not words:
+                continue
+            if not writes and words[-1]:
+                return True
+            front = frozenset().union(*(self.t2_ends(c, a) for c in configs))
+            if not self.m2.t2_covers(front, words, a):
+                return True
+        return False
+
+
+# a late letter is accepted only if the input ends there, or if no b
+# comes more than one position after it
+LATE_GAMMAS = {False: "x = y | (last(x) & y <= x)",
+               True: "x = y | (y < x & !(exists w. exists z. (w = x + 1 & w < z & b(z))))"}
+
+
+def late_free_pair(settle_first):
+    """t1 writes a on its first letter, an a, and needs a b next; t2
+    writes that a late, on the b, and ends in its free state r, on that
+    move or, when settle_first, on the next letter.  Under
+    ``LATE_GAMMAS[settle_first]`` r follows any output from where it is
+    reached, yet the pair fails: on aba, or on abab once the a is
+    settled."""
+    t1 = OneWayTransducer({"p", "q", "f"}, LETTERS, {"a"},
+                          (("p", "a", ("a",), "q"), ("q", "b", (), "f"),
+                           ("f", "a", (), "f"), ("f", "b", (), "f")), {"p"}, {"f"})
+    free = (("r", "a", (), "r"), ("r", "b", (), "r"), ("r", EPS, ("a",), "r"))
+    if settle_first:
+        trans = (("s", "a", (), "m"), ("m", "b", ("a",), "n"),
+                 ("n", "a", (), "r"), ("n", "b", (), "r"))
+        final = {"n", "r"}
+    else:
+        trans = (("s", "a", (), "m"), ("m", "b", ("a",), "r"))
+        final = {"r"}
+    t2 = OneWayTransducer({"s", "m", "n", "r"}, LETTERS, {"a"}, trans + free, {"s"}, final)
+    return t1, t2
+
+
+def differential_cases():
+    """frontier_cases() under caps that cannot bind, and capped_cases()."""
+    plain = frontier_cases().map(
+        lambda c: ((frontier_t1(c[0][0]), c[0][1]), c[1], c[2], FRONTIER_CAPS))
+    return st.one_of(plain, capped_cases())
+
+
+@settings(max_examples=80, deadline=None)
+@given(differential_cases())
+@example((identity_unsafe_pair(), "x = y & a(x)", 3, FRONTIER_CAPS))
+@example((identity_unsafe_pair(), "identity", 3, FRONTIER_CAPS))
+# a pending letter, or a settled one, that rejects once the input goes on
+@example((late_free_pair(False), LATE_GAMMAS[False], 3, FRONTIER_CAPS))
+@example((late_free_pair(True), LATE_GAMMAS[True], 4, FRONTIER_CAPS))
+def test_free_exits_match_the_eager_frontier(case):
+    # deciding the free exit before any successor set is built, and
+    # stopping the end check at a configuration that finishes every word,
+    # give the same least failing input, layers and saturation; no
+    # successor set is built that the eager frontier would not build
+    (t1, t2), kind, n, caps = case
+    r = frontier_resync(kind)
+    fast = _Frontier(t1, t2, n, caps, r)
+    eager = EagerFrontier(t1, t2, n, caps, r)
+    assert fast.run(n) == eager.run(n)
+    assert fast.next2.keys() <= eager.next2.keys()
 
 
 def writes_ahead():

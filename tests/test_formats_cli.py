@@ -370,6 +370,10 @@ def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
             assert stats.out == plain.out and plain.err == ""
             assert stats.err.splitlines()[0] == f"route: {route}"
             assert re.fullmatch(r"gamma compile: \d+\.\d{4} s", stats.err.splitlines()[2])
+            # the frontier's counters, on one line, on the frontier route only
+            counters = [line for line in stats.err.splitlines() if line.startswith("t2 steps: ")]
+            assert len(counters) == (route == "frontier")
+            assert all(re.fullmatch(r"t2 steps: \d+, free exits: \d+", line) for line in counters)
     # the sweep's counters: a two-way t2 equal to t1 reads t1's own graphs
     assert _without_seconds(stats.err) == ("route: sweep\ngamma DFA states: 3\n"
                                            "inputs visited: 3\nt1 graphs checked: 3\n"
@@ -384,7 +388,14 @@ def test_cli_contains_stats_go_to_stderr_only(tmp_path, capsys):
         "route: frontier\n"
         "gamma DFA states: 8\n"
         "macro-states per layer: 12 13 12 12 12 12 24 12 0\n"
+        "t2 steps: 108, free exits: 1200\n"
         "saturated at layer 9: holds for every input length\n")
+    main(["contains", *runs[1][0], "--stats"])
+    assert _without_seconds(capsys.readouterr().err) == (
+        "route: frontier\n"
+        "gamma DFA states: 5\n"
+        "macro-states per layer: 12 13 12 8\n"
+        "t2 steps: 48, free exits: 396\n")
     # an extended resynchronizer has one gamma DFA per output type
     assert main(["contains", data("first.1nt"), data("first.1nt"), data("first_to_last.rsync"),
                  "--max-len", "3", "--stats"]) == 1

@@ -444,6 +444,21 @@ def test_reduction_frontier_pins_in_any_call_order(h2_tiles, grow_tiles):
         check_frontier_pin(tdown, tup, k, n, caps, want)
 
 
+# HALT2 at length 4 under its pins' caps: (pair steps that left through
+# T_up's free state p_fail, distinct t2 successor sets built)
+FRONTIER_COUNTERS = {3: (396, 48), 4: (396, 48), 5: (396, 48)}
+
+
+@pytest.mark.parametrize("k", sorted(FRONTIER_COUNTERS))
+def test_reduction_frontier_counters_pinned(h2_tiles, k):
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    stats = {}
+    verdict = contains_upto(tdown, tup, shift_on(tdown, k), 4, RunCaps(18, 60), stats=stats)
+    assert (verdict.status, stats["route"], stats["layers"]) == \
+        ("holds-on-sweep", "frontier", [12, 13, 12, 12])
+    assert (stats["free_exits"], stats["t2_steps"]) == FRONTIER_COUNTERS[k]
+
+
 # T_up's partners for T_down graphs, in MatchIndex.search's order, recorded
 # from an earlier implementation of the index: (input, output, the origin
 # tuples, or their count and the sha256 of their repr)

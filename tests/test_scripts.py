@@ -119,7 +119,8 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert lines[0]["result"]["counterexample"]["input"] == "aa"
     assert lines[0]["saturated_at"] is None
     # containment and profile lines carry the stats, seconds left out
-    assert lines[0]["stats"] == {"route": "frontier", "layers": [1], "gamma_states": [4]}
+    assert lines[0]["stats"] == {"route": "frontier", "layers": [1], "gamma_states": [4],
+                                 "free_exits": 0, "t2_steps": 2}
     assert lines[1]["result"]["k"] == 1 and "saturated_at" not in lines[1]
     assert "stats" not in lines[1] and "stats" not in lines[3]
     assert lines[2]["result"]["status"] == "holds-on-sweep"
