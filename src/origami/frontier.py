@@ -373,8 +373,8 @@ class _Frontier:
     ``shared`` holds one object per distinct pending suffix, settled set,
     configuration and set of configurations that ``t2_next`` builds.
     These, and the caches ``next2``, ``exits`` and ``end2``, read gamma and
-    stay with the frontier; t1's moves come from ``m1`` (``_T1Moves``) and t2's from
-    ``m2`` (``_T2Moves``), each kept on its machine.
+    stay with the frontier; t1's moves come from ``m1`` (``_T1Moves``) and
+    t2's from ``m2`` (``_T2Moves``), each kept on its machine.
     """
 
     def __init__(self, t1, t2, max_input_len, caps, resync):

@@ -22,7 +22,6 @@ from origami.resync import (Resynchronizer, ResyncError, make_identity, make_pm1
                             make_block, ExtendedResynchronizer, bounded_by, is_bounded)
 from origami.containment import (Counterexample, contains_upto, resync_search,
                                  traversal_profile, report_json, _ext_precheck_m0)
-
 from origami.frontier import _EMPTY, _Frontier, _antichains
 
 from random_one_way import LETTERS, STATES, machine_pairs, partners, stale_step_repro, variants
