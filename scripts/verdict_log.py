@@ -8,15 +8,17 @@ Every outermost call of ``run_origin_graphs``, ``origin_equivalent_upto``,
 ``contains_upto_rational``, ``resync_search``,
 ``traversal_profile``, ``pair_in_resync``, ``extended_pair_in_resync``,
 ``is_bounded`` and ``bounded_by`` is logged with a description of its
-arguments (machines and resynchronizers by names and sizes, origin graphs
-by their words and origins, words as lists of letters; keyword arguments
-left at None are omitted) and its result: a run's sorted (output, origins)
-pairs and ``pruned``, an equivalence's flag and its witness's ``sort_key``,
-the distinct origin tuples of a partner enumeration in their order (the
-logger hands the caller an iterator over them), the sorted classical pairs,
-the ``to_json()`` of a verdict, search or profile, a witness's parameter
-bits (an extended witness's input and output parameters field by field), a
-boundedness result or violation field by field, or null.  A verdict's line
+arguments (machines by names, sizes and a sha256 digest of their sorted
+transitions, initial and final states, so that distinct machines of equal
+sizes log apart; resynchronizers by names, origin graphs by their words
+and origins, words as lists of letters; keyword arguments left at None
+are omitted) and its result: a run's sorted (output, origins) pairs and
+``pruned``, an equivalence's flag and its witness's ``sort_key``, the
+distinct origin tuples of a partner enumeration in their order (the
+logger hands the caller an iterator over them), the sorted classical
+pairs, the ``to_json()`` of a verdict, search or profile, a witness's
+parameter bits (an extended witness's input and output parameters field
+by field), a boundedness result or violation field by field, or null.  A verdict's line
 also carries its ``saturated_at``, which the JSON leaves out, and a
 ``contains_upto`` or ``traversal_profile`` line the call's ``stats``
 without the seconds (route, macro-states per layer, gamma DFA sizes,
@@ -30,10 +32,13 @@ digest of its formula's ``repr``, its signature and base letters, and
 the first ``gamma_dfa`` call on each ``Resynchronizer``, the one that
 compiles, by its name, signature and base letters.  The result is the
 automaton's sizes and a sha256 digest of its sorted states, initial and
-final states, its transitions in their order and, for ``gamma_dfa``, the
-step table, so that a diff over the log also shows a compiled automaton
-that changed.  The log goes to the file named by ``ORIGAMI_VERDICT_LOG``,
-appended to.
+final states and, for ``mso_compile``, its transitions in their order,
+for ``gamma_dfa`` its step table, so that a diff over the log also shows
+a compiled automaton that changed.  A gamma DFA's transitions are
+written out only when read (``automata.StepDfa``), so the logger counts
+them from the table, states times base letters times bit vectors over
+the tracks, and never reads them.  The log goes to the file named by
+``ORIGAMI_VERDICT_LOG``, appended to.
 
 As a pytest plugin, with ``scripts`` on the path:
 
@@ -74,8 +79,10 @@ def describe(arg):
     if isinstance(arg, (tuple, list)):
         return [describe(a) for a in arg]
     if hasattr(arg, "transitions") and hasattr(arg, "states"):
+        machine = (sorted(arg.transitions, key=repr), sorted(arg.initial, key=repr),
+                   sorted(arg.final, key=repr))
         return [type(arg).__name__, getattr(arg, "name", ""), len(arg.states),
-                len(arg.transitions)]
+                len(arg.transitions), _sha(machine)]
     if hasattr(arg, "orig"):
         return ["OriginGraph", list(arg.input), list(arg.output), list(arg.orig)]
     if hasattr(arg, "max_output_len"):
@@ -117,12 +124,16 @@ def _sha(value):
 
 
 def compiled(nfa, steps=None):
-    """A compiled automaton's sizes and digest (see the module docstring)."""
+    """A compiled automaton's sizes and digest, from its step table when
+    one is given (see the module docstring)."""
+    if steps is None:
+        count, moves = len(nfa.transitions), nfa.transitions
+    else:
+        count = len(nfa.states) * len(steps) * 2 ** len(nfa.alphabet.tracks)
+        moves = sorted(steps.items())
     key = (sorted(nfa.states, key=repr), sorted(nfa.initial, key=repr),
-           sorted(nfa.final, key=repr), nfa.transitions)
-    if steps is not None:
-        key += (sorted(steps.items()),)
-    return {"states": len(nfa.states), "transitions": len(nfa.transitions), "sha256": _sha(key)}
+           sorted(nfa.final, key=repr), moves)
+    return {"states": len(nfa.states), "transitions": count, "sha256": _sha(key)}
 
 
 def install(path):

@@ -9,18 +9,16 @@ machine, kept on that machine object (``transducers._memo``): t1's moves
 per key and letter (``_T1Moves``, one per counted caps), t2's moves
 through item sets, its walks and its covers (``_T2Moves``), with their
 memo tables; every call on a machine shares them, whatever its partner.
-The state of a call, the gamma tables and the configurations it interns,
-stays with the frontier it builds.
+The state of a call, with the gamma tables and the t2 successor sets it
+builds, stays with the frontier it builds.
 ``_Frontier`` reads gamma through the resynchronizer's step table
 (``Resynchronizer.gamma_dfa``), the successors of each gamma state on each
-letter under the four (x, y) marks, and keeps one object per distinct
-pending suffix, settled set, t2 configuration and set of them.  A pair
-that a free t2 state can follow from here on leaves before any of its
-successor sets is built, and the end check stops at the first
-configuration that finishes every end word.  Unless
-``_t1_fits_caps`` shows that no cap can bind, t1's runs are keyed with
-their step count and output length, so that the caps cut the runs the
-sweep cuts.  ``containment`` chooses between a frontier and the
+letter under the four (x, y) marks.  A pair that a free t2 state can
+follow from here on leaves before any of its successor sets is built, and
+the end check stops at the first configuration that finishes every end
+word.  Unless ``_t1_fits_caps`` shows that no cap can bind, t1's runs are
+keyed with their step count and output length, so that the caps cut the
+runs the sweep cuts.  ``containment`` chooses between a frontier and the
 per-input sweep.
 """
 
@@ -158,12 +156,11 @@ class _T2Moves:
     read yet, rest of a move's output), shared by every word written; an
     item that has not read and cannot read any more is dropped.  ``walks``
     keeps, per t2 state, written prefix and letter, the live states that
-    finish after each prefix of it (``t2_walk``), one object per distinct
-    answer (``walked``).  t1's end words on a letter, sorted, are walked
-    as a trie, so that each shared prefix is followed once; ``covers``
-    holds the words tuple whose id is in each key.  A free state of t2 is
-    final, reads every letter silently in place and eps-writes every
-    output letter.
+    finish after each prefix of it (``t2_walk``).  t1's end words on a
+    letter, sorted, are walked as a trie, so that each shared prefix is
+    followed once; ``covers`` holds the words tuple whose id is in each
+    key.  A free state of t2 is final, reads every letter silently in
+    place and eps-writes every output letter.
     """
 
     def __init__(self, t2):
@@ -184,8 +181,7 @@ class _T2Moves:
         # that also read every letter in place
         self.pad_all = frozenset(q for q, pad in index.pad.items() if pad == t2.output_alphabet)
         self.free_states = self.pad_all & index.sink
-        self.fronts2, self.finished2, self.covers = {}, {}, {}
-        self.walks, self.walked = {}, {}
+        self.fronts2, self.walks, self.covers = {}, {}, {}
 
     def t2_close(self, items, a, end):
         """items, t2's (state, read yet, rest of a move's output), with the
@@ -233,10 +229,7 @@ class _T2Moves:
 
     def finished(self, front):
         """The states of front's items that have read and written all."""
-        got = self.finished2.get(front)
-        if got is None:
-            got = self.finished2[front] = tuple([q for (q, read, rest) in front if read and not rest])
-        return got
+        return [q for (q, read, rest) in front if read and not rest]
 
     def t2_fronts(self, q2, target, a):
         """(k, items): t2's configuration q2 at one position, eps moves then
@@ -260,12 +253,10 @@ class _T2Moves:
         if got is None:
             live, found = self.live, []
             for k, front in self.t2_fronts(q2, target, a):
-                states = tuple([r for r in self.finished(front) if r in live])
+                states = tuple([q for (q, read, rest) in front if read and not rest and q in live])
                 if states:
                     found.append((k, states))
-            got = tuple(found)
-            # a handful of distinct walks serve thousands of keys
-            got = self.walks[key] = self.walked.setdefault(got, got)
+            got = self.walks[key] = tuple(found)
         return got
 
     def t2_writes(self, q2, target, a, more):
@@ -369,12 +360,9 @@ class _Frontier:
     Gamma is read through ``steps[a][s]``, the resynchronizer's step table
     on t1's letters; gamma has no parameters, so it holds the successors of
     the gamma state s on the letter a under the marks (x, y) = 00, 01, 10,
-    11; ``pair[s][b]`` is the one pending entry (b, s).
-    ``shared`` holds one object per distinct pending suffix, settled set,
-    configuration and set of configurations that ``t2_next`` builds.
-    These, and the caches ``next2``, ``exits`` and ``end2``, read gamma and
-    stay with the frontier; t1's moves come from ``m1`` (``_T1Moves``) and
-    t2's from ``m2`` (``_T2Moves``), each kept on its machine.
+    11.  ``next2``, the successor sets built, reads gamma and stays with
+    the frontier; t1's moves come from ``m1`` (``_T1Moves``) and t2's from
+    ``m2`` (``_T2Moves``), each kept on its machine.
     """
 
     def __init__(self, t1, t2, max_input_len, caps, resync):
@@ -399,11 +387,7 @@ class _Frontier:
         identity_safe = all(table[s][3] in self.safe
                             for s in _closure({init}, zsucc) for table in self.steps.values())
         self.free = m2.free_states if identity_safe else frozenset()
-        self.pair = {s: {b: (b, s) for b in m2.outputs} for s in dfa.states}
         self.next2 = {}
-        self.exits = {}
-        self.end2 = {}
-        self.shared = {}
         self.free_exits = 0
         self.start = (init, frozenset(
             (q1 if m1.caps is None else (q1, 0, 0),
@@ -414,11 +398,8 @@ class _Frontier:
         """The configurations t2's configuration c can reach at this position,
         where t1 writes w and the input letter is a, from t2's walk over
         what is pending (``_T2Moves.t2_walk``).  The pending entries
-        after this position are built once, as one tuple of ``pair``
-        entries, and a successor that has written k of them keeps the
-        slice from k on.  Suffixes, settled sets, configurations and the
-        result are interned in ``shared``: the caches hold many equal
-        ones."""
+        after this position are built once, as one tuple, and a successor
+        that has written k of them keeps the slice from k on."""
         key = (c, w, a, z)
         got = self.next2.get(key)
         if got is not None:
@@ -446,10 +427,9 @@ class _Frontier:
         if least > most or any(s not in co0 for s in kept):
             got = self.next2[key] = frozenset()
             return got
-        safe, pair, shared = self.safe, self.pair, self.shared
-        done = frozenset(s for s in kept if s not in safe)
-        done, upto = shared.setdefault(done, done), 0
-        entries = tuple([pair[s][b] for b, s in zip(written, later)])
+        safe = self.safe
+        done, upto = frozenset(s for s in kept if s not in safe), 0
+        entries = tuple(zip(written, later))
         found = []
         for k, states in self.m2.t2_walk(q2, written[:most], a):
             if k < least:
@@ -459,14 +439,9 @@ class _Frontier:
             grown = [s for s in now[upto:k] if s not in safe and s not in done]
             if grown:
                 done = done.union(grown)
-                done = shared.setdefault(done, done)
             rest, upto = entries[k:], k
-            tail = (shared.setdefault(rest, rest), done)
-            for r in states:
-                nc = (r,) + tail
-                found.append(shared.setdefault(nc, nc))
-        got = frozenset(found)
-        got = self.next2[key] = shared.setdefault(got, got)
+            found.extend((r, rest, done) for r in states)
+        got = self.next2[key] = frozenset(found)
         return got
 
     def t2_exits(self, c, w, a):
@@ -479,36 +454,26 @@ class _Frontier:
         whenever a t2 state is free, since gamma is then identity-safe, so
         the answer does not read t1's gamma state.  No successor set is
         built."""
-        key = (c, w, a)
-        got = self.exits.get(key)
-        if got is None:
-            q2, pending, settled = c
-            steps, safe = self.steps[a], self.safe
-            got = (all(steps[g][2] in safe for (_b, g) in pending)
-                   and all(steps[g][0] in safe for g in settled))
-            if got:
-                written = tuple([b for (b, _g) in pending]) + w
-                walk = self.m2.t2_walk(q2, written, a)
-                got = (bool(walk) and walk[-1][0] == len(written)
-                       and not self.free.isdisjoint(walk[-1][1]))
-            self.exits[key] = got
-        return got
+        q2, pending, settled = c
+        steps, safe = self.steps[a], self.safe
+        if not (all(steps[g][2] in safe for (_b, g) in pending)
+                and all(steps[g][0] in safe for g in settled)):
+            return False
+        written = tuple([b for (b, _g) in pending]) + w
+        walk = self.m2.t2_walk(q2, written, a)
+        return (bool(walk) and walk[-1][0] == len(written)
+                and not self.free.isdisjoint(walk[-1][1]))
 
     def t2_ends(self, c, a):
         """The items with which t2's configuration c starts on t1's end
         words, the input's last letter being a; empty when a gamma state of
         c cannot accept."""
-        key = (c, a)
-        got = self.end2.get(key)
-        if got is None:
-            q2, pending, settled = c
-            steps, final = self.steps[a], self.g_final
-            got = frozenset()
-            if (all(steps[g][2] in final for (_b, g) in pending)
-                    and all(steps[g][0] in final for g in settled)):
-                got = self.m2.t2_after(q2, tuple(b for (b, _g) in pending), a)
-            self.end2[key] = got
-        return got
+        q2, pending, settled = c
+        steps, final = self.steps[a], self.g_final
+        if not (all(steps[g][2] in final for (_b, g) in pending)
+                and all(steps[g][0] in final for g in settled)):
+            return frozenset()
+        return self.m2.t2_after(q2, tuple(b for (b, _g) in pending), a)
 
     def step(self, state, a):
         """The macro-state after one more letter a."""
@@ -661,7 +626,7 @@ class _ProfileFrontier:
     over S; math.inf when no configuration can finish.
 
     t1's and t2's moves come from ``m1`` and ``m2``, as in ``_Frontier``;
-    ``room``, the caches ``next2`` and ``values`` stay with the frontier.
+    ``room`` and the cache ``next2`` stay with the frontier.
     """
 
     def __init__(self, t1, t2, max_input_len, caps):
@@ -671,7 +636,7 @@ class _ProfileFrontier:
         self.free_states = m2.free_states
         self.cont2 = m2.live & m2.readers
         self.room = _output_room(t1, caps.max_output_len, max_input_len)
-        self.next2, self.values = {}, {}
+        self.next2 = {}
         start = self.settle({(None, False, (), 0) if q2 in self.free_states else (q2, False, (), 0)
                              for q2 in m2.index.initial if q2 in self.cont2})
         self.start = frozenset(
@@ -791,14 +756,9 @@ class _ProfileFrontier:
         """The largest value over k1's end words on the last letter a of
         the least value over configs; math.inf when no configuration can
         finish some end word, 0 when there is none."""
-        key = (k1, configs, a)
-        got = self.values.get(key)
-        if got is None:
-            words = self.m1.t1_moves(k1, a)[1]
-            got = self.values[key] = self._value(configs, words, a) if words else 0
-        return got
-
-    def _value(self, configs, words, a):
+        words = self.m1.t1_moves(k1, a)[1]
+        if not words:
+            return 0
         starts = []
         for (q2, owed, blocks, mx) in configs:
             if q2 is None:

@@ -15,6 +15,7 @@ from origami.transducers import (RunCaps, MatchIndex, run_origin_graphs, enumera
 from origami.traversal import traversal_report
 from origami.resync import make_shift, make_identity
 from origami.containment import contains_upto, traversal_profile
+from origami.frontier import _t1_fits_caps
 
 from top_row_sweep import first_top_row_violation
 
@@ -457,6 +458,24 @@ def test_reduction_frontier_counters_pinned(h2_tiles, k):
     assert (verdict.status, stats["route"], stats["layers"]) == \
         ("holds-on-sweep", "frontier", [12, 13, 12, 12])
     assert (stats["free_exits"], stats["t2_steps"]) == FRONTIER_COUNTERS[k]
+
+
+def test_reduction_frontier_counted_pinned(h2_tiles):
+    # caps that bind, so t1's keys carry their step count and output length
+    # (every FRONTIER_PINS case fits its caps)
+    tdown, tup = build_Tdown(h2_tiles), build_Tup(h2_tiles)
+    assert not _t1_fits_caps(tdown, 3, RunCaps(8, 30))
+    assert not _t1_fits_caps(tdown, 5, RunCaps(14, 40))
+    stats = {}
+    verdict = contains_upto(tdown, tup, shift_on(tdown, 3), 3, RunCaps(8, 30), stats=stats)
+    assert (verdict.holds, verdict.pruned, verdict.saturated_at) == (True, True, None)
+    assert (stats["route"], stats["layers"]) == ("frontier", [12, 12, 4])
+    assert (stats["t2_steps"], stats["free_exits"]) == (27, 140)
+    stats = {}
+    profile = traversal_profile(tdown, tup, 5, RunCaps(14, 40), stats=stats)
+    assert [profile.values[n] for n in range(1, 6)] == [0, 1, 2, 2, 3]
+    assert profile.approximate
+    assert (stats["route"], stats["layers"]) == ("frontier", [1, 5, 10, 17, 18])
 
 
 # T_up's partners for T_down graphs, in MatchIndex.search's order, recorded

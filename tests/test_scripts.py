@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+from origami import corpus
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -73,6 +76,15 @@ if __name__ == "__main__":
 """
 
 
+def described(machine):
+    """verdict_log's description of a machine: type, name, sizes and the
+    sha256 of its sorted transitions, initial and final states."""
+    key = (sorted(machine.transitions, key=repr), sorted(machine.initial, key=repr),
+           sorted(machine.final, key=repr))
+    return [type(machine).__name__, machine.name, len(machine.states), len(machine.transitions),
+            hashlib.sha256(repr(key).encode()).hexdigest()]
+
+
 def test_verdict_log_records_outermost_calls_once(tmp_path):
     script = tmp_path / "test_calls.py"
     script.write_text(CALLS)
@@ -113,9 +125,14 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                                                 "extended_pair_in_resync", "run_origin_graphs",
                                                 "origin_equivalent_upto",
                                                 "enumerate_matching_graphs", "classical_pairs"]
-    assert lines[0]["args"] == [["OneWayTransducer", "T_slow", 3, 5],
-                                ["OneWayTransducer", "T_fast", 2, 3],
-                                ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
+    # machines by type, name, sizes and digest, so that machines of equal
+    # sizes tell apart
+    slow, fast, one_two = described(corpus.t_slow()), described(corpus.t_fast()), \
+        described(corpus.t_one_two())
+    assert slow[:4] == ["OneWayTransducer", "T_slow", 3, 5]
+    assert fast[:4] == ["OneWayTransducer", "T_fast", 2, 3]
+    assert one_two[:4] == ["OneWayTransducer", "T_one-two", 2, 3] and one_two[4] != fast[4]
+    assert lines[0]["args"] == [slow, fast, ["Resynchronizer", "shift(1)"], 3, ["RunCaps", 6, 30]]
     assert lines[0]["result"]["counterexample"]["input"] == "aa"
     assert lines[0]["saturated_at"] is None
     # containment and profile lines carry the stats, seconds left out
@@ -149,14 +166,14 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
                                 ["OriginGraph", ["a", "a"], ["b"], [2]]]
     assert lines[8]["result"] == {"params": [[1, 0]], "out_params": [[1]]}
     # a run's graphs as sorted (output, origins) pairs; words as lists
-    assert lines[9]["args"] == [["TwoWayTransducer", "T_id", 2, 3], ["a", "a"],
-                                ["RunCaps", 6, 30]]
+    assert lines[9]["args"] == [described(corpus.t_id()), ["a", "a"], ["RunCaps", 6, 30]]
+    assert lines[9]["args"][0][:4] == ["TwoWayTransducer", "T_id", 2, 3]
     assert lines[9]["result"] == {"graphs": [[["a", "a"], [1, 2]]], "pruned": False}
     # an equivalence's flag and its witness's sort_key
     assert lines[10]["result"] == [False, [["a", "a"], ["a", "a"], [1, 2]]]
     # a partner enumeration's origin tuples in order, classical pairs sorted
-    assert lines[11]["args"] == [["OneWayTransducer", "T_one-two", 2, 3], "aa", "aaa"]
+    assert lines[11]["args"] == [one_two, "aa", "aaa"]
     assert lines[11]["result"] == [[1, 2, 2]]
-    assert lines[12]["args"] == [["OneWayTransducer", "T_one-two", 2, 3], 1, ["RunCaps", 6, 30]]
+    assert lines[12]["args"] == [one_two, 1, ["RunCaps", 6, 30]]
     assert lines[12]["result"] == [[["a"], ["a"]], [["a"], ["a", "a"]]]
     assert plugin.read_text() == wrapped.read_text()
