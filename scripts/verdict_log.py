@@ -18,12 +18,12 @@ distinct origin tuples of a partner enumeration in their order (the
 logger hands the caller an iterator over them), the sorted classical
 pairs, the ``to_json()`` of a verdict, search or profile, a witness's
 parameter bits (an extended witness's input and output parameters field
-by field), a boundedness result or violation field by field, or null.  A verdict's line
-also carries its ``saturated_at``, which the JSON leaves out, and a
-``contains_upto`` or ``traversal_profile`` line the call's ``stats``
-without the seconds (route, macro-states per layer, gamma DFA sizes,
-frontier or sweep counters), from a dict of the logger's own when the
-caller passed none.  Calls made inside another logged call are not
+by field), a boundedness result or violation field by field, or null.
+A verdict's line also carries its ``saturated_at``, which the JSON
+leaves out, and a ``contains_upto`` or ``traversal_profile`` line the
+call's ``stats`` without the seconds (route, macro-states per layer,
+gamma DFA sizes, frontier or sweep counters), from a dict of the
+logger's own when the caller passed none.  Calls made inside another logged call are not
 logged, and a line already written by this process is not written
 again, so a benchmark's repeated passes log as one.
 
