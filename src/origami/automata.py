@@ -17,6 +17,10 @@ A letter region that acts alike is one path, however many letters it
 holds; the triples are written out only when a ``StructuredNfa`` is
 returned.  A minimized DFA can instead be returned as its step table
 (``StepDfa``), which writes its triples out only when they are read.
+Both read each state's letters off the diagrams with one recursion
+(``GuardedNfa._letter_rows``).  The shortest accepted word and the pump
+words of the ambiguity report come from one breadth-first word search
+(``_bfs_word``).
 """
 
 from __future__ import annotations
@@ -61,27 +65,15 @@ class StructuredAlphabet:
             for bits in itertools.product((0, 1), repeat=len(self.tracks)):
                 yield (a, bits)
 
-    @cached_property
-    def _letter_set(self):
-        return frozenset(self.letters())
-
     def contains_letter(self, letter) -> bool:
-        try:
-            if letter in self._letter_set:
-                return True
-        except TypeError:
-            pass  # unhashable, e.g. list bits: the full check below decides
-        return self._holds(letter)
-
-    def _holds(self, letter):
         a, bits = letter
         return a in self.base and len(bits) == len(self.tracks) and all(b in (0, 1) for b in bits)
 
     def normal_letter(self, letter):
         """``letter`` as ``(base, tuple(bits))``, the form transitions use,
         when ``contains_letter`` holds; ``AlphabetMismatchError`` when it is
-        false.  Checks the letter without building the letter set."""
-        if not self._holds(letter):
+        false."""
+        if not self.contains_letter(letter):
             raise AlphabetMismatchError(f"letter {letter!r} not in alphabet")
         return letter[0], tuple(letter[1])
 
@@ -280,28 +272,18 @@ class StructuredNfa:
     def find_witness(self):
         """Shortest accepted word, ties broken lexicographically on letters.
 
-        Returns None for the empty language.  BFS over determinized state
-        sets with letters explored in canonical order.
+        Returns None for the empty language.  Breadth-first over
+        determinized state sets, letters in canonical order.
         """
-        letters = sorted(self.alphabet.letters(), key=letter_key)
-        d = self.delta()
-        start = frozenset(self.initial)
-        if start & self.final:
-            return ()
-        seen = {start}
-        queue = deque([(start, ())])
-        while queue:
-            s, word = queue.popleft()
-            for a in letters:
-                tgt = frozenset().union(*(d.get((p, a), ()) for p in s)) if s else frozenset()
-                if not tgt or tgt in seen:
-                    continue
-                w2 = word + (a,)
-                if tgt & self.final:
-                    return w2
-                seen.add(tgt)
-                queue.append((tgt, w2))
-        return None
+        d = self._delta
+        final = self.final
+
+        def step(s, a):
+            t = frozenset().union(*(d.get((p, a), ()) for p in s))
+            return (t,) if t else ()
+
+        return _bfs_word(frozenset(self.initial), lambda s: not s.isdisjoint(final), step,
+                         sorted(self.alphabet.letters(), key=letter_key))
 
 
 class StepDfa(StructuredNfa):
@@ -365,6 +347,29 @@ class StepDfa(StructuredNfa):
             i = 2 * i + int(b)
         self._columns[letter] = (self.steps[a], i)
         return self.steps[a], i
+
+
+def _bfs_word(src, goal, step, letters):
+    """The word of the first path breadth-first search finds from src to a
+    node where ``goal`` holds, or None when there is none.  Each node
+    tries ``letters`` in order and each letter's targets in the order of
+    ``step(node, letter)``; the search stops at the first target that
+    reaches the goal."""
+    if goal(src):
+        return ()
+    seen = {src}
+    queue = deque([(src, ())])
+    while queue:
+        x, word = queue.popleft()
+        for a in letters:
+            for y in step(x, a):
+                if y not in seen:
+                    w = word + (a,)
+                    if goal(y):
+                        return w
+                    seen.add(y)
+                    queue.append((y, w))
+    return None
 
 
 def _closure(seed, edges):
@@ -531,28 +536,6 @@ class Diagrams:
         return self.node(i + 1, (self._from_sorted(rows, lo, mid, i + 1, ntracks),
                                  self._from_sorted(rows, mid, hi, i + 1, ntracks)))
 
-    def letter_table(self, u, ntracks, memo):
-        """[(base index, bits index, targets)] for every letter with a
-        target, letters in ``StructuredAlphabet.letters()`` order."""
-        kids = self.kids[u] if self.level[u] == 0 else (u,) * len(self.base)
-        return [(ai, idx, t) for ai, k in enumerate(kids)
-                for idx, t in self._bit_table(k, 1, ntracks, memo)]
-
-    def _bit_table(self, u, lvl, ntracks, memo):
-        key = (u, lvl)
-        r = memo.get(key)
-        if r is None:
-            if lvl > ntracks:
-                t = self.kids[u]
-                r = [(0, t)] if t else []
-            else:
-                lo, hi = self.kids[u] if self.level[u] == lvl else (u, u)
-                half = 1 << (ntracks - lvl)
-                r = self._bit_table(lo, lvl + 1, ntracks, memo) + \
-                    [(half + i, t) for i, t in self._bit_table(hi, lvl + 1, ntracks, memo)]
-            memo[key] = r
-        return r
-
 
 class GuardedNfa:
     """An NFA whose transitions are one decision diagram per state.
@@ -615,52 +598,58 @@ class GuardedNfa:
         """The explicit automaton: states in ``repr`` order, each state's
         letters in ``letters()`` order."""
         names = self.names
-        ntracks = len(self.alphabet.tracks)
-        bits = list(itertools.product((0, 1), repeat=ntracks))
+        bits = list(itertools.product((0, 1), repeat=len(self.alphabet.tracks)))
         letters = [[(a, b) for b in bits] for a in self.dd.base]
-        memo = {}
+        table = self._letter_rows(first=False)
         trans = []
         add = trans.append
         for i in sorted(range(len(names)), key=lambda i: repr(names[i])):
             p = names[i]
-            for ai, idx, targets in self.dd.letter_table(self.rows[i], ntracks, memo):
-                letter = letters[ai][idx]
-                for q in targets:
-                    add((p, letter, names[q]))
+            for ltrs, rows in zip(letters, table):
+                for letter, targets in zip(ltrs, rows[i]):
+                    for q in targets:
+                        add((p, letter, names[q]))
         return StructuredNfa._unchecked(self.alphabet, frozenset(names),
                                         frozenset(names[i] for i in self.initial),
                                         frozenset(names[i] for i in self.final), tuple(trans))
 
     def to_dfa(self) -> StepDfa:
         """A complete DFA on the states 0 .. n - 1, as ``minimize`` returns
-        it, as its step table (``StepDfa``), filled straight from the
-        diagrams: one recursion, memoized on (node, level), gives each
-        node the successors of its letters in bit order, so a state's row
-        ``steps[a][s]`` is its diagram's tuple for the base letter a,
-        shared with every other row of the same diagram.  The explicit
-        transitions are ``to_nfa()``'s, in the same order, and are written
-        out only when read."""
+        it, as its step table (``StepDfa``): ``steps[a][s]`` is the row of
+        ``_letter_rows`` for the base letter a, shared with every other
+        state of the same diagram.  The explicit transitions are
+        ``to_nfa()``'s, in the same order, and are written out only when
+        read."""
+        steps = dict(zip(self.dd.base, self._letter_rows(first=True)))
+        return StepDfa._from_table(self.alphabet, self.initial, self.final, steps)
+
+    def _letter_rows(self, first):
+        """For each base letter in sorted order, a tuple over the states of
+        the leaves of each state's letters, one per bit vector in
+        ``itertools.product`` order: a leaf's first target when ``first``
+        (a complete DFA's successor), else its tuple of targets.  One
+        recursion, memoized on (node, level), fills every entry, so the
+        states of one diagram share one tuple."""
         dd = self.dd
         level, kids = dd.level, dd.kids
         ntracks = len(self.alphabet.tracks)
         memo = {}
 
-        def succ(u, lvl):   # the successors below u for the bit vectors of tracks lvl..
+        def leaves(u, lvl):   # the leaves below u for the bit vectors of tracks lvl..
             key = (u, lvl)
             r = memo.get(key)
             if r is None:
                 if level[u] == _LEAF:
-                    r = kids[u][:1] * (1 << (ntracks + 1 - lvl))
+                    r = (kids[u][:1] if first else (kids[u],)) * (1 << (ntracks + 1 - lvl))
                 else:
                     lo, hi = kids[u] if level[u] == lvl else (u, u)
-                    r = succ(lo, lvl + 1) + succ(hi, lvl + 1)
+                    r = leaves(lo, lvl + 1) + leaves(hi, lvl + 1)
                 memo[key] = r
             return r
 
         width = len(dd.base)
         by_letter = [kids[r] if level[r] == 0 else (r,) * width for r in self.rows]
-        steps = {a: tuple(succ(ks[ai], 1) for ks in by_letter) for ai, a in enumerate(dd.base)}
-        return StepDfa._from_table(self.alphabet, self.initial, self.final, steps)
+        return [tuple(leaves(ks[ai], 1) for ks in by_letter) for ai in range(width)]
 
     # -- structure ----------------------------------------------------------
 
@@ -1040,24 +1029,37 @@ def ambiguity_report(nfa: StructuredNfa) -> AmbiguityReport:
                 if i1 != i2:
                     diverged.append((u, a, v))
     comp = _scc({(p, q) for p in n.states for q in n.states}, pair_edges)
+    succ = {}   # (state, letter) -> targets, in transition order
+    for a in letters:
+        for (p, q, _i) in by_letter.get(a, ()):
+            succ.setdefault((p, a), []).append(q)
+
+    def pair_step(x, a):
+        return itertools.product(succ.get((x[0], a), ()), succ.get((x[1], a), ()))
+
     for (u, a, v) in diverged:
         if comp[u] == comp[v]:
             for q in states:
-                if comp.get((q, q)) == comp[u]:
-                    pump = _pair_cycle_word((q, q), u, a, v, by_letter, letters)
+                diag = (q, q)
+                if comp.get(diag) == comp[u]:
+                    # the cycle diag ->* u -a-> v ->* diag; both paths exist,
+                    # since u and v lie in diag's component
+                    pump = _bfs_word(diag, lambda y: y == u, pair_step, letters) + (a,) + \
+                        _bfs_word(v, lambda y: y == diag, pair_step, letters)
                     return AmbiguityReport(EXP, (q,), pump)
 
     # IDA: reachability from (p,p,q) to (p,q,q) in the triple product.
-    step = {}
-    for a in letters:
-        for (p, q, _i) in by_letter.get(a, ()):
-            step.setdefault((p, a), set()).add(q)
-    step = {key: sorted(succ, key=repr) for key, succ in step.items()}
+    step = {key: sorted(set(ts), key=repr) for key, ts in succ.items()}
+
+    def triple_step(x, a):
+        return itertools.product(*(step.get((s, a), ()) for s in x))
+
     for p in states:
         for q in states:
             if p == q:
                 continue
-            word = _triple_reach((p, p, q), (p, q, q), step, letters)
+            goal = (p, q, q)
+            word = _bfs_word((p, p, q), lambda y: y == goal, triple_step, letters)
             if word is not None:
                 return AmbiguityReport(POLY, (p, q), word)
     return AmbiguityReport(FINITE)
@@ -1112,71 +1114,3 @@ def _scc(vertices, edges):
                     if w == v:
                         break
     return comp
-
-
-def _pair_cycle_word(diag, u, a, v, by_letter, letters):
-    """Word of a cycle diag ->* u -a-> v ->* diag in the pair product."""
-    def bfs(src, dst):
-        if src == dst:
-            return ()
-        seen = {src: None}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for b in letters:
-                for (p1, q1, _i1) in by_letter.get(b, ()):
-                    if p1 != x[0]:
-                        continue
-                    for (p2, q2, _i2) in by_letter.get(b, ()):
-                        if p2 != x[1]:
-                            continue
-                        y = (q1, q2)
-                        if y not in seen:
-                            seen[y] = (x, b)
-                            if y == dst:
-                                return _unwind(seen, dst)
-                            queue.append(y)
-        return None
-
-    w1 = bfs(diag, u)
-    w2 = bfs(v, diag)
-    if w1 is None or w2 is None:
-        return ()
-    return tuple(w1) + (a,) + tuple(w2)
-
-
-def _unwind(seen, dst):
-    out = []
-    cur = dst
-    while seen[cur] is not None:
-        prev, b = seen[cur]
-        out.append(b)
-        cur = prev
-    return tuple(reversed(out))
-
-
-def _triple_reach(src, dst, step, letters):
-    seen = {src: None}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for a in letters:
-            t1 = step.get((x[0], a))
-            if not t1:
-                continue
-            t2 = step.get((x[1], a))
-            if not t2:
-                continue
-            t3 = step.get((x[2], a))
-            if not t3:
-                continue
-            for y1 in t1:
-                for y2 in t2:
-                    for y3 in t3:
-                        y = (y1, y2, y3)
-                        if y not in seen:
-                            seen[y] = (x, a)
-                            if y == dst:
-                                return _unwind(seen, dst)
-                            queue.append(y)
-    return None

@@ -5,7 +5,9 @@ A source x traverses z when some output keeps origin x on one side of z
 and gets a new origin strictly on the other side.  Counts are per
 direction: max_count is the largest number of distinct sources traversing
 one position in one direction, which is the quantity the R_k family
-matches exactly.
+matches exactly.  The report, ``max_traversal`` and ``greedy_label`` all
+read one pass over the output positions (``_reach``): the rightmost and
+the leftmost new origin of each source whose origins move.
 """
 
 from __future__ import annotations
@@ -27,6 +29,20 @@ class GreedyLabelError(ValueError):
 def _check_pair(sigma, sigma_p):
     if sigma.input != sigma_p.input or sigma.output != sigma_p.output:
         raise TraversalError("traversal needs graphs with equal input and output words")
+
+
+def _reach(sigma, sigma_p):
+    """The pass every traversal count reads: for each source x whose new
+    origins move right, the rightmost of them, and for each whose new
+    origins move left, the leftmost; two dicts keyed by x."""
+    _check_pair(sigma, sigma_p)
+    right, left = {}, {}
+    for x, new in zip(sigma.orig, sigma_p.orig):
+        if new > right.get(x, x):
+            right[x] = new
+        elif new < left.get(x, x):
+            left[x] = new
+    return right, left
 
 
 def traverses(sigma: OriginGraph, sigma_p: OriginGraph, x: int, z: int) -> bool:
@@ -65,49 +81,32 @@ def traversal_report(sigma: OriginGraph, sigma_p: OriginGraph) -> TraversalRepor
     A source traversing one position through several outputs counts once.
     max_count is the per-direction maximum over positions.
     """
-    _check_pair(sigma, sigma_p)
+    right, left = _reach(sigma, sigma_p)
     n = len(sigma.input)
     lr = [set() for _ in range(n)]
     rl = [set() for _ in range(n)]
-    spans = {}
-    for t in range(len(sigma.output)):
-        x, new = sigma.orig[t], sigma_p.orig[t]
-        lo, hi = spans.get(x, (x, x))
-        spans[x] = (min(lo, new), max(hi, new))
-    for x, (lo, hi) in spans.items():
+    for x, hi in right.items():
         for z in range(x, hi):          # x <= z < max new origin
             lr[z - 1].add(x)
+    for x, lo in left.items():
         for z in range(lo + 1, x + 1):  # min new origin < z <= x
             rl[z - 1].add(x)
-    mx = 0
-    for z in range(n):
-        mx = max(mx, len(lr[z]), len(rl[z]))
     return TraversalReport(tuple(frozenset(s) for s in lr),
-                           tuple(frozenset(s) for s in rl), mx)
+                           tuple(frozenset(s) for s in rl), max(map(len, lr + rl)))
 
 
 def max_traversal(sigma: OriginGraph, sigma_p: OriginGraph) -> int:
     """max_count without materializing the sets (sweep over coverage deltas)."""
-    _check_pair(sigma, sigma_p)
+    right, left = _reach(sigma, sigma_p)
     n = len(sigma.input)
-    hi_t = {}
-    lo_t = {}
-    for t in range(len(sigma.output)):
-        x, new = sigma.orig[t], sigma_p.orig[t]
-        if new > hi_t.get(x, x):
-            hi_t[x] = new
-        if new < lo_t.get(x, x):
-            lo_t[x] = new
     diff_lr = [0] * (n + 2)
     diff_rl = [0] * (n + 2)
-    for x, hi in hi_t.items():
-        if hi > x:
-            diff_lr[x] += 1
-            diff_lr[hi] -= 1
-    for x, lo in lo_t.items():
-        if lo < x:
-            diff_rl[lo + 1] += 1
-            diff_rl[x + 1] -= 1
+    for x, hi in right.items():
+        diff_lr[x] += 1
+        diff_lr[hi] -= 1
+    for x, lo in left.items():
+        diff_rl[lo + 1] += 1
+        diff_rl[x + 1] -= 1
     mx = cur_lr = cur_rl = 0
     for z in range(1, n + 1):
         cur_lr += diff_lr[z]
@@ -153,38 +152,29 @@ def greedy_label(sigma: OriginGraph, sigma_p: OriginGraph, k: int) -> LabelAssig
 
     Raises GreedyLabelError("k-traversal exceeded") when no index is free.
     """
-    _check_pair(sigma, sigma_p)
+    right, left = _reach(sigma, sigma_p)
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = len(sigma.input)
-    hi_t = {}
-    lo_t = {}
-    for t in range(len(sigma.output)):
-        x, new = sigma.orig[t], sigma_p.orig[t]
-        if new > hi_t.get(x, x):
-            hi_t[x] = new
-        if new < lo_t.get(x, x):
-            lo_t[x] = new
 
     rights = [set() for _ in range(k)]
     busy_until = [None] * k
-    for x in sorted(x for x, hi in hi_t.items() if hi > x):
+    for x in sorted(right):
         free = [i for i in range(k) if busy_until[i] is None or busy_until[i] <= x]
         if not free:
             raise GreedyLabelError("k-traversal exceeded")
         i = free[0]
         rights[i].add(x)
-        busy_until[i] = hi_t[x]
+        busy_until[i] = right[x]
 
     lefts = [set() for _ in range(k)]
     busy_until = [None] * k
-    for x in sorted((x for x, lo in lo_t.items() if lo < x), reverse=True):
+    for x in sorted(left, reverse=True):
         free = [i for i in range(k) if busy_until[i] is None or busy_until[i] >= x]
         if not free:
             raise GreedyLabelError("k-traversal exceeded")
         i = free[0]
         lefts[i].add(x)
-        busy_until[i] = lo_t[x]
+        busy_until[i] = left[x]
 
     return LabelAssignment(tuple(frozenset(s) for s in rights),
                            tuple(frozenset(s) for s in lefts))

@@ -9,13 +9,15 @@ from origami.cli import main
 from origami.formats import (parse_automaton, format_automaton, parse_transducer,
                              format_transducer, parse_machine, format_machine,
                              parse_origin_graph, format_origin_graph, parse_resynchronizer,
-                             FormatError)
-from origami.automata import language_equal_upto
+                             normalize_state_names, FormatError)
+from origami.automata import StructuredAlphabet, StructuredNfa, language_equal_upto
 from origami.resync import (Resynchronizer, ExtendedResynchronizer, is_bounded,
                             simplify_extended)
 from origami.reduction import halt2
-from origami.transducers import RunCaps, run_origin_graphs, OriginGraph
+from origami.transducers import OneWayTransducer, RunCaps, run_origin_graphs, OriginGraph
 from origami.mso import mso_compile, parse_formula
+
+from outcomes import outcome
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -125,6 +127,46 @@ def test_parse_errors():
                          "states: p\ninitial: p\nfinal: p\np -- a b --> p\n")
     with pytest.raises(FormatError):
         parse_machine("states: q\nalphabet: B\ninitial: q\nfinal: q\nq,B > q,B,R\n")
+
+
+LOOP = "alphabet: a\nstates: p\ninitial: p\nfinal: p\n"
+ONE_WAY = "kind: 1nt\ninput-alphabet: a\noutput-alphabet: a\nstates: p\ninitial: p\nfinal: p\n"
+TYPED = "output-alphabet: c d\nout-params: O\ndelta: false\n"
+
+FORMAT_ROWS = [
+    ("comments and blank lines",
+     lambda: parse_automaton("# a loop\n\n" + LOOP + "  \n# on a\np -- a --> p\n"),
+     StructuredNfa(StructuredAlphabet({"a"}), {"p"}, {"p"}, {"p"}, (("p", ("a", ()), "p"),))),
+    ("shared delta line and typed outputs",
+     lambda: (lambda r: (r.gamma_by_type[("c", 1)], r.delta_by_type_pair[(("c", 1), ("d", 0))]))(
+         parse_resynchronizer(TYPED + "gamma(c:1): first(x) & last(y)\n")),
+     (parse_formula("first(x) & last(y)"), parse_formula("false"))),
+    ("typed output with a wrong bit count",
+     lambda: parse_resynchronizer(TYPED + "gamma(c:10): true\n"), FormatError),
+    ("flattened state names collide",
+     lambda: sorted(normalize_state_names(OneWayTransducer(
+         {("a", "b"), "a_b"}, {"a"}, {"a"}, ((("a", "b"), "a", ("a",), "a_b"),),
+         {("a", "b")}, {"a_b"})).transitions),
+     [("s1", "a", ("a",), "s0")]),
+    ("missing header", lambda: parse_automaton("alphabet: a\n"), FormatError),
+    ("bad automaton transition", lambda: parse_automaton(LOOP + "p a p\n"), FormatError),
+    ("wrong track-bit count",
+     lambda: parse_automaton("tracks: x\n" + LOOP + "p -- a --> p\n"), FormatError),
+    ("bad two-way transition",
+     lambda: parse_transducer(ONE_WAY.replace("1nt", "2nt") + "p -- a / a --> p\n"), FormatError),
+    ("transducer the constructor rejects",
+     lambda: parse_transducer(ONE_WAY + "p -- b / a --> p\n"), FormatError),
+    ("machine with no alphabet",
+     lambda: parse_machine("states: q\nalphabet:\ninitial: q\nfinal: q\n"), FormatError),
+    ("unknown extension", lambda: formats.load(os.path.join(DATA, os.pardir, "pyproject.toml")),
+     FormatError),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in FORMAT_ROWS],
+                         ids=[row[0] for row in FORMAT_ROWS])
+def test_format_rows(call, expected):
+    assert outcome(call) == expected
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from origami.mso import (parse_formula, mso_compile, compile_dfa, evaluate_exten
                          bottom, f_and, forall, _shape)
 from origami.resync import rename_free
 
+from outcomes import outcome
+
 
 def ext_letters(base, k):
     return [(a, bits) for a in sorted(base) for bits in itertools.product((0, 1), repeat=k)]
@@ -72,6 +74,25 @@ def test_parser_errors():
     for bad in ["a(", "x <=", "exists X. a(x)", "x in y", "(a(x)"]:
         with pytest.raises(MsoSyntaxError):
             parse_formula(bad)
+
+
+MSO_ROWS = [
+    ("repeated signature variable",
+     lambda: mso_compile(parse_formula("x = y"), ("x", "x"), "ab"), MsoSyntaxError),
+    ("trailing whitespace", lambda: parse_formula("x = y  "), parse_formula("x = y")),
+    ("untokenizable character", lambda: parse_formula("x = y $"), MsoSyntaxError),
+    ("expected token missing", lambda: parse_formula("first(x y)"), MsoSyntaxError),
+    ("trailing tokens", lambda: parse_formula("x = y )"), MsoSyntaxError),
+    ("unexpected token", lambda: parse_formula("( )"), MsoSyntaxError),
+    ("no integer after +", lambda: parse_formula("x = y + z"), MsoSyntaxError),
+    ("no operator after a variable", lambda: parse_formula("x y"), MsoSyntaxError),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in MSO_ROWS],
+                         ids=[row[0] for row in MSO_ROWS])
+def test_mso_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_parser_roundtrip_constructs():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from origami.transducers import OriginGraph, RunCaps
-from origami.rational import (InterleavedWord, InterleaveError, RegexError, RegexResync,
+from origami.rational import (InterleavedWord, InterleaveError, RationalResync, RegexError,
+                              RegexResync,
                               interleave, deinterleave, zip_pair,
                               rational_pair_accepts, parse_pair_regex,
                               make_rational_block, make_rational_shift,
@@ -13,6 +14,8 @@ from origami.rational import (InterleavedWord, InterleaveError, RegexError, Rege
                               atom, cat, alt, star, plus)
 from origami.resync import make_shift, pair_in_resync
 from origami.reduction import halt2, build_tiles, build_Tdown, build_Tup
+
+from outcomes import outcome
 
 
 SIG = ("a", "b")
@@ -61,6 +64,28 @@ def random_monotone_graph(rng, max_len=6):
     v = "".join(rng.choice("cd") for _ in range(m))
     orig = sorted(rng.randint(1, n) for _ in range(m))
     return graph(u, v, orig)
+
+
+RATIONAL_ROWS = [
+    ("letter in neither alphabet", lambda: InterleavedWord(("a", "z"), SIG, GAM), InterleaveError),
+    ("overlapping alphabets", lambda: RationalResync(SIG, SIG), InterleaveError),
+    ("acceptor without a language",
+     lambda: RationalResync(SIG, GAM).accepts_pairs(()), NotImplementedError),
+    ("graphs with different words",
+     lambda: rational_pair_accepts(make_rational_identity(SIG, GAM), graph("a", "c", [1]),
+                                   graph("b", "c", [1]), SIG, GAM), InterleaveError),
+    ("unknown regex node", lambda: RegexResync(object()), TypeError),
+    ("trailing whitespace", lambda: parse_pair_regex("a/a c/c  ").nfa,
+     parse_pair_regex("a/a c/c").nfa),
+    ("trailing tokens", lambda: parse_pair_regex("a/a )"), RegexError),
+    ("negative shift", lambda: make_rational_shift(-1, SIG, GAM), ValueError),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in RATIONAL_ROWS],
+                         ids=[row[0] for row in RATIONAL_ROWS])
+def test_rational_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_round_trip_identity():

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from origami.reduction import (TuringMachine, TileSet, MachineError, build_tiles, history,
+from origami.reduction import (TuringMachine, Tile, TileSet, MachineError, build_tiles, history,
                                tape_probe, check_domino_lemma, check_domino_sweep,
                                build_Tdown, build_Tup, build_Tup_prime, build_Tdown_prime,
                                halt2, grow, SEP, _encode)
@@ -18,6 +18,7 @@ from origami.containment import contains_upto, traversal_profile
 from origami.frontier import _t1_fits_caps
 
 from top_row_sweep import first_top_row_violation
+from outcomes import outcome
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,41 @@ def test_machine_validation():
         TuringMachine({"q"}, {"B"}, "B",
                       ((("q", "B"), ("q", "B", "R")), (("q", "B"), ("q", "B", "L"))),
                       "q", "q")
+
+
+def machine(*rules, states=("q",), alphabet=("B",), initial="q"):
+    return TuringMachine(set(states), set(alphabet), "B", rules, initial, "q")
+
+
+def start_tiles(tiles):
+    return [t.index for t in tiles.tiles if t.top == (tiles.machine.initial, SEP)]
+
+
+REDUCTION_ROWS = [
+    ("initial state outside states", lambda: machine(initial="p"), MachineError),
+    ("rule endpoint outside states", lambda: machine((("q", "B"), ("p", "B", "R"))), MachineError),
+    ("rule letter outside alphabet", lambda: machine((("q", "a"), ("q", "B", "R"))), MachineError),
+    ("rule direction", lambda: machine((("q", "B"), ("q", "B", "U"))), MachineError),
+    ("state named like a letter",
+     lambda: machine(states=("q", "a"), alphabet=("B", "a")).tape_alphabet(), MachineError),
+    ("tile row too long", lambda: Tile("t", ("a",) * 4, (), "copy"), MachineError),
+    ("history cap of zero", lambda: history(machine(), 0, 1), MachineError),
+    ("probe cap of zero", lambda: tape_probe(machine(), 0), MachineError),
+    ("lemma past a running history",
+     lambda: (lambda t: check_domino_lemma(t, start_tiles(t), max_configs=1))(build_tiles(halt2())),
+     MachineError),
+    ("sweep past a running history",
+     lambda: check_domino_sweep(build_tiles(halt2()), 2, max_configs=1), MachineError),
+    ("sweep past a halted history",
+     lambda: (lambda t: check_domino_sweep(t, 2) == tuple(start_tiles(t)))(build_tiles(machine())),
+     True),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in REDUCTION_ROWS],
+                         ids=[row[0] for row in REDUCTION_ROWS])
+def test_reduction_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_tiles_copy_tiles_present(h2_tiles):

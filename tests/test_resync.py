@@ -23,7 +23,7 @@ from origami.resync import (Resynchronizer, ResyncWitness, ResyncError,
                             make_first, make_param_example, make_block, make_Rk,
                             make_first_to_last, _violation_from_path)
 from origami.frontier import _t2_may_lead
-from test_automata import _outcome
+from outcomes import outcome
 from test_mso import formula_cases
 
 
@@ -45,6 +45,34 @@ def pair_in_resync_bruteforce(resync, sigma, sigma_p):
 
 def graph(u, v, orig):
     return OriginGraph(u, v, tuple(orig))
+
+
+def gamma_automaton(base, tracks):
+    return StructuredNfa(StructuredAlphabet(frozenset(base), tracks), {"p"}, {"p"}, {"p"})
+
+
+RESYNC_ROWS = [
+    ("neither gamma nor automaton", lambda: Resynchronizer(()), ResyncError),
+    ("automaton tracks out of order",
+     lambda: Resynchronizer((), gamma_automaton=gamma_automaton("ab", ("y", "x"))), ResyncError),
+    ("first-order parameter name", lambda: Resynchronizer(("p",), Top()), ResyncError),
+    ("negative bound", lambda: bounded_by(make_identity(), -1, 3), ValueError),
+    ("negative shift", lambda: make_shift(-1), ValueError),
+    ("negative R_k", lambda: make_Rk(-1), ValueError),
+    ("composition across bases",
+     lambda: compose(make_identity(), make_identity(base=("a",))), ResyncError),
+    ("composition with an automaton",
+     lambda: compose(Resynchronizer((), gamma_automaton=gamma_automaton("ab", ("x", "y"))),
+                     make_identity()), ResyncError),
+    ("extended gamma missing a type",
+     lambda: ExtendedResynchronizer(gamma_by_type={}), ResyncError),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in RESYNC_ROWS],
+                         ids=[row[0] for row in RESYNC_ROWS])
+def test_resync_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_pm1_figure_pair_accepted():
@@ -628,9 +656,9 @@ def test_step_table_accepts_matches_the_subset_construction(case):
     ref = minimized_diagrams(r).to_nfa()
     explicit = StructuredNfa(ref.alphabet, ref.states, ref.initial, ref.final, ref.transitions)
     for w in words:
-        assert _outcome(dfa.accepts, w) == _outcome(explicit.accepts, w), w
+        assert outcome(dfa.accepts, w) == outcome(explicit.accepts, w), w
     assert "transitions" not in vars(dfa)
-    raised = [w for w in words if _outcome(dfa.accepts, w) is AlphabetMismatchError]
+    raised = [w for w in words if outcome(dfa.accepts, w) is AlphabetMismatchError]
     assert all(any(not ref.alphabet.contains_letter(ltr) for ltr in w) for w in raised)
 
 

@@ -177,3 +177,27 @@ def test_verdict_log_records_outermost_calls_once(tmp_path):
     assert lines[12]["args"] == [one_two, 1, ["RunCaps", 6, 30]]
     assert lines[12]["result"] == [[["a"], ["a"]], [["a"], ["a", "a"]]]
     assert plugin.read_text() == wrapped.read_text()
+
+
+def test_never_run_lists_the_lines_a_command_skips():
+    source = open(os.path.join(ROOT, "src", "origami", "traversal.py"), encoding="utf-8").read()
+    lines = source.splitlines()
+
+    def line_of(text):
+        return next(i for i, line in enumerate(lines, start=1) if text in line)
+
+    res = run_script("never_run.py", "-c",
+                     "from origami.transducers import OriginGraph as G; "
+                     "from origami.traversal import max_traversal; "
+                     "max_traversal(G('ab', 'c', (1,)), G('ab', 'c', (2,)))")
+    assert res.returncode == 0, res.stderr
+    report = dict(line.split(": ", 1) for line in res.stdout.splitlines() if ": " in line)
+    missed = set()
+    for part in report["traversal.py"].split(", "):
+        a, _, b = part.partition("-")
+        missed.update(range(int(a), int(b or a) + 1))
+    # the words are equal, so the pair check never raises; max_traversal ran
+    assert line_of('raise TraversalError("traversal needs graphs') in missed
+    assert line_of("diff_lr[hi] -= 1") not in missed
+    assert line_of("def max_traversal(") not in missed
+    assert res.stdout.splitlines()[-1].endswith("executable lines never ran")

@@ -6,11 +6,12 @@ from origami.transducers import (OneWayTransducer, TwoWayTransducer, RunCaps, Or
                                  run_origin_graphs, classical_pairs, origin_equivalent_upto,
                                  sweep_origin_graphs, enumerate_matching_graphs, words_upto,
                                  EmptyInputError, TransducerAlphabetError, EPS, LMARK,
-                                 RMARK, LEFT, RIGHT, _run_2nt)
+                                 RMARK, LEFT, RIGHT, _run_2nt, word)
 
 from random_one_way import (LETTERS, SIX_STATES, fifo_run_graphs, one_way_machines, partners,
                             stale_step_repro, variants)
 from random_two_way import every_run_graphs, rebuilt, two_way_machines
+from outcomes import outcome
 
 
 def graphs_of(t, u, caps):
@@ -99,6 +100,43 @@ def test_origin_graph_validation():
         OriginGraph("ab", "cd", (1, 3))
     with pytest.raises(ValueError, match="origin 0 out of range"):
         OriginGraph("ab", "cd", (0, 1))
+
+
+def one_way(*transitions):
+    return OneWayTransducer({"p"}, {"a"}, {"b"}, transitions, {"p"}, {"p"})
+
+
+def two_way(*transitions):
+    return TwoWayTransducer({"p"}, {"a"}, {"b"}, transitions, {"p"}, {"p"})
+
+
+TRANSDUCER_ROWS = [
+    ("no word", lambda: word(None), ()),
+    ("caps of zero", lambda: RunCaps(0, 1), ValueError),
+    ("list transition and str output",
+     lambda: one_way(["p", "a", "bb", "p"]).transitions, (("p", "a", ("b", "b"), "p"),)),
+    ("one-way input letter", lambda: one_way(("p", "c", (), "p")), TransducerAlphabetError),
+    ("one-way output letter", lambda: one_way(("p", "a", ("c",), "p")), TransducerAlphabetError),
+    ("one-way endpoint", lambda: one_way(("p", "a", (), "q")), ValueError),
+    ("two-way input letter",
+     lambda: two_way(("p", "c", (), RIGHT, "p")), TransducerAlphabetError),
+    ("two-way direction", lambda: two_way(("p", "a", (), "U", "p")), ValueError),
+    ("two-way output letter",
+     lambda: two_way(("p", "a", ("c",), RIGHT, "p")), TransducerAlphabetError),
+    ("two-way endpoint", lambda: two_way(("p", "a", (), RIGHT, "q")), ValueError),
+    ("two-way nondeterministic",
+     lambda: two_way(("p", "a", (), RIGHT, "p"), ("p", "a", ("b",), RIGHT, "p")).is_deterministic(),
+     False),
+    ("equivalence across alphabets",
+     lambda: origin_equivalent_upto(one_way(), corpus.t_id(), 1, RunCaps(2, 4)),
+     TransducerAlphabetError),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in TRANSDUCER_ROWS],
+                         ids=[row[0] for row in TRANSDUCER_ROWS])
+def test_transducer_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_caps_monotone(t_one_two):

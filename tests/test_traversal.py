@@ -8,6 +8,8 @@ from origami.traversal import (traverses, traversal_report, max_traversal, mirro
                                TraversalError)
 from origami.resync import make_Rk, check_witness
 
+from outcomes import outcome
+
 
 def graph(u, v, orig):
     return OriginGraph(u, v, tuple(orig))
@@ -46,6 +48,25 @@ def random_pair(rng, max_len=8):
     s = graph(u, v, [rng.randint(1, n) for _ in range(m)])
     sp = graph(u, v, [rng.randint(1, n) for _ in range(m)])
     return s, sp
+
+
+OTHER_OUTPUT = (graph("ab", "c", [1]), graph("ab", "d", [1]))
+EQUAL = (graph("ab", "c", [1]), graph("ab", "c", [1]))
+
+TRAVERSAL_ROWS = [
+    ("traverses: different outputs", lambda: traverses(*OTHER_OUTPUT, 1, 1), TraversalError),
+    ("report: different outputs", lambda: traversal_report(*OTHER_OUTPUT), TraversalError),
+    ("max: different outputs", lambda: max_traversal(*OTHER_OUTPUT), TraversalError),
+    ("labels: different outputs", lambda: greedy_label(*OTHER_OUTPUT, 1), TraversalError),
+    ("labels: negative k", lambda: greedy_label(*EQUAL, -1), ValueError),
+    ("labels: index count", lambda: greedy_label(*EQUAL, 2).k(), 2),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in TRAVERSAL_ROWS],
+                         ids=[row[0] for row in TRAVERSAL_ROWS])
+def test_traversal_rows(call, expected):
+    assert outcome(call) == expected
 
 
 def test_traverses_figure_case():
